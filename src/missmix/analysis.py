@@ -39,11 +39,6 @@ def skl(p, q) -> float:
     return float((p * ratio).sum() - (q * ratio).sum())
 
 
-def value_histogram(dataset: RatingDataset) -> np.ndarray:
-    """Observed count of each rating value 1..V, shape (V,)."""
-    return dataset.value_counts()
-
-
 def item_value_counts(dataset: RatingDataset) -> np.ndarray:
     """Per-item value counts, shape (M, V)."""
     counts = np.zeros((dataset.n_items, dataset.n_values), dtype=np.int64)

@@ -118,7 +118,7 @@ def _cmd_train(args) -> int:
     data = load_csv(args.data, dims=_parse_dims(args.dims))
     config = FitConfig(n_components=args.components, alpha=args.alpha,
                        phi=args.phi, max_iters=args.max_iters,
-                       rel_tol=args.tol, seed=args.seed, threads=args.threads)
+                       rel_tol=args.tol, seed=args.seed)
     if args.model == "mm-none":
         result = fit_mar(data, config)
     else:
@@ -185,7 +185,7 @@ def _cmd_predict(args) -> int:
         raise DataValidationError("pair user index out of range")
     if (items < 0).any() or (items >= model.params.n_items).any():
         raise DataValidationError("pair item index out of range")
-    q = posterior_z(model.params, data, cptv=model.cptv, threads=args.threads)
+    q = posterior_z(model.params, data, cptv=model.cptv)
     pred = predict_median(predictive_distribution(model.params, q, users, items))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("user,item,prediction\n")
@@ -218,7 +218,6 @@ def _cmd_evaluate(args) -> int:
             else:
                 raise ConfigurationError(f"unknown family {family!r}")
     config = ProtocolConfig(max_iters=args.max_iters, rel_tol=args.tol,
-                            threads=args.threads,
                             seeds=tuple(_parse_int_list(args.seeds)))
     rows = run_protocol(split, specs, config)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -230,7 +229,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_analyze(args) -> int:
     a = load_csv(args.data, dims=_parse_dims(args.dims))
     lines = [f"# value_histogram {args.data}", "value,count"]
-    for v, c in enumerate(analysis.value_histogram(a), start=1):
+    for v, c in enumerate(a.value_counts(), start=1):
         lines.append(f"{v},{c}")
     if args.compare is not None:
         b = load_csv(args.compare, dims=_parse_dims(args.dims))
@@ -283,7 +282,6 @@ def _add_fit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-5,
                    help="relative objective change that stops EM")
     p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="observed ratings CSV (conditioning data)")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True, help="CSV of user,item pairs")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dims", default=None, help="force dimensions N,M,V")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)

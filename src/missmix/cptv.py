@@ -16,7 +16,6 @@ on each mu[v] and both raise the same joint objective monotonically.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,9 @@ from scipy.special import gammaln, logsumexp
 
 from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
-from .mixture import (FitConfig, FitResult, MixtureParams, _chunk_bounds,
-                      _log_dirichlet_prior, _normalize_log_weights,
-                      _relative_change, _scatter_value_item, init_params)
+from .mixture import (FitConfig, FitResult, MixtureParams, _gather,
+                      _log_dirichlet_prior, _normalize_log_weights, _run_em,
+                      _scatter, init_params)
 
 # Observation probabilities are clamped inside the open unit interval so
 # their logs stay finite.
@@ -121,54 +120,34 @@ def compute_gamma(params: MixtureParams, cptv: CptvParams,
 
 
 def _log_weights_nmar(params: MixtureParams, cptv: CptvParams,
-                      dataset: RatingDataset, threads: int = 1) -> np.ndarray:
+                      dataset: RatingDataset) -> np.ndarray:
     """Unnormalised per-user log component weights, shape (N, K).
 
     Starts every user from the all-hidden row sum and adjusts only the
     observed entries, swapping each hidden-cell term for
     log mu[x] + log beta[x, m, z].
     """
-    N, K = dataset.n_users, params.n_components
     with np.errstate(divide="ignore"):
         log_theta = np.log(params.theta)
         log_beta = np.log(params.beta)
         log_gamma0 = np.log(_hidden_cell_table(params, cptv))
-    log_mu = np.log(cptv.mu)
     base = log_theta + log_gamma0.sum(axis=0)
-    row_ptr = dataset.row_ptr()
-    out = np.empty((N, K))
-
-    def fill(bounds):
-        u0, u1 = bounds
-        a, b = row_ptr[u0], row_ptr[u1]
-        v = dataset.values[a:b] - 1
-        m = dataset.items[a:b]
-        adj = log_mu[v, None] + log_beta[v, m, :] - log_gamma0[m, :]
-        acc = np.zeros((u1 - u0, K))
-        np.add.at(acc, dataset.users[a:b] - u0, adj)
-        out[u0:u1] = base + acc
-
-    chunks = _chunk_bounds(N, threads)
-    if len(chunks) == 1:
-        fill(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(fill, chunks))
-    return out
+    adj = np.log(cptv.mu)[:, None, None] + log_beta - log_gamma0
+    return base + _gather(dataset, adj)
 
 
 def e_step_nmar(params: MixtureParams, cptv: CptvParams,
-                dataset: RatingDataset, threads: int = 1) -> np.ndarray:
+                dataset: RatingDataset) -> np.ndarray:
     """Posterior component responsibilities, shape (N, K); rows sum to 1."""
-    q, _ = _normalize_log_weights(_log_weights_nmar(params, cptv, dataset, threads))
+    q, _ = _normalize_log_weights(_log_weights_nmar(params, cptv, dataset))
     return q
 
 
 def log_evidence_nmar(params: MixtureParams, cptv: CptvParams,
-                      dataset: RatingDataset, threads: int = 1) -> np.ndarray:
+                      dataset: RatingDataset) -> np.ndarray:
     """Per-user log probability of observed values and response pattern,
     shape (N,)."""
-    return logsumexp(_log_weights_nmar(params, cptv, dataset, threads), axis=1)
+    return logsumexp(_log_weights_nmar(params, cptv, dataset), axis=1)
 
 
 def _hidden_mass_stats(params: MixtureParams, cptv: CptvParams,
@@ -182,7 +161,7 @@ def _hidden_mass_stats(params: MixtureParams, cptv: CptvParams,
     """
     gamma0 = _hidden_cell_table(params, cptv)
     w = (1.0 - cptv.mu)[:, None, None] * params.beta / gamma0
-    obs_vmz = _scatter_value_item(dataset, q, params.n_values, params.n_items)
+    obs_vmz = _scatter(dataset, q)
     hidden_q = np.maximum(q.sum(axis=0) - obs_vmz.sum(axis=0), 0.0)
     return w, hidden_q, obs_vmz
 
@@ -243,12 +222,16 @@ def _log_beta_prior(cptv: CptvParams) -> float:
                   + (cptv.xi0 - 1.0) * np.log1p(-cptv.mu)).sum())
 
 
+def _objective_nmar(params: MixtureParams, cptv: CptvParams,
+                    log_z: np.ndarray) -> float:
+    return float(log_z.sum()) + _log_dirichlet_prior(params) + _log_beta_prior(cptv)
+
+
 def log_posterior_nmar(params: MixtureParams, cptv: CptvParams,
-                       dataset: RatingDataset, threads: int = 1) -> float:
+                       dataset: RatingDataset) -> float:
     """Log of (evidence x priors); includes the Beta term for mu only
     when cptv carries a prior."""
-    log_z = log_evidence_nmar(params, cptv, dataset, threads)
-    return float(log_z.sum()) + _log_dirichlet_prior(params) + _log_beta_prior(cptv)
+    return _objective_nmar(params, cptv, log_evidence_nmar(params, cptv, dataset))
 
 
 def fit_nmar(dataset: RatingDataset, config: FitConfig,
@@ -289,24 +272,15 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig,
     else:
         raise ConfigurationError(f"unknown mu mode {mu_mode.kind!r}")
 
-    q, _ = _normalize_log_weights(
-        _log_weights_nmar(params, cptv, dataset, config.threads))
-    trace = []
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
-        params, cptv = m_step_nmar(params, cptv, dataset, q, learn_mu=learn)
-        log_w = _log_weights_nmar(params, cptv, dataset, config.threads)
-        q, log_z = _normalize_log_weights(log_w)
-        trace.append(float(log_z.sum()) + _log_dirichlet_prior(params)
-                     + _log_beta_prior(cptv))
-        iterations += 1
-        if iterations >= 2 and _relative_change(trace[-1], trace[-2]) < config.rel_tol:
-            converged = True
-            break
+    (params, cptv), q, trace, converged = _run_em(
+        (params, cptv),
+        lambda s: _log_weights_nmar(*s, dataset),
+        lambda s, q: m_step_nmar(*s, dataset, q, learn_mu=learn),
+        lambda s, log_z: _objective_nmar(*s, log_z),
+        config)
     return FitResult(params=params, cptv=cptv, mu_mode=mu_mode.kind,
-                     log_posterior_trace=np.array(trace), converged=converged,
-                     iterations=iterations,
+                     log_posterior_trace=trace, converged=converged,
+                     iterations=len(trace),
                      missing_value_attribution=missing_value_attribution(
                          params, cptv, dataset, q))
 

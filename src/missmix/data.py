@@ -5,6 +5,11 @@ A dataset holds (user, item, value) triples with integer rating values in
 iff its pair is present. Triples are kept sorted by (user, item) so that
 per-user rows come back in item order, and the arrays are frozen after
 construction so datasets can be shared freely.
+
+Model code reaches the triples through one sparse operator: the N x V*M
+incidence matrix of `RatingDataset.incidence`. Multiplying it with a
+(value, item)-indexed table gathers per-user sums; its transpose scatters
+per-user rows back into (value, item) cells.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ConfigurationError, DataValidationError, ParseError
 
@@ -37,6 +43,7 @@ class RatingDataset:
     items: np.ndarray
     values: np.ndarray
     _row_ptr: np.ndarray = field(repr=False, default=None)
+    _incidence: csr_array | None = field(repr=False, default=None)
 
     @classmethod
     def from_arrays(cls, n_users, n_items, n_values, users, items, values,
@@ -86,6 +93,27 @@ class RatingDataset:
         """CSR-style offsets into the triple arrays, shape (N+1,)."""
         return self._row_ptr
 
+    def incidence(self) -> csr_array:
+        """CSR one-hot operator A of shape (N, V*M), built once and cached.
+
+        A[i, (x-1)*M + m] = 1 for each observed (i, m, x), with each row's
+        entries in item order. ``A @ table.reshape(V*M, K)`` sums table
+        rows over every user's observations, and ``A.T @ q`` sums
+        per-user rows into (value, item) cells.
+
+        Raises DataValidationError if any triple lies outside the
+        dimensions, since the sparse kernels do not bounds-check.
+        """
+        if self._incidence is None:
+            problems = _range_violations(self)
+            if problems:
+                raise DataValidationError(problems[0])
+            cols = (self.values - 1) * self.n_items + self.items
+            self._incidence = csr_array(
+                (np.ones(self.n_obs), cols, self._row_ptr),
+                shape=(self.n_users, self.n_values * self.n_items))
+        return self._incidence
+
     def value_counts(self) -> np.ndarray:
         """Count of each rating value 1..V, shape (V,)."""
         in_range = (self.values >= 1) & (self.values <= self.n_values)
@@ -118,12 +146,8 @@ class SplitPair:
         return out
 
 
-def validate(dataset: RatingDataset) -> list[str]:
-    """Check dataset invariants, returning one message per violation.
-
-    Violations are returned rather than raised so callers can report all
-    of them at once. An empty list means the dataset is well-formed.
-    """
+def _range_violations(dataset: RatingDataset) -> list[str]:
+    """One message per user, item or rating outside the dimensions."""
     out = []
     bad_u = (dataset.users < 0) | (dataset.users >= dataset.n_users)
     bad_m = (dataset.items < 0) | (dataset.items >= dataset.n_items)
@@ -135,6 +159,16 @@ def validate(dataset: RatingDataset) -> list[str]:
     for i in np.flatnonzero(bad_v):
         out.append(f"rating {dataset.values[i]} out of range [1, {dataset.n_values}]"
                    f" at (user={dataset.users[i]}, item={dataset.items[i]})")
+    return out
+
+
+def validate(dataset: RatingDataset) -> list[str]:
+    """Check dataset invariants, returning one message per violation.
+
+    Violations are returned rather than raised so callers can report all
+    of them at once. An empty list means the dataset is well-formed.
+    """
+    out = _range_violations(dataset)
     if dataset.n_obs > 1:
         same = (np.diff(dataset.users) == 0) & (np.diff(dataset.items) == 0)
         for i in np.flatnonzero(same):
@@ -206,16 +240,8 @@ def min_ratings_filter(dataset: RatingDataset, k: int):
     """
     if k < 0:
         raise ConfigurationError(f"min rating count must be >= 0, got {k}")
-    counts = dataset.row_counts()
-    kept = np.flatnonzero(counts >= k)
-    remap = np.full(dataset.n_users, -1, dtype=np.int64)
-    remap[kept] = np.arange(len(kept))
-    keep_mask = remap[dataset.users] >= 0
-    filtered = RatingDataset.from_arrays(
-        len(kept), dataset.n_items, dataset.n_values,
-        remap[dataset.users[keep_mask]], dataset.items[keep_mask],
-        dataset.values[keep_mask])
-    return filtered, kept
+    kept = np.flatnonzero(dataset.row_counts() >= k)
+    return remap_users(dataset, kept), kept
 
 
 def remap_users(dataset: RatingDataset, kept_users: np.ndarray) -> RatingDataset:

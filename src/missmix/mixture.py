@@ -11,7 +11,6 @@ of (likelihood x priors).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +69,6 @@ class FitConfig:
     max_iters: int = 1000
     rel_tol: float = 1e-5
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_components < 1:
@@ -83,8 +81,6 @@ class FitConfig:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rel_tol < 0:
             raise ConfigurationError(f"rel_tol must be >= 0, got {self.rel_tol}")
-        if self.threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass
@@ -123,43 +119,33 @@ def init_params(n_items: int, n_values: int, config: FitConfig) -> MixtureParams
     return MixtureParams(theta=theta, beta=beta, alpha=alpha, phi=phi)
 
 
-def _chunk_bounds(n_users: int, threads: int):
-    if threads <= 1 or n_users == 0:
-        return [(0, n_users)]
-    edges = np.linspace(0, n_users, min(threads, n_users) + 1).astype(np.int64)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+def _gather(dataset: RatingDataset, table: np.ndarray) -> np.ndarray:
+    """Per-user sums of table[x-1, m, :] over observed (m, x), shape (N, K).
+
+    ``table`` may cover more items than the dataset; the extra ones are
+    never observed and drop out.
+    """
+    V, M = dataset.n_values, dataset.n_items
+    return dataset.incidence() @ table[:, :M].reshape(V * M, -1)
 
 
-def _log_weights_mar(params: MixtureParams, dataset: RatingDataset,
-                     threads: int = 1) -> np.ndarray:
+def _scatter(dataset: RatingDataset, q: np.ndarray) -> np.ndarray:
+    """Sum responsibility rows into (value, item) cells, shape (V, M, K)."""
+    return (dataset.incidence().T @ q).reshape(
+        dataset.n_values, dataset.n_items, q.shape[1])
+
+
+def _log_weights_mar(params: MixtureParams,
+                     dataset: RatingDataset) -> np.ndarray:
     """Unnormalised per-user log component weights, shape (N, K).
 
     Row i holds log theta_z + sum over observed items of
-    log beta[x, m, z]. Users are chunked on index boundaries, so each
-    row is accumulated in the same order regardless of thread count.
+    log beta[x, m, z].
     """
-    N, K = dataset.n_users, params.n_components
     with np.errstate(divide="ignore"):
         log_theta = np.log(params.theta)
         log_beta = np.log(params.beta)
-    row_ptr = dataset.row_ptr()
-    out = np.empty((N, K))
-
-    def fill(bounds):
-        u0, u1 = bounds
-        a, b = row_ptr[u0], row_ptr[u1]
-        acc = np.zeros((u1 - u0, K))
-        entry = log_beta[dataset.values[a:b] - 1, dataset.items[a:b], :]
-        np.add.at(acc, dataset.users[a:b] - u0, entry)
-        out[u0:u1] = log_theta + acc
-
-    chunks = _chunk_bounds(N, threads)
-    if len(chunks) == 1:
-        fill(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(fill, chunks))
-    return out
+    return log_theta + _gather(dataset, log_beta)
 
 
 def _normalize_log_weights(log_w: np.ndarray):
@@ -168,19 +154,10 @@ def _normalize_log_weights(log_w: np.ndarray):
     return q, log_z
 
 
-def e_step_mar(params: MixtureParams, dataset: RatingDataset,
-               threads: int = 1) -> np.ndarray:
+def e_step_mar(params: MixtureParams, dataset: RatingDataset) -> np.ndarray:
     """Posterior component responsibilities, shape (N, K); rows sum to 1."""
-    q, _ = _normalize_log_weights(_log_weights_mar(params, dataset, threads))
+    q, _ = _normalize_log_weights(_log_weights_mar(params, dataset))
     return q
-
-
-def _scatter_value_item(dataset: RatingDataset, q: np.ndarray,
-                        n_values: int, n_items: int) -> np.ndarray:
-    """Sum responsibility rows into (value, item) cells, shape (V, M, K)."""
-    acc = np.zeros((n_values, n_items, q.shape[1]))
-    np.add.at(acc, (dataset.values - 1, dataset.items), q[dataset.users])
-    return acc
 
 
 def m_step_mar(params: MixtureParams, dataset: RatingDataset,
@@ -194,8 +171,7 @@ def m_step_mar(params: MixtureParams, dataset: RatingDataset,
         raise ConfigurationError("maximum-posterior updates need smoothing arrays")
     theta_num = params.alpha - 1.0 + q.sum(axis=0)
     theta = theta_num / theta_num.sum()
-    beta_num = params.phi - 1.0 + _scatter_value_item(
-        dataset, q, params.n_values, params.n_items)
+    beta_num = params.phi - 1.0 + _scatter(dataset, q)
     beta = beta_num / beta_num.sum(axis=0, keepdims=True)
     return MixtureParams(theta=theta, beta=beta, alpha=params.alpha, phi=params.phi)
 
@@ -214,16 +190,41 @@ def _log_dirichlet_prior(params: MixtureParams) -> float:
     return float(lp)
 
 
-def log_posterior_mar(params: MixtureParams, dataset: RatingDataset,
-                      threads: int = 1) -> float:
+def log_posterior_mar(params: MixtureParams, dataset: RatingDataset) -> float:
     """Log of (observed-data likelihood x smoothing priors), up to the
     normalising constant of the data."""
-    log_z = logsumexp(_log_weights_mar(params, dataset, threads), axis=1)
+    log_z = logsumexp(_log_weights_mar(params, dataset), axis=1)
     return float(log_z.sum()) + _log_dirichlet_prior(params)
 
 
 def _relative_change(cur: float, prev: float) -> float:
     return abs(cur - prev) / max(abs(cur), _TINY)
+
+
+def _run_em(state, log_weights, m_step, objective, config: FitConfig):
+    """The EM loop shared by every model family.
+
+    ``state`` holds the current parameters; ``log_weights(state)`` gives
+    unnormalised per-user log component weights, ``m_step(state, q)``
+    the next state, and ``objective(state, log_z)`` the log posterior
+    from the per-user log normalisers. Iterates M then E until the
+    relative objective change falls below ``config.rel_tol`` or
+    ``config.max_iters`` runs out.
+
+    Returns (state, q, trace, converged) with q the responsibilities
+    under the final state and trace[t] the objective after M-step t+1.
+    """
+    q, _ = _normalize_log_weights(log_weights(state))
+    trace = []
+    converged = False
+    for _ in range(config.max_iters):
+        state = m_step(state, q)
+        q, log_z = _normalize_log_weights(log_weights(state))
+        trace.append(objective(state, log_z))
+        if len(trace) >= 2 and _relative_change(trace[-1], trace[-2]) < config.rel_tol:
+            converged = True
+            break
+    return state, q, np.array(trace), converged
 
 
 def fit_mar(dataset: RatingDataset, config: FitConfig) -> FitResult:
@@ -240,20 +241,11 @@ def fit_mar(dataset: RatingDataset, config: FitConfig) -> FitResult:
         With the objective evaluated after every update; the run stops
         once the relative change falls below ``config.rel_tol``.
     """
-    params = init_params(dataset.n_items, dataset.n_values, config)
-    q, _ = _normalize_log_weights(
-        _log_weights_mar(params, dataset, config.threads))
-    trace = []
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
-        params = m_step_mar(params, dataset, q)
-        log_w = _log_weights_mar(params, dataset, config.threads)
-        q, log_z = _normalize_log_weights(log_w)
-        trace.append(float(log_z.sum()) + _log_dirichlet_prior(params))
-        iterations += 1
-        if iterations >= 2 and _relative_change(trace[-1], trace[-2]) < config.rel_tol:
-            converged = True
-            break
-    return FitResult(params=params, log_posterior_trace=np.array(trace),
-                     converged=converged, iterations=iterations)
+    params, _, trace, converged = _run_em(
+        init_params(dataset.n_items, dataset.n_values, config),
+        lambda p: _log_weights_mar(p, dataset),
+        lambda p, q: m_step_mar(p, dataset, q),
+        lambda p, log_z: float(log_z.sum()) + _log_dirichlet_prior(p),
+        config)
+    return FitResult(params=params, log_posterior_trace=trace,
+                     converged=converged, iterations=len(trace))

@@ -70,6 +70,13 @@ def _parse_floats(rest, line_no):
         raise ParseError("malformed float", line=line_no) from None
 
 
+def _parse_ints(rest, line_no):
+    try:
+        return np.array([int(t) for t in rest], dtype=np.int64)
+    except ValueError:
+        raise ParseError("malformed integer", line=line_no) from None
+
+
 def _parse_int(rest, line_no):
     if len(rest) != 1:
         raise ParseError("expected a single integer", line=line_no)
@@ -95,7 +102,7 @@ def load_model(path) -> LoadedModel:
             elif key in ("theta", "beta", "alpha", "phi", "mu", "xi1", "xi0"):
                 fields[key] = _parse_floats(rest, line_no)
             elif key == "z":
-                fields[key] = np.array([int(t) for t in rest], dtype=np.int64)
+                fields[key] = _parse_ints(rest, line_no)
             elif key in ("kind", "mu_mode"):
                 if len(rest) != 1:
                     raise ParseError(f"{key} takes one token", line=line_no)

@@ -18,7 +18,7 @@ from .mixture import MixtureParams, _log_weights_mar, _normalize_log_weights
 
 
 def posterior_z(params: MixtureParams, dataset: RatingDataset,
-                cptv: CptvParams | None = None, threads: int = 1) -> np.ndarray:
+                cptv: CptvParams | None = None) -> np.ndarray:
     """Per-user component posteriors, shape (N, K).
 
     With ``cptv`` the posterior conditions on the full response pattern
@@ -26,9 +26,9 @@ def posterior_z(params: MixtureParams, dataset: RatingDataset,
     the observed values.
     """
     if cptv is None:
-        log_w = _log_weights_mar(params, dataset, threads)
+        log_w = _log_weights_mar(params, dataset)
     else:
-        log_w = _log_weights_nmar(params, cptv, dataset, threads)
+        log_w = _log_weights_nmar(params, cptv, dataset)
     q, _ = _normalize_log_weights(log_w)
     return q
 

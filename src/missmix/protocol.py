@@ -71,7 +71,6 @@ class ProtocolConfig:
 
     max_iters: int = 1000
     rel_tol: float = 1e-5
-    threads: int = 1
     seeds: tuple = field(default_factory=lambda: (0, 1, 2, 3, 4))
 
 
@@ -86,8 +85,7 @@ def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int,
 
     fit_config = FitConfig(n_components=spec.n_components, alpha=spec.alpha,
                            phi=spec.phi, max_iters=config.max_iters,
-                           rel_tol=config.rel_tol, seed=seed,
-                           threads=config.threads)
+                           rel_tol=config.rel_tol, seed=seed)
     if spec.family == "mm-none":
         result = fit_mar(train, fit_config)
     else:
@@ -98,14 +96,26 @@ def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int,
             mode = MuMode.learn(xi1, xi0)
         result = fit_nmar(train, fit_config, mode)
 
-    q = posterior_z(result.params, train, cptv=result.cptv,
-                    threads=config.threads)
+    q = posterior_z(result.params, train, cptv=result.cptv)
     train_pred = predict_median(
         predictive_distribution(result.params, q, train.users, train.items))
     test_pred = predict_median(
         predictive_distribution(result.params, q, test.users, test.items))
     return (mae(train_pred, train.values), mae(test_pred, test.values),
             result.iterations, result.converged)
+
+
+def _label_cells(spec: ModelSpec) -> dict:
+    """A report row with only the cells that name the model filled in."""
+    row = {c: "" for c in REPORT_COLUMNS}
+    row["model"] = spec.label()
+    if spec.family != "constant":
+        row["K"] = spec.n_components
+    if spec.family == "mm-cptv":
+        row["mu_mode"] = spec.mu_mode
+        if spec.mu_mode == "learn":
+            row["S"] = spec.strength
+    return row
 
 
 def run_protocol(split: SplitPair, specs, config: ProtocolConfig | None = None):
@@ -125,14 +135,8 @@ def run_protocol(split: SplitPair, specs, config: ProtocolConfig | None = None):
     for spec in specs:
         per_seed = []
         for seed in config.seeds:
-            row = {c: "" for c in REPORT_COLUMNS}
-            row.update(model=spec.label(), seed=seed, agg=0)
-            if spec.family != "constant":
-                row["K"] = spec.n_components
-            if spec.family == "mm-cptv":
-                row["mu_mode"] = spec.mu_mode
-                if spec.mu_mode == "learn":
-                    row["S"] = spec.strength
+            row = _label_cells(spec)
+            row.update(seed=seed, agg=0)
             try:
                 tr, te, iters, conv = _fit_and_score(split, spec, seed, config)
             except MissmixError as exc:
@@ -145,14 +149,8 @@ def run_protocol(split: SplitPair, specs, config: ProtocolConfig | None = None):
             per_seed.append((tr, te, iters, conv))
             rows.append(row)
 
-        agg = {c: "" for c in REPORT_COLUMNS}
-        agg.update(model=spec.label(), agg=1)
-        if spec.family != "constant":
-            agg["K"] = spec.n_components
-        if spec.family == "mm-cptv":
-            agg["mu_mode"] = spec.mu_mode
-            if spec.mu_mode == "learn":
-                agg["S"] = spec.strength
+        agg = _label_cells(spec)
+        agg["agg"] = 1
         if per_seed:
             tr = np.array([p[0] for p in per_seed])
             te = np.array([p[1] for p in per_seed])

@@ -3,7 +3,7 @@ import pytest
 
 from missmix.analysis import (item_marginals, item_value_counts,
                               paired_difference_histogram, skl, skl_report,
-                              smoothed_distribution, value_histogram)
+                              smoothed_distribution)
 from missmix.data import RatingDataset
 from missmix.errors import EvaluationError
 
@@ -43,7 +43,7 @@ def test_skl_validation():
 
 def test_value_histogram_and_item_counts():
     ds = RatingDataset.from_arrays(2, 2, 3, [0, 0, 1], [0, 1, 0], [1, 3, 1])
-    assert value_histogram(ds).tolist() == [2, 0, 1]
+    assert ds.value_counts().tolist() == [2, 0, 1]
     counts = item_value_counts(ds)
     assert counts.tolist() == [[2, 0, 0], [0, 0, 1]]
 

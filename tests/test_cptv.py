@@ -191,17 +191,6 @@ def test_fully_observed_fixed_mu_matches_value_blind_fit():
     np.testing.assert_allclose(ra.params.beta, rb.params.beta, atol=1e-6)
 
 
-def test_nmar_threads_do_not_change_results():
-    truth = sample_ground_truth(90, 11, 3, 2, np.array([0.3, 0.6, 0.9]), seed=14)
-    ds = apply_cptv_missingness(truth, seed=15)
-    mode = MuMode.fixed(truth.mu)
-    c1 = FitConfig(n_components=2, seed=5, max_iters=25, rel_tol=0.0, threads=1)
-    c4 = FitConfig(n_components=2, seed=5, max_iters=25, rel_tol=0.0, threads=4)
-    r1, r4 = fit_nmar(ds, c1, mode), fit_nmar(ds, c4, mode)
-    assert np.array_equal(r1.params.beta, r4.params.beta)
-    assert np.array_equal(r1.log_posterior_trace, r4.log_posterior_trace)
-
-
 def test_estimate_mu_hand_case():
     # probe counts [3,1] smooth to [2/3,1/3]; train counts [2,1] over
     # 2 users x exposure 3 give rates [1/3,1/6]; ratios are 0.5 each

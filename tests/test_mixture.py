@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from missmix.cptv import CptvParams, _log_weights_nmar, e_step_nmar
 from missmix.data import RatingDataset
-from missmix.errors import ConfigurationError
-from missmix.mixture import (FitConfig, MixtureParams, e_step_mar, fit_mar,
-                             init_params, log_posterior_mar, m_step_mar)
+from missmix.errors import ConfigurationError, DataValidationError
+from missmix.mixture import (FitConfig, MixtureParams, _log_weights_mar,
+                             _scatter, e_step_mar, fit_mar, init_params,
+                             log_posterior_mar, m_step_mar)
 
 
 def _random_dataset(rng, N, M, V, density=0.5):
@@ -31,8 +33,6 @@ def test_config_validation():
         FitConfig(n_components=2, phi=0.5)
     with pytest.raises(ConfigurationError):
         FitConfig(n_components=2, max_iters=0)
-    with pytest.raises(ConfigurationError):
-        FitConfig(n_components=2, threads=0)
 
 
 def test_init_params_shapes_and_simplexes():
@@ -138,18 +138,47 @@ def test_single_component_converges_immediately():
     assert result.iterations <= 2
 
 
-def test_threads_do_not_change_results():
-    rng = np.random.default_rng(17)
-    ds = _random_dataset(rng, 101, 9, 4)
-    params = init_params(9, 4, FitConfig(n_components=3, seed=8))
-    q1 = e_step_mar(params, ds, threads=1)
-    q4 = e_step_mar(params, ds, threads=4)
-    assert np.array_equal(q1, q4)
-    cfg1 = FitConfig(n_components=3, seed=8, max_iters=20, rel_tol=0.0, threads=1)
-    cfg4 = FitConfig(n_components=3, seed=8, max_iters=20, rel_tol=0.0, threads=4)
-    r1, r4 = fit_mar(ds, cfg1), fit_mar(ds, cfg4)
-    assert np.array_equal(r1.params.beta, r4.params.beta)
-    assert np.array_equal(r1.log_posterior_trace, r4.log_posterior_trace)
+def test_e_steps_reject_out_of_range_entries():
+    # value 0 would otherwise read the value-V row of every table, and
+    # item M a cell past the end, without any error
+    params = init_params(3, 2, FitConfig(n_components=2, seed=1))
+    cptv = CptvParams(mu=np.array([0.3, 0.6]))
+    bad_value = RatingDataset.from_arrays(2, 3, 2, [0, 1], [0, 2], [1, 0])
+    bad_item = RatingDataset.from_arrays(2, 3, 2, [0, 1], [0, 3], [1, 2])
+    for ds, match in ((bad_value, "rating 0"), (bad_item, "item index 3")):
+        with pytest.raises(DataValidationError, match=match):
+            e_step_mar(params, ds)
+        with pytest.raises(DataValidationError, match=match):
+            e_step_nmar(params, cptv, ds)
+
+
+def test_incidence_forms_match_per_triple_loop():
+    # user 2 has no observations and item 3 is never rated
+    N, M, V, K = 4, 5, 3, 2
+    users = [0, 0, 0, 1, 1, 3, 3, 3]
+    items = [0, 2, 4, 1, 2, 0, 1, 4]
+    values = [3, 1, 2, 2, 2, 1, 3, 3]
+    ds = RatingDataset.from_arrays(N, M, V, users, items, values)
+    params = init_params(M, V, FitConfig(n_components=K, seed=3))
+    cptv = CptvParams(mu=np.array([0.2, 0.5, 0.7]))
+    q = np.random.default_rng(4).dirichlet(np.ones(K), size=N)
+
+    log_beta = np.log(params.beta)
+    gamma0 = ((1.0 - cptv.mu)[:, None, None] * params.beta).sum(axis=0)
+    mar = np.tile(np.log(params.theta), (N, 1))
+    nmar = mar + np.log(gamma0).sum(axis=0)
+    scatter = np.zeros((V, M, K))
+    for i, m, x in zip(users, items, values):
+        mar[i] += log_beta[x - 1, m]
+        nmar[i] += np.log(cptv.mu[x - 1]) + log_beta[x - 1, m] - np.log(gamma0[m])
+        scatter[x - 1, m] += q[i]
+
+    np.testing.assert_allclose(_log_weights_mar(params, ds), mar, rtol=1e-13)
+    np.testing.assert_allclose(_log_weights_nmar(params, cptv, ds), nmar,
+                               rtol=1e-13)
+    np.testing.assert_allclose(_scatter(ds, q), scatter, rtol=1e-13)
+    assert np.array_equal(_scatter(ds, q)[:, 3], np.zeros((V, K)))
+    assert ds.incidence() is ds.incidence()
 
 
 def test_fit_is_deterministic():

@@ -83,6 +83,7 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines()[:6] + ["beta 0.25"], "must hold 2"),
         (_base_lines() + ["what 1"], "unknown key"),
         (_base_lines()[:6] + ["beta 0.25 zebra"], "malformed float"),
+        (_base_lines() + ["z 0 x"], "malformed integer"),
         (_base_lines() + ["mu 0.5 0.5"], "kind is plain"),
         (["format_version 1", "kind mixture+cptv"] + _base_lines()[2:],
          "requires a mu"),

@@ -56,6 +56,15 @@ def test_posterior_z_dispatch():
     np.testing.assert_array_equal(q_aware, e_step_nmar(truth.params, cptv, ds))
     # the response pattern carries information, so they should differ
     assert not np.allclose(q_blind, q_aware)
+    # a model may cover items the conditioning data never mentions
+    keep = ds.items < 5
+    narrow = RatingDataset.from_arrays(40, 5, 3, ds.users[keep],
+                                       ds.items[keep], ds.values[keep])
+    wide = RatingDataset.from_arrays(40, 8, 3, narrow.users, narrow.items,
+                                     narrow.values)
+    for c in (None, cptv):
+        np.testing.assert_array_equal(posterior_z(truth.params, narrow, cptv=c),
+                                      posterior_z(truth.params, wide, cptv=c))
 
 
 def test_empirical_median_value():
