@@ -1,9 +1,9 @@
 """Multinomial mixture rating models with explicit missing-data mechanisms."""
 
 from .analysis import skl, skl_report, smoothed_distribution
-from .cptv import (CptvParams, MuMode, YAHOO_MU, build_mu_prior, compute_gamma,
-                   e_step_nmar, estimate_mu_heldout, fit_nmar,
-                   log_posterior_nmar, m_step_nmar)
+from .cptv import (CptvParams, MuMode, YAHOO_MU, build_mu_prior, e_step_nmar,
+                   estimate_mu_heldout, fit_nmar, log_posterior_nmar,
+                   m_step_nmar)
 from .data import (RatingDataset, SplitPair, load_csv, min_ratings_filter,
                    save_csv, validate)
 from .errors import (ConfigurationError, DataValidationError, EstimationError,
@@ -27,7 +27,7 @@ __all__ = [
     "MixtureParams", "ModelSpec", "MuMode", "OracleLimitError", "ParseError",
     "ProtocolConfig", "RatingDataset", "SplitPair", "YAHOO_MU",
     "apply_cptv_missingness", "brute_force_user_evidence",
-    "build_mu_prior", "build_study_dataset", "compute_gamma", "e_step_mar",
+    "build_mu_prior", "build_study_dataset", "e_step_mar",
     "e_step_nmar", "estimate_mu_heldout", "fit_mar", "fit_nmar", "init_params",
     "load_csv", "load_model", "log_posterior_mar", "log_posterior_nmar",
     "m_step_mar", "m_step_nmar", "mae", "min_ratings_filter", "posterior_z",

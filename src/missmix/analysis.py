@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset
+from .data import RatingDataset, _require_in_range
 from .errors import EvaluationError
 
 
@@ -40,10 +40,11 @@ def skl(p, q) -> float:
 
 
 def item_value_counts(dataset: RatingDataset) -> np.ndarray:
-    """Per-item value counts, shape (M, V)."""
-    counts = np.zeros((dataset.n_items, dataset.n_values), dtype=np.int64)
-    np.add.at(counts, (dataset.items, dataset.values - 1), 1)
-    return counts
+    """Per-item value counts, shape (M, V); out-of-range triples raise."""
+    _require_in_range(dataset)
+    M, V = dataset.n_items, dataset.n_values
+    cells = dataset.items * V + dataset.values - 1
+    return np.bincount(cells, minlength=M * V).reshape(M, V)
 
 
 def item_marginals(dataset: RatingDataset) -> np.ndarray:

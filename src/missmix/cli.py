@@ -18,15 +18,14 @@ import sys
 import numpy as np
 
 from . import analysis, modelio
-from .cptv import (CptvParams, MuMode, YAHOO_MU, build_mu_prior,
-                   estimate_mu_heldout, fit_nmar)
+from .cptv import CptvParams, YAHOO_MU, estimate_mu_heldout
 from .data import RatingDataset, SplitPair, load_csv, save_csv
 from .errors import (ConfigurationError, DataValidationError, EstimationError,
                      EvaluationError, GenerationError, OracleLimitError,
                      ParseError)
-from .mixture import FitConfig, fit_mar
 from .predict import posterior_z, predict_median, predictive_distribution
-from .protocol import ModelSpec, ProtocolConfig, run_protocol, write_report
+from .protocol import (ModelSpec, ProtocolConfig, fit_spec, run_protocol,
+                       write_report)
 from .synthetic import build_study_dataset, sample_ground_truth
 
 _MU_PRESETS = {"yahoo": YAHOO_MU}
@@ -114,25 +113,22 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _model_spec(args, family: str, n_components: int,
+                n_values: int) -> ModelSpec:
+    """The spec of one model the train/evaluate flags describe."""
+    cptv = family == "mm-cptv"
+    mu = (_parse_mu(args.mu, n_values) * args.mu_scale
+          if cptv and args.mu is not None else None)
+    return ModelSpec(family=family, n_components=n_components,
+                     alpha=args.alpha, phi=args.phi,
+                     mu_mode=args.mu_mode if cptv else None, mu=mu,
+                     strength=args.strength if cptv else None)
+
+
 def _cmd_train(args) -> int:
     data = load_csv(args.data, dims=_parse_dims(args.dims))
-    config = FitConfig(n_components=args.components, alpha=args.alpha,
-                       phi=args.phi, max_iters=args.max_iters,
-                       rel_tol=args.tol, seed=args.seed)
-    if args.model == "mm-none":
-        result = fit_mar(data, config)
-    else:
-        if args.mu is None:
-            raise ConfigurationError("--model mm-cptv requires --mu")
-        mu = _parse_mu(args.mu, data.n_values) * args.mu_scale
-        if args.mu_mode == "fixed":
-            mode = MuMode.fixed(mu)
-        else:
-            if args.strength is None:
-                raise ConfigurationError("--mu-mode learn requires -S")
-            mode = MuMode.learn(*build_mu_prior(mu, args.strength))
-        result = fit_nmar(data, config, mode)
-
+    spec = _model_spec(args, args.model, args.components, data.n_values)
+    result = fit_spec(data, spec, args.max_iters, args.tol, args.seed)
     modelio.save_model(args.out, result.params, cptv=result.cptv,
                        mu_mode=result.mu_mode)
     with open(args.out + ".trace.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -197,26 +193,13 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     split = _load_pair(args.train, args.test, _parse_dims(args.dims))
-    families = args.families.split(",")
     specs = []
-    for family in families:
+    for family in args.families.split(","):
         if family == "constant":
             specs.append(ModelSpec(family="constant"))
             continue
-        for K in _parse_int_list(args.components):
-            if family == "mm-none":
-                specs.append(ModelSpec(family="mm-none", n_components=K,
-                                       alpha=args.alpha, phi=args.phi))
-            elif family == "mm-cptv":
-                if args.mu is None:
-                    raise ConfigurationError("family mm-cptv requires --mu")
-                mu = _parse_mu(args.mu, split.train.n_values) * args.mu_scale
-                specs.append(ModelSpec(family="mm-cptv", n_components=K,
-                                       alpha=args.alpha, phi=args.phi,
-                                       mu_mode=args.mu_mode, mu=mu,
-                                       strength=args.strength))
-            else:
-                raise ConfigurationError(f"unknown family {family!r}")
+        specs += [_model_spec(args, family, K, split.train.n_values)
+                  for K in _parse_int_list(args.components)]
     config = ProtocolConfig(max_iters=args.max_iters, rel_tol=args.tol,
                             seeds=tuple(_parse_int_list(args.seeds)))
     rows = run_protocol(split, specs, config)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .data import RatingDataset
+from .data import RatingDataset, _require_in_range
 from .errors import ConfigurationError, EstimationError
 from .mixture import (FitConfig, FitResult, MixtureParams, _gather,
                       _log_dirichlet_prior, _normalize_log_weights, _run_em,
@@ -111,6 +111,7 @@ def compute_gamma(params: MixtureParams, cptv: CptvParams,
     otherwise. Materialising N x M x K is meant for small instances and
     reference checks; the fitting routines never build it.
     """
+    _require_in_range(dataset)
     gamma0 = _hidden_cell_table(params, cptv)
     out = np.broadcast_to(gamma0, (dataset.n_users,) + gamma0.shape).copy()
     v = dataset.values - 1
@@ -175,7 +176,7 @@ def m_step_nmar(params: MixtureParams, cptv: CptvParams, dataset: RatingDataset,
     its Beta prior.
     """
     if params.alpha is None or params.phi is None:
-        raise ConfigurationError("maximum-posterior updates need smoothing arrays")
+        raise ConfigurationError("maximum-posterior updates need smoothing")
     theta_num = params.alpha - 1.0 + q.sum(axis=0)
     theta = theta_num / theta_num.sum()
 

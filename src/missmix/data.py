@@ -89,10 +89,6 @@ class RatingDataset:
         """Number of observations per user, shape (N,)."""
         return np.diff(self._row_ptr)
 
-    def row_ptr(self) -> np.ndarray:
-        """CSR-style offsets into the triple arrays, shape (N+1,)."""
-        return self._row_ptr
-
     def incidence(self) -> csr_array:
         """CSR one-hot operator A of shape (N, V*M), built once and cached.
 
@@ -105,9 +101,7 @@ class RatingDataset:
         dimensions, since the sparse kernels do not bounds-check.
         """
         if self._incidence is None:
-            problems = _range_violations(self)
-            if problems:
-                raise DataValidationError(problems[0])
+            _require_in_range(self)
             cols = (self.values - 1) * self.n_items + self.items
             self._incidence = csr_array(
                 (np.ones(self.n_obs), cols, self._row_ptr),
@@ -160,6 +154,13 @@ def _range_violations(dataset: RatingDataset) -> list[str]:
         out.append(f"rating {dataset.values[i]} out of range [1, {dataset.n_values}]"
                    f" at (user={dataset.users[i]}, item={dataset.items[i]})")
     return out
+
+
+def _require_in_range(dataset: RatingDataset) -> None:
+    """Raise DataValidationError for the first triple outside the dimensions."""
+    problems = _range_violations(dataset)
+    if problems:
+        raise DataValidationError(problems[0])
 
 
 def validate(dataset: RatingDataset) -> list[str]:

@@ -11,7 +11,7 @@ of (likelihood x priors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -34,17 +34,17 @@ class MixtureParams:
     beta : ndarray, shape (V, M, K)
         Per item and component rating distributions; each beta[:, m, z]
         is a simplex over values 1..V.
-    alpha : ndarray, shape (K,), optional
-        Dirichlet smoothing on theta, entries > 1. None on parameters
+    alpha : float, optional
+        Symmetric Dirichlet smoothing on theta, > 1. None on parameters
         that were not produced by a smoothed fit (e.g. ground truth).
-    phi : ndarray, shape (V, M, K), optional
-        Dirichlet smoothing on each rating distribution, entries > 1.
+    phi : float, optional
+        Symmetric Dirichlet smoothing on each rating distribution, > 1.
     """
 
     theta: np.ndarray
     beta: np.ndarray
-    alpha: np.ndarray | None = None
-    phi: np.ndarray | None = None
+    alpha: float | None = None
+    phi: float | None = None
 
     @property
     def n_components(self) -> int:
@@ -114,9 +114,8 @@ def init_params(n_items: int, n_values: int, config: FitConfig) -> MixtureParams
     theta = rng.dirichlet(np.full(K, config.alpha))
     beta = rng.dirichlet(np.full(n_values, config.phi), size=(n_items, K))
     beta = np.ascontiguousarray(beta.transpose(2, 0, 1))
-    alpha = np.full(K, float(config.alpha))
-    phi = np.full((n_values, n_items, K), float(config.phi))
-    return MixtureParams(theta=theta, beta=beta, alpha=alpha, phi=phi)
+    return MixtureParams(theta=theta, beta=beta, alpha=float(config.alpha),
+                         phi=float(config.phi))
 
 
 def _gather(dataset: RatingDataset, table: np.ndarray) -> np.ndarray:
@@ -168,7 +167,7 @@ def m_step_mar(params: MixtureParams, dataset: RatingDataset,
     computed as the sum of its own numerators.
     """
     if params.alpha is None or params.phi is None:
-        raise ConfigurationError("maximum-posterior updates need smoothing arrays")
+        raise ConfigurationError("maximum-posterior updates need smoothing")
     theta_num = params.alpha - 1.0 + q.sum(axis=0)
     theta = theta_num / theta_num.sum()
     beta_num = params.phi - 1.0 + _scatter(dataset, q)
@@ -179,13 +178,14 @@ def m_step_mar(params: MixtureParams, dataset: RatingDataset,
 def _log_dirichlet_prior(params: MixtureParams) -> float:
     """Log density of theta and every beta[:, m, z] under their smoothing."""
     if params.alpha is None or params.phi is None:
-        raise ConfigurationError("log posterior needs smoothing arrays")
+        raise ConfigurationError("log posterior needs smoothing")
+    K, V = params.n_components, params.n_values
     with np.errstate(divide="ignore"):
         log_theta = np.log(params.theta)
         log_beta = np.log(params.beta)
-    lp = (gammaln(params.alpha.sum()) - gammaln(params.alpha).sum()
+    lp = (gammaln(K * params.alpha) - K * gammaln(params.alpha)
           + ((params.alpha - 1.0) * log_theta).sum())
-    lp += (gammaln(params.phi.sum(axis=0)) - gammaln(params.phi).sum(axis=0)
+    lp += (gammaln(V * params.phi) - V * gammaln(params.phi)
            + ((params.phi - 1.0) * log_beta).sum(axis=0)).sum()
     return float(lp)
 

@@ -3,7 +3,9 @@
 One key per line, arrays flattened in C order and written with 17
 significant digits so every float64 round-trips exactly. Lines starting
 with '#' and blank lines are ignored. The 'kind' key says whether an
-observation-probability block is present.
+observation-probability block is present. Format 2 stores the smoothing
+as one 'alpha' and one 'phi' value; format 1 files, which repeated them K
+and V*M*K times, load if the repeats agree.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from .cptv import CptvParams
 from .errors import ParseError
 from .mixture import MixtureParams
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Largest distance from 1 accepted for the sum of a stored distribution.
+_SIMPLEX_TOL = 1e-9
 
 _KIND_PLAIN = "mixture"
 _KIND_CPTV = "mixture+cptv"
@@ -80,10 +84,19 @@ def _parse_ints(rest, line_no):
 def _parse_int(rest, line_no):
     if len(rest) != 1:
         raise ParseError("expected a single integer", line=line_no)
-    try:
-        return int(rest[0])
-    except ValueError:
-        raise ParseError(f"malformed integer {rest[0]!r}", line=line_no) from None
+    return int(_parse_ints(rest, line_no)[0])
+
+
+def _smoothing(fields, key, v1_size):
+    """The value on smoothing line ``key`` (repeated ``v1_size`` times in
+    format 1), or None if the line is absent."""
+    values = fields.get(key)
+    size = v1_size if fields["format_version"] == 1 else 1
+    if values is not None and (values.size != size or np.unique(values).size != 1
+                               or not 1 < values[0] < np.inf):
+        raise ParseError(f"{key} must be one finite value > 1" + (
+            f", repeated {size} times in format 1" if size > 1 else ""))
+    return None if values is None else float(values[0])
 
 
 def load_model(path) -> LoadedModel:
@@ -113,7 +126,7 @@ def load_model(path) -> LoadedModel:
     for required in ("format_version", "kind", "K", "M", "V", "theta", "beta"):
         if required not in fields:
             raise ParseError(f"missing required key {required!r}")
-    if fields["format_version"] != FORMAT_VERSION:
+    if fields["format_version"] not in (1, FORMAT_VERSION):
         raise ParseError(f"unsupported format_version {fields['format_version']}")
     if fields["kind"] not in (_KIND_PLAIN, _KIND_CPTV):
         raise ParseError(f"unknown kind {fields['kind']!r}")
@@ -124,15 +137,16 @@ def load_model(path) -> LoadedModel:
     if fields["beta"].size != V * M * K:
         raise ParseError(f"beta must hold {V * M * K} values")
     beta = fields["beta"].reshape(V, M, K)
-    alpha = fields.get("alpha")
-    if alpha is not None and alpha.shape != (K,):
-        raise ParseError(f"alpha must hold {K} values")
-    phi = fields.get("phi")
-    if phi is not None:
-        if phi.size != V * M * K:
-            raise ParseError(f"phi must hold {V * M * K} values")
-        phi = phi.reshape(V, M, K)
-    params = MixtureParams(theta=fields["theta"], beta=beta, alpha=alpha, phi=phi)
+    for key in ("theta", "beta", "mu"):
+        if key in fields and not ((fields[key] >= 0) & (fields[key] <= 1)).all():
+            raise ParseError(f"{key} must hold probabilities in [0, 1]")
+    if max(abs(fields["theta"].sum() - 1.0),
+           np.abs(beta.sum(axis=0) - 1.0).max(initial=0.0)) > _SIMPLEX_TOL:
+        raise ParseError("theta and each beta[:, m, z] must sum to 1"
+                         f" within {_SIMPLEX_TOL:g}")
+    params = MixtureParams(theta=fields["theta"], beta=beta,
+                           alpha=_smoothing(fields, "alpha", K),
+                           phi=_smoothing(fields, "phi", V * M * K))
 
     cptv = None
     if fields["kind"] == _KIND_CPTV:

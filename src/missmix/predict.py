@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cptv import CptvParams, _log_weights_nmar
+from .cptv import CptvParams, e_step_nmar
 from .data import RatingDataset
 from .errors import EvaluationError
-from .mixture import MixtureParams, _log_weights_mar, _normalize_log_weights
+from .mixture import MixtureParams, e_step_mar
 
 
 def posterior_z(params: MixtureParams, dataset: RatingDataset,
@@ -26,11 +26,8 @@ def posterior_z(params: MixtureParams, dataset: RatingDataset,
     the observed values.
     """
     if cptv is None:
-        log_w = _log_weights_mar(params, dataset)
-    else:
-        log_w = _log_weights_nmar(params, cptv, dataset)
-    q, _ = _normalize_log_weights(log_w)
-    return q
+        return e_step_mar(params, dataset)
+    return e_step_nmar(params, cptv, dataset)
 
 
 def predictive_distribution(params: MixtureParams, q: np.ndarray,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cptv import MuMode, build_mu_prior, fit_nmar
-from .data import SplitPair
+from .data import RatingDataset, SplitPair
 from .errors import ConfigurationError, MissmixError
-from .mixture import FitConfig, fit_mar
+from .mixture import FitConfig, FitResult, fit_mar
 from .predict import (empirical_median_value, mae, posterior_z,
                       predict_median, predictive_distribution)
 
@@ -74,6 +74,22 @@ class ProtocolConfig:
     seeds: tuple = field(default_factory=lambda: (0, 1, 2, 3, 4))
 
 
+def fit_spec(train: RatingDataset, spec: ModelSpec, max_iters: int,
+             rel_tol: float, seed: int) -> FitResult:
+    """Fit the mm-none or mm-cptv model ``spec`` describes to ``train``."""
+    if spec.family == "constant":
+        raise ConfigurationError("the constant model is not fitted")
+    config = FitConfig(n_components=spec.n_components, alpha=spec.alpha,
+                       phi=spec.phi, max_iters=max_iters, rel_tol=rel_tol,
+                       seed=seed)
+    if spec.family == "mm-none":
+        return fit_mar(train, config)
+    if spec.mu_mode == "fixed":
+        return fit_nmar(train, config, MuMode.fixed(spec.mu))
+    return fit_nmar(train, config,
+                    MuMode.learn(*build_mu_prior(spec.mu, spec.strength)))
+
+
 def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int,
                    config: ProtocolConfig):
     """Returns (train_mae, test_mae, iterations, converged)."""
@@ -83,18 +99,7 @@ def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int,
         return (mae(np.full(train.n_obs, value), train.values),
                 mae(np.full(test.n_obs, value), test.values), 0, True)
 
-    fit_config = FitConfig(n_components=spec.n_components, alpha=spec.alpha,
-                           phi=spec.phi, max_iters=config.max_iters,
-                           rel_tol=config.rel_tol, seed=seed)
-    if spec.family == "mm-none":
-        result = fit_mar(train, fit_config)
-    else:
-        if spec.mu_mode == "fixed":
-            mode = MuMode.fixed(spec.mu)
-        else:
-            xi1, xi0 = build_mu_prior(spec.mu, spec.strength)
-            mode = MuMode.learn(xi1, xi0)
-        result = fit_nmar(train, fit_config, mode)
+    result = fit_spec(train, spec, config.max_iters, config.rel_tol, seed)
 
     q = posterior_z(result.params, train, cptv=result.cptv)
     train_pred = predict_median(
@@ -169,9 +174,7 @@ def format_cell(value) -> str:
     """Full-precision, locale-free rendering of one report cell."""
     if value is None or value == "":
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.17g" % value

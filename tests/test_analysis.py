@@ -5,7 +5,7 @@ from missmix.analysis import (item_marginals, item_value_counts,
                               paired_difference_histogram, skl, skl_report,
                               smoothed_distribution)
 from missmix.data import RatingDataset
-from missmix.errors import EvaluationError
+from missmix.errors import DataValidationError, EvaluationError
 
 LOG2_3 = np.log2(3.0)
 
@@ -101,3 +101,9 @@ def test_paired_difference_no_common_pairs():
     b = RatingDataset.from_arrays(1, 2, 3, [0], [1], [2])
     _, counts = paired_difference_histogram(a, b)
     assert counts.sum() == 0
+
+
+def test_item_value_counts_rejects_out_of_range_values():
+    ds = RatingDataset.from_arrays(2, 1, 2, [0, 1], [0, 0], [1, 0])
+    with pytest.raises(DataValidationError, match="rating 0 out of range"):
+        item_value_counts(ds)

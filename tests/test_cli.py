@@ -3,7 +3,10 @@ import pytest
 
 from missmix.cli import main
 from missmix.data import load_csv
-from missmix.modelio import load_model
+from missmix.mixture import MixtureParams
+from missmix.modelio import load_model, save_model
+from missmix.predict import (mae, posterior_z, predict_median,
+                             predictive_distribution)
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +166,51 @@ def test_dims_flag(study, tmp_path):
     assert rc == 0
     lines = (tmp_path / "a.txt").read_text().splitlines()
     assert lines[-1].startswith("7,")
+
+
+def test_train_and_evaluate_share_one_fit(study, tmp_path):
+    train, test = load_csv(study + ".train.csv"), load_csv(study + ".test.csv")
+    dims = ",".join(str(max(getattr(train, d), getattr(test, d)))
+                    for d in ("n_users", "n_items", "n_values"))
+    flags = ["-K", "2", "--mu", "yahoo", "--mu-scale", "4", "--mu-mode",
+             "learn", "-S", "300", "--alpha", "1.5", "--max-iters", "20",
+             "--dims", dims]
+    model_path = str(tmp_path / "m.model")
+    assert main(["train", study + ".train.csv", "--model", "mm-cptv", "--seed",
+                 "1", "--out", model_path] + flags) == 0
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", study + ".train.csv", study + ".test.csv",
+                 "--families", "mm-cptv", "--seeds", "1", "--out", str(report)]
+                + flags) == 0
+    header, row = report.read_text().splitlines()[:2]
+    reported = float(row.split(",")[header.split(",").index("train_mae")])
+
+    model = load_model(model_path)
+    train = load_csv(study + ".train.csv", dims=tuple(map(int, dims.split(","))))
+    q = posterior_z(model.params, train, cptv=model.cptv)
+    pred = predict_median(predictive_distribution(model.params, q, train.users,
+                                                  train.items))
+    assert mae(pred, train.values) == reported
+
+
+def test_evaluate_exit_code_bad_configuration(study, tmp_path):
+    args = ["evaluate", study + ".train.csv", study + ".test.csv", "-K", "1",
+            "--seeds", "0", "--out", str(tmp_path / "r.csv")]
+    assert main(args + ["--families", "mm-none,nonsense"]) == 3
+    assert main(args + ["--families", "mm-cptv"]) == 3
+    assert main(args + ["--families", "mm-cptv", "--mu", "yahoo",
+                        "--mu-mode", "learn"]) == 3
+
+
+def test_predict_rejects_invalid_model(study, tmp_path):
+    # a model that covers the data, with one NaN rating probability
+    train = load_csv(study + ".train.csv")
+    beta = np.full((train.n_values, train.n_items, 1), 1.0 / train.n_values)
+    beta[0, 0, 0] = np.nan
+    model = tmp_path / "nan.model"
+    save_model(model, MixtureParams(theta=np.ones(1), beta=beta))
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("user,item\n0,0\n", encoding="utf-8")
+    rc = main(["predict", study + ".train.csv", "--model", str(model),
+               "--pairs", str(pairs), "--out", str(tmp_path / "p.csv")])
+    assert rc == 2

@@ -6,7 +6,8 @@ from missmix.cptv import (CptvParams, MU_EPS, MuMode, YAHOO_MU, build_mu_prior,
                           fit_nmar, log_evidence_nmar, log_posterior_nmar,
                           m_step_nmar, missing_value_attribution)
 from missmix.data import RatingDataset
-from missmix.errors import ConfigurationError, EstimationError
+from missmix.errors import (ConfigurationError, DataValidationError,
+                            EstimationError)
 from missmix.mixture import FitConfig, MixtureParams, e_step_mar, fit_mar
 from missmix.synthetic import (apply_cptv_missingness, brute_force_user_evidence,
                                sample_ground_truth)
@@ -15,9 +16,7 @@ from missmix.synthetic import (apply_cptv_missingness, brute_force_user_evidence
 def _params_for(theta, beta):
     theta = np.asarray(theta, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    return MixtureParams(theta=theta, beta=beta,
-                         alpha=np.full(theta.shape, 2.0),
-                         phi=np.full(beta.shape, 2.0))
+    return MixtureParams(theta=theta, beta=beta, alpha=2.0, phi=2.0)
 
 
 def _random_nmar_case(rng, N=6, max_M=4, max_V=3, max_K=3):
@@ -67,6 +66,13 @@ def test_compute_gamma_hand_case():
     assert g[0, 0, 0] == pytest.approx(0.2 * 0.2, abs=1e-15)
     # hidden cell: sum_v (1-mu_v) beta_v = 0.8*0.6 + 0.3*0.4
     assert g[0, 1, 0] == pytest.approx(0.8 * 0.6 + 0.3 * 0.4, abs=1e-15)
+
+
+def test_compute_gamma_rejects_out_of_range_values():
+    params = _params_for([1.0], np.full((2, 1, 1), 0.5))
+    ds = RatingDataset.from_arrays(2, 1, 2, [0, 1], [0, 0], [1, 0])
+    with pytest.raises(DataValidationError, match="rating 0 out of range"):
+        compute_gamma(params, CptvParams(mu=np.array([0.2, 0.7])), ds)
 
 
 def test_log_evidence_matches_dense_gamma():
@@ -137,8 +143,7 @@ def test_m_step_fixed_mode_keeps_mu():
     rng = np.random.default_rng(3)
     params, mu, ds = _random_nmar_case(rng, N=15)
     params = MixtureParams(theta=params.theta, beta=params.beta,
-                           alpha=np.full(params.n_components, 2.0),
-                           phi=np.full(params.beta.shape, 2.0))
+                           alpha=2.0, phi=2.0)
     cptv = CptvParams(mu=mu)
     q = e_step_nmar(params, cptv, ds)
     _, new_cptv = m_step_nmar(params, cptv, ds, q, learn_mu=False)

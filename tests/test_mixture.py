@@ -20,8 +20,7 @@ def _params_for(theta, beta, alpha_val=2.0, phi_val=2.0):
     theta = np.asarray(theta, dtype=float)
     beta = np.asarray(beta, dtype=float)
     return MixtureParams(theta=theta, beta=beta,
-                         alpha=np.full(theta.shape, alpha_val),
-                         phi=np.full(beta.shape, phi_val))
+                         alpha=alpha_val, phi=phi_val)
 
 
 def test_config_validation():

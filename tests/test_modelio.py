@@ -5,6 +5,7 @@ from missmix.cptv import CptvParams, MuMode, fit_nmar
 from missmix.errors import ParseError
 from missmix.mixture import FitConfig, fit_mar
 from missmix.modelio import load_model, save_model
+from missmix.predict import posterior_z
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 
 
@@ -79,7 +80,7 @@ def test_load_rejects_malformed_files(tmp_path):
     cases = [
         (_base_lines()[1:], "missing required key"),            # no version
         (_base_lines() + ["kind mixture"], "duplicate"),
-        (["format_version 2"] + _base_lines()[1:], "format_version"),
+        (["format_version 3"] + _base_lines()[1:], "format_version"),
         (_base_lines()[:6] + ["beta 0.25"], "must hold 2"),
         (_base_lines() + ["what 1"], "unknown key"),
         (_base_lines()[:6] + ["beta 0.25 zebra"], "malformed float"),
@@ -87,10 +88,41 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines() + ["mu 0.5 0.5"], "kind is plain"),
         (["format_version 1", "kind mixture+cptv"] + _base_lines()[2:],
          "requires a mu"),
+        (_base_lines()[:6] + ["beta nan 0.75"], "probabilities"),
+        (_base_lines()[:6] + ["beta -3 9"], "probabilities"),
+        (_base_lines()[:5] + ["theta 0.5", "beta 0.25 0.75"], "sum to 1"),
+        (_base_lines()[:6] + ["beta 0.25 0.5"], "sum to 1"),
+        (["format_version 1", "kind mixture+cptv"] + _base_lines()[2:]
+         + ["mu nan 0.5"], "probabilities"),
+        (_base_lines() + ["alpha 1"], "finite value > 1"),
+        (_base_lines() + ["alpha nan"], "finite value > 1"),
+        (_base_lines() + ["phi inf inf"], "finite value > 1"),
+        (_base_lines() + ["phi 2 3"], "repeated 2 times"),             # v1
+        (["format_version 2"] + _base_lines()[1:] + ["phi 2 2"],
+         "one finite value"),
     ]
     for i, (lines, match) in enumerate(cases):
         with pytest.raises(ParseError, match=match):
             load_model(_write(tmp_path, lines, name=f"bad{i}.model"))
+
+
+def test_format_1_smoothing_loads_as_scalars(tmp_path, fitted):
+    _, _, aware = fitted
+    v2 = tmp_path / "v2.model"
+    save_model(v2, aware.params, cptv=aware.cptv, mu_mode=aware.mu_mode)
+    # the same model as format 1 wrote it: smoothing repeated K and V*M*K times
+    lines = v2.read_text(encoding="utf-8").splitlines()
+    lines[lines.index("format_version 2")] = "format_version 1"
+    lines[lines.index("alpha 2")] = "alpha" + " 2" * aware.params.n_components
+    lines[lines.index("phi 2")] = "phi" + " 2" * aware.params.beta.size
+    v1 = _write(tmp_path, lines, name="v1.model")
+    old, new = load_model(v1), load_model(v2)
+    assert old.params.alpha == new.params.alpha == 2.0
+    assert old.params.phi == new.params.phi == 2.0
+    truth, _, _ = fitted
+    ds = apply_cptv_missingness(truth, seed=32)
+    assert np.array_equal(posterior_z(old.params, ds, cptv=old.cptv),
+                          posterior_z(new.params, ds, cptv=new.cptv))
 
 
 def test_comments_and_blanks_ignored(tmp_path):
