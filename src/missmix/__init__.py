@@ -1,22 +1,22 @@
 """Multinomial mixture rating models with explicit missing-data mechanisms."""
 
 from .analysis import skl, skl_report, smoothed_distribution
-from .cptv import (CptvParams, MuMode, YAHOO_MU, build_mu_prior, e_step_nmar,
+from .cptv import (CptvParams, YAHOO_MU, build_mu_prior, e_step_nmar,
                    estimate_mu_heldout, fit_nmar, log_posterior_nmar,
                    m_step_nmar)
 from .data import (RatingDataset, SplitPair, load_csv, min_ratings_filter,
                    save_csv, validate)
 from .errors import (ConfigurationError, DataValidationError, EstimationError,
                      EvaluationError, GenerationError, MissmixError,
-                     OracleLimitError, ParseError)
+                     ParseError)
 from .mixture import (FitConfig, FitResult, MixtureParams, e_step_mar, fit_mar,
                       init_params, log_posterior_mar, m_step_mar)
 from .modelio import LoadedModel, load_model, save_model
 from .predict import mae, posterior_z, predict_median, predictive_distribution
 from .protocol import ModelSpec, ProtocolConfig, run_protocol, write_report
 from .synthetic import (GroundTruth, apply_cptv_missingness,
-                        brute_force_user_evidence, build_study_dataset,
-                        sample_ground_truth, sample_mcar_test)
+                        build_study_dataset, sample_ground_truth,
+                        sample_mcar_test)
 
 __version__ = "0.1.0"
 
@@ -24,9 +24,8 @@ __all__ = [
     "CptvParams", "ConfigurationError", "DataValidationError",
     "EstimationError", "EvaluationError", "FitConfig", "FitResult",
     "GenerationError", "GroundTruth", "LoadedModel", "MissmixError",
-    "MixtureParams", "ModelSpec", "MuMode", "OracleLimitError", "ParseError",
-    "ProtocolConfig", "RatingDataset", "SplitPair", "YAHOO_MU",
-    "apply_cptv_missingness", "brute_force_user_evidence",
+    "MixtureParams", "ModelSpec", "ParseError", "ProtocolConfig",
+    "RatingDataset", "SplitPair", "YAHOO_MU", "apply_cptv_missingness",
     "build_mu_prior", "build_study_dataset", "e_step_mar",
     "e_step_nmar", "estimate_mu_heldout", "fit_mar", "fit_nmar", "init_params",
     "load_csv", "load_model", "log_posterior_mar", "log_posterior_nmar",

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import analysis, modelio
 from .cptv import CptvParams, YAHOO_MU, estimate_mu_heldout
-from .data import RatingDataset, SplitPair, load_csv, save_csv
+from .data import RatingDataset, SplitPair, load_csv, read_lines, save_csv
 from .errors import (ConfigurationError, DataValidationError, EstimationError,
-                     EvaluationError, GenerationError, OracleLimitError,
-                     ParseError)
+                     EvaluationError, GenerationError, ParseError)
 from .predict import posterior_z, predict_median, predictive_distribution
 from .protocol import (ModelSpec, ProtocolConfig, fit_spec, run_protocol,
                        write_report)
@@ -148,8 +147,7 @@ def _cmd_train(args) -> int:
 
 def _read_pairs(path):
     users, items = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError("missing header line", line=1)
     for ln, line in enumerate(lines[1:], start=2):
@@ -373,8 +371,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (EstimationError, GenerationError, OracleLimitError,
-            EvaluationError) as exc:
+    except (EstimationError, GenerationError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
 

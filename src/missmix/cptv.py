@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .data import RatingDataset, _require_in_range
+from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
 from .mixture import (FitConfig, FitResult, MixtureParams, _gather,
                       _log_dirichlet_prior, _normalize_log_weights, _run_em,
@@ -40,10 +40,11 @@ YAHOO_MU = np.array([0.014, 0.011, 0.027, 0.063, 0.225])
 class CptvParams:
     """Per-value observation probabilities, optionally with their prior.
 
-    mu[v-1] is the probability that an entry rated v is observed. When
-    xi1/xi0 are set (both or neither), mu is treated as learnable under
-    independent Beta(xi1[v], xi0[v]) priors; entries must exceed 1 so
-    the posterior mode stays interior.
+    mu[v-1] is the probability that an entry rated v is observed, in
+    [0, 1] and clamped to [MU_EPS, 1 - MU_EPS]. When xi1/xi0 are set
+    (both or neither), mu is learnable under independent Beta(xi1[v],
+    xi0[v]) priors whose entries must be finite and exceed 1, so the
+    posterior mode stays interior. Other values raise ConfigurationError.
     """
 
     mu: np.ndarray
@@ -51,7 +52,11 @@ class CptvParams:
     xi0: np.ndarray | None = None
 
     def __post_init__(self):
-        self.mu = np.clip(np.asarray(self.mu, dtype=float), MU_EPS, 1.0 - MU_EPS)
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.ndim != 1 or not ((mu >= 0) & (mu <= 1)).all():
+            raise ConfigurationError(
+                "mu must be a 1-d vector of probabilities in [0, 1]")
+        self.mu = np.clip(mu, MU_EPS, 1.0 - MU_EPS)
         if (self.xi1 is None) != (self.xi0 is None):
             raise ConfigurationError("xi1 and xi0 must be given together")
         if self.xi1 is not None:
@@ -59,65 +64,17 @@ class CptvParams:
             self.xi0 = np.asarray(self.xi0, dtype=float)
             if self.xi1.shape != self.mu.shape or self.xi0.shape != self.mu.shape:
                 raise ConfigurationError("xi1/xi0 must match mu in shape")
-            if (self.xi1 <= 1).any() or (self.xi0 <= 1).any():
-                raise ConfigurationError("prior counts must all be > 1")
+            if not all(((1 < xi) & (xi < np.inf)).all() for xi in (self.xi1, self.xi0)):
+                raise ConfigurationError("prior counts must all be finite and > 1")
 
     @property
     def n_values(self) -> int:
         return self.mu.shape[0]
 
 
-@dataclass
-class MuMode:
-    """How fit_nmar treats the observation probabilities."""
-
-    kind: str
-    mu: np.ndarray | None = None
-    xi1: np.ndarray | None = None
-    xi0: np.ndarray | None = None
-
-    @classmethod
-    def fixed(cls, mu) -> "MuMode":
-        """Hold mu at the given per-value vector."""
-        mu = np.asarray(mu, dtype=float)
-        if mu.ndim != 1:
-            raise ConfigurationError("mu must be a 1-d vector")
-        return cls(kind="fixed", mu=mu)
-
-    @classmethod
-    def learn(cls, xi1, xi0) -> "MuMode":
-        """Learn mu under Beta(xi1[v], xi0[v]) priors."""
-        xi1 = np.asarray(xi1, dtype=float)
-        xi0 = np.asarray(xi0, dtype=float)
-        if xi1.shape != xi0.shape or xi1.ndim != 1:
-            raise ConfigurationError("xi1/xi0 must be 1-d vectors of equal length")
-        if (xi1 <= 1).any() or (xi0 <= 1).any():
-            raise ConfigurationError("prior counts must all be > 1")
-        return cls(kind="learn", xi1=xi1, xi0=xi0)
-
-
 def _hidden_cell_table(params: MixtureParams, cptv: CptvParams) -> np.ndarray:
     """gamma0[m, z] = sum_v (1 - mu[v]) * beta[v, m, z], shape (M, K)."""
     return ((1.0 - cptv.mu)[:, None, None] * params.beta).sum(axis=0)
-
-
-def compute_gamma(params: MixtureParams, cptv: CptvParams,
-                  dataset: RatingDataset) -> np.ndarray:
-    """Dense per-cell evidence table, shape (N, M, K).
-
-    gamma[i, m, z] is the probability of cell (i, m)'s outcome given
-    component z: mu[x] * beta[x, m, z] for an entry observed with value
-    x, and the hidden-cell mass sum_v (1 - mu[v]) * beta[v, m, z]
-    otherwise. Materialising N x M x K is meant for small instances and
-    reference checks; the fitting routines never build it.
-    """
-    _require_in_range(dataset)
-    gamma0 = _hidden_cell_table(params, cptv)
-    out = np.broadcast_to(gamma0, (dataset.n_users,) + gamma0.shape).copy()
-    v = dataset.values - 1
-    out[dataset.users, dataset.items, :] = (
-        cptv.mu[v, None] * params.beta[v, dataset.items, :])
-    return out
 
 
 def _log_weights_nmar(params: MixtureParams, cptv: CptvParams,
@@ -235,8 +192,8 @@ def log_posterior_nmar(params: MixtureParams, cptv: CptvParams,
     return _objective_nmar(params, cptv, log_evidence_nmar(params, cptv, dataset))
 
 
-def fit_nmar(dataset: RatingDataset, config: FitConfig,
-             mu_mode: MuMode) -> FitResult:
+def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
+             strength: float | None = None) -> FitResult:
     """Fit mixture and observation probabilities jointly by MAP EM.
 
     Parameters
@@ -244,34 +201,27 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig,
     dataset : RatingDataset
     config : FitConfig
         Smoothing and stopping settings, as for the value-independent fit.
-    mu_mode : MuMode
-        MuMode.fixed(mu) holds the observation probabilities; with
-        MuMode.learn(xi1, xi0) they start at a draw from the prior and
-        are re-estimated every iteration.
+    mu : array_like, shape (V,)
+        Observation probability of each rating value, held fixed.
+    strength : float, optional
+        Learn mu instead, under the prior `build_mu_prior(mu, strength)`:
+        it starts at a draw from the prior and is re-estimated every
+        iteration.
 
     Returns
     -------
     FitResult
-        With cptv, mu_mode, and (when any cell is hidden) the
-        missing-value attribution of the final model.
+        With cptv, mu_mode ("fixed" or "learn"), and (when any cell is
+        hidden) the missing-value attribution of the final model.
     """
     params = init_params(dataset.n_items, dataset.n_values, config)
-    if mu_mode.kind == "fixed":
-        if mu_mode.mu is None or mu_mode.mu.shape != (dataset.n_values,):
-            raise ConfigurationError(
-                f"fixed mu must have {dataset.n_values} entries")
-        cptv = CptvParams(mu=mu_mode.mu)
-        learn = False
-    elif mu_mode.kind == "learn":
-        if mu_mode.xi1 is None or mu_mode.xi1.shape != (dataset.n_values,):
-            raise ConfigurationError(
-                f"mu prior must have {dataset.n_values} entries per side")
-        rng = np.random.default_rng([config.seed, 1])
-        cptv = CptvParams(mu=rng.beta(mu_mode.xi1, mu_mode.xi0),
-                          xi1=mu_mode.xi1, xi0=mu_mode.xi0)
-        learn = True
-    else:
-        raise ConfigurationError(f"unknown mu mode {mu_mode.kind!r}")
+    learn = strength is not None
+    xi1, xi0 = build_mu_prior(mu, strength) if learn else (None, None)
+    if learn:
+        mu = np.random.default_rng([config.seed, 1]).beta(xi1, xi0)
+    cptv = CptvParams(mu=mu, xi1=xi1, xi0=xi0)
+    if cptv.n_values != dataset.n_values:
+        raise ConfigurationError(f"mu must have {dataset.n_values} entries")
 
     (params, cptv), q, trace, converged = _run_em(
         (params, cptv),
@@ -279,7 +229,8 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig,
         lambda s, q: m_step_nmar(*s, dataset, q, learn_mu=learn),
         lambda s, log_z: _objective_nmar(*s, log_z),
         config)
-    return FitResult(params=params, cptv=cptv, mu_mode=mu_mode.kind,
+    return FitResult(params=params, cptv=cptv,
+                     mu_mode="learn" if learn else "fixed",
                      log_posterior_trace=trace, converged=converged,
                      iterations=len(trace),
                      missing_value_attribution=missing_value_attribution(
@@ -340,13 +291,13 @@ def build_mu_prior(mu_hat, strength: float):
     interior; too small a strength raises with the minimum that works.
     """
     mu_hat = np.asarray(mu_hat, dtype=float)
-    if mu_hat.ndim != 1 or ((mu_hat <= 0) | (mu_hat >= 1)).any():
+    if mu_hat.ndim != 1 or not ((0 < mu_hat) & (mu_hat < 1)).all():
         raise ConfigurationError("mu_hat must be a 1-d vector inside (0, 1)")
-    if strength <= 0:
-        raise ConfigurationError(f"strength must be > 0, got {strength}")
+    if not 0 < strength < np.inf:
+        raise ConfigurationError(f"strength must be finite and > 0, got {strength}")
     xi1 = strength * mu_hat
     xi0 = strength * (1.0 - mu_hat)
-    if (xi1 <= 1).any() or (xi0 <= 1).any():
+    if not ((xi1 > 1) & (xi0 > 1)).all():
         needed = 1.0 / min(mu_hat.min(), (1.0 - mu_hat).min())
         raise ConfigurationError(
             f"strength {strength:g} leaves some prior count <= 1;"

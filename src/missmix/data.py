@@ -178,6 +178,15 @@ def validate(dataset: RatingDataset) -> list[str]:
     return out
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; ParseError if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        try:
+            return fh.read().decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:
     """Load `user,item,rating` rows (one header line) into a dataset.
 
@@ -186,8 +195,7 @@ def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:
     trailing users/items ratings never mention.
     """
     users, items, values = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError("missing header line", line=1)
     for ln, line in enumerate(lines[1:], start=2):

@@ -35,9 +35,5 @@ class GenerationError(MissmixError):
     """Synthetic data generation could not satisfy the requested shape."""
 
 
-class OracleLimitError(MissmixError):
-    """A brute-force oracle was asked to enumerate too large a space."""
-
-
 class EvaluationError(MissmixError):
     """A score could not be computed (e.g. empty prediction set)."""

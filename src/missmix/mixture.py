@@ -71,15 +71,15 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_components < 1:
+        if not self.n_components >= 1:
             raise ConfigurationError(f"n_components must be >= 1, got {self.n_components}")
-        if self.alpha <= 1.0 or self.phi <= 1.0:
+        if not (1.0 < self.alpha < np.inf and 1.0 < self.phi < np.inf):
             raise ConfigurationError(
-                "alpha and phi must be > 1 so maximum-posterior updates stay"
-                f" interior, got alpha={self.alpha}, phi={self.phi}")
-        if self.max_iters < 1:
+                "alpha and phi must be finite and > 1 so maximum-posterior"
+                f" updates stay interior, got alpha={self.alpha}, phi={self.phi}")
+        if not self.max_iters >= 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol < 0:
+        if not self.rel_tol >= 0:
             raise ConfigurationError(f"rel_tol must be >= 0, got {self.rel_tol}")
 
 

@@ -15,13 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cptv import CptvParams
-from .errors import ParseError
+from .data import read_lines
+from .errors import ConfigurationError, ParseError
 from .mixture import MixtureParams
 
 FORMAT_VERSION = 2
 # Largest distance from 1 accepted for the sum of a stored distribution.
 _SIMPLEX_TOL = 1e-9
 
+_SCALAR_KEYS = ("format_version", "K", "M", "V", "kind", "mu_mode")
 _KIND_PLAIN = "mixture"
 _KIND_CPTV = "mixture+cptv"
 
@@ -77,14 +79,8 @@ def _parse_floats(rest, line_no):
 def _parse_ints(rest, line_no):
     try:
         return np.array([int(t) for t in rest], dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ParseError("malformed integer", line=line_no) from None
-
-
-def _parse_int(rest, line_no):
-    if len(rest) != 1:
-        raise ParseError("expected a single integer", line=line_no)
-    return int(_parse_ints(rest, line_no)[0])
 
 
 def _smoothing(fields, key, v1_size):
@@ -102,26 +98,25 @@ def _smoothing(fields, key, v1_size):
 def load_model(path) -> LoadedModel:
     """Read a model file written by `save_model`."""
     fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, *rest = line.split()
-            if key in fields:
-                raise ParseError(f"duplicate key {key!r}", line=line_no)
-            if key in ("format_version", "K", "M", "V"):
-                fields[key] = _parse_int(rest, line_no)
-            elif key in ("theta", "beta", "alpha", "phi", "mu", "xi1", "xi0"):
-                fields[key] = _parse_floats(rest, line_no)
-            elif key == "z":
-                fields[key] = _parse_ints(rest, line_no)
-            elif key in ("kind", "mu_mode"):
-                if len(rest) != 1:
-                    raise ParseError(f"{key} takes one token", line=line_no)
-                fields[key] = rest[0]
-            else:
-                raise ParseError(f"unknown key {key!r}", line=line_no)
+    for line_no, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, *rest = line.split()
+        if key in fields:
+            raise ParseError(f"duplicate key {key!r}", line=line_no)
+        if key in _SCALAR_KEYS and len(rest) != 1:
+            raise ParseError(f"{key} takes one token", line=line_no)
+        if key in ("format_version", "K", "M", "V"):
+            fields[key] = int(_parse_ints(rest, line_no)[0])
+        elif key in ("theta", "beta", "alpha", "phi", "mu", "xi1", "xi0"):
+            fields[key] = _parse_floats(rest, line_no)
+        elif key == "z":
+            fields[key] = _parse_ints(rest, line_no)
+        elif key in ("kind", "mu_mode"):
+            fields[key] = rest[0]
+        else:
+            raise ParseError(f"unknown key {key!r}", line=line_no)
 
     for required in ("format_version", "kind", "K", "M", "V", "theta", "beta"):
         if required not in fields:
@@ -132,13 +127,15 @@ def load_model(path) -> LoadedModel:
         raise ParseError(f"unknown kind {fields['kind']!r}")
 
     K, M, V = fields["K"], fields["M"], fields["V"]
+    if min(K, M, V) < 1:
+        raise ParseError("K, M and V must all be >= 1")
     if fields["theta"].shape != (K,):
         raise ParseError(f"theta must hold {K} values")
     if fields["beta"].size != V * M * K:
         raise ParseError(f"beta must hold {V * M * K} values")
     beta = fields["beta"].reshape(V, M, K)
-    for key in ("theta", "beta", "mu"):
-        if key in fields and not ((fields[key] >= 0) & (fields[key] <= 1)).all():
+    for key in ("theta", "beta"):
+        if not ((fields[key] >= 0) & (fields[key] <= 1)).all():
             raise ParseError(f"{key} must hold probabilities in [0, 1]")
     if max(abs(fields["theta"].sum() - 1.0),
            np.abs(beta.sum(axis=0) - 1.0).max(initial=0.0)) > _SIMPLEX_TOL:
@@ -154,10 +151,11 @@ def load_model(path) -> LoadedModel:
             raise ParseError("kind mixture+cptv requires a mu line")
         if fields["mu"].shape != (V,):
             raise ParseError(f"mu must hold {V} values")
-        xi1, xi0 = fields.get("xi1"), fields.get("xi0")
-        if (xi1 is None) != (xi0 is None):
-            raise ParseError("xi1 and xi0 must appear together")
-        cptv = CptvParams(mu=fields["mu"], xi1=xi1, xi0=xi0)
+        try:
+            cptv = CptvParams(mu=fields["mu"], xi1=fields.get("xi1"),
+                              xi0=fields.get("xi0"))
+        except ConfigurationError as exc:
+            raise ParseError(str(exc)) from None
     elif "mu" in fields:
         raise ParseError("mu line present but kind is plain mixture")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cptv import MuMode, build_mu_prior, fit_nmar
+from .cptv import CptvParams, build_mu_prior, fit_nmar
 from .data import RatingDataset, SplitPair
 from .errors import ConfigurationError, MissmixError
 from .mixture import FitConfig, FitResult, fit_mar
@@ -36,7 +36,8 @@ class ModelSpec:
     family "mm-none" ignores the response pattern, "mm-cptv" models it,
     and "constant" predicts the training median everywhere (no fit).
     For mm-cptv, mu_mode "fixed" uses ``mu`` as is, while "learn" treats
-    ``mu`` as a prior mean with pseudo-count budget ``strength``.
+    ``mu`` as a prior mean with pseudo-count budget ``strength``. Every
+    setting is checked here, before any fit runs.
     """
 
     family: str
@@ -51,15 +52,17 @@ class ModelSpec:
         if self.family not in _FAMILIES:
             raise ConfigurationError(
                 f"family must be one of {_FAMILIES}, got {self.family!r}")
+        FitConfig(self.n_components, alpha=self.alpha, phi=self.phi)
         if self.family == "mm-cptv":
-            if self.mu_mode not in ("fixed", "learn"):
+            if self.mu_mode not in ("fixed", "learn") or self.mu is None:
                 raise ConfigurationError(
-                    "mm-cptv needs mu_mode 'fixed' or 'learn'")
-            if self.mu is None:
-                raise ConfigurationError("mm-cptv needs a mu vector")
-            self.mu = np.asarray(self.mu, dtype=float)
-            if self.mu_mode == "learn" and not self.strength:
+                    "mm-cptv needs mu_mode 'fixed' or 'learn' and a mu vector")
+            if self.mu_mode == "fixed":
+                CptvParams(self.mu)
+            elif self.strength is None:
                 raise ConfigurationError("learn mode needs a prior strength")
+            else:
+                build_mu_prior(self.mu, self.strength)
 
     def label(self) -> str:
         return self.family
@@ -84,10 +87,8 @@ def fit_spec(train: RatingDataset, spec: ModelSpec, max_iters: int,
                        seed=seed)
     if spec.family == "mm-none":
         return fit_mar(train, config)
-    if spec.mu_mode == "fixed":
-        return fit_nmar(train, config, MuMode.fixed(spec.mu))
-    return fit_nmar(train, config,
-                    MuMode.learn(*build_mu_prior(spec.mu, spec.strength)))
+    return fit_nmar(train, config, spec.mu,
+                    spec.strength if spec.mu_mode == "learn" else None)
 
 
 def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int,
@@ -128,10 +129,11 @@ def run_protocol(split: SplitPair, specs, config: ProtocolConfig | None = None):
 
     Returns a list of dict rows in REPORT_COLUMNS order: per-seed rows
     first for each model (agg 0), then its aggregate row (agg 1) with
-    across-seed means and standard errors. A failed fit leaves its
-    error columns empty and is excluded from the aggregate.
+    across-seed means and standard errors. Bad settings raise up front;
+    a failed fit leaves its error cells empty, outside the aggregate.
     """
     config = config or ProtocolConfig()
+    FitConfig(1, max_iters=config.max_iters, rel_tol=config.rel_tol)
     problems = split.violations()
     if problems:
         raise ConfigurationError("; ".join(problems))

@@ -5,24 +5,19 @@ mixture, then hides entries according to per-value observation
 probabilities mu: the rating v is kept with probability mu[v-1],
 independently per cell. A uniformly sampled held-out set (chosen without
 looking at the values) plays the role of an unbiased probe of the same
-table. A small exact-enumeration routine computes per-user evidence by
-brute force for cross-checking the fitted models.
+table.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cptv import CptvParams
 from .data import RatingDataset, SplitPair, min_ratings_filter, remap_users
-from .errors import ConfigurationError, GenerationError, OracleLimitError
+from .errors import ConfigurationError, GenerationError
 from .mixture import MixtureParams
-
-# Enumerating V ** n_missing joint assignments beyond this is refused.
-ORACLE_ASSIGNMENT_LIMIT = 1_000_000
 
 
 @dataclass
@@ -71,14 +66,13 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     """
     if min(n_users, n_items, n_values, n_components) < 1:
         raise ConfigurationError("all dimensions must be >= 1")
-    if concentration <= 0:
-        raise ConfigurationError(f"concentration must be > 0, got {concentration}")
+    if not 0 < concentration < np.inf:
+        raise ConfigurationError(f"need 0 < concentration < inf, got {concentration}")
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n_values,):
         raise ConfigurationError(
             f"mu must have one entry per rating value ({n_values}), got shape {mu.shape}")
-    if (mu < 0).any() or (mu > 1).any():
-        raise ConfigurationError("mu entries must lie in [0, 1]")
+    CptvParams(mu)  # the same range check as a model's mu
 
     rng = np.random.default_rng(seed)
     theta = rng.dirichlet(np.full(n_components, concentration))
@@ -165,37 +159,3 @@ def build_study_dataset(truth: GroundTruth, seed, per_user_test: int = 10,
     test = remap_users(test, kept)
     return SplitPair(train=train, test=test), kept
 
-
-def brute_force_user_evidence(params: MixtureParams, mu, observed_items,
-                              observed_values) -> float:
-    """Joint probability of one user's observed values and response
-    pattern, by exact enumeration over the hidden entries.
-
-    Every assignment of the missing ratings is enumerated; for each, the
-    mixture-and-observation probability is accumulated with exact
-    summation. Intended for small instances only: raises once
-    V ** n_missing exceeds ORACLE_ASSIGNMENT_LIMIT.
-    """
-    M, V = params.n_items, params.n_values
-    mu = np.asarray(mu, dtype=float)
-    observed_items = np.asarray(observed_items, dtype=np.int64)
-    observed_values = np.asarray(observed_values, dtype=np.int64)
-    is_observed = np.zeros(M, dtype=bool)
-    is_observed[observed_items] = True
-    missing_items = np.flatnonzero(~is_observed)
-    if V ** len(missing_items) > ORACLE_ASSIGNMENT_LIMIT:
-        raise OracleLimitError(
-            f"{V} ** {len(missing_items)} assignments exceed the"
-            f" enumeration limit {ORACLE_ASSIGNMENT_LIMIT}")
-
-    theta, beta = params.theta, params.beta
-    full = np.zeros(M, dtype=np.int64)
-    full[observed_items] = observed_values
-    terms = []
-    for assignment in itertools.product(range(1, V + 1), repeat=len(missing_items)):
-        full[missing_items] = assignment
-        obs_prob = np.where(is_observed, mu[full - 1], 1.0 - mu[full - 1])
-        for z in range(params.n_components):
-            cell = beta[full - 1, np.arange(M), z] * obs_prob
-            terms.append(theta[z] * math.prod(cell.tolist()))
-    return math.fsum(terms)

@@ -16,9 +16,10 @@ from scipy import stats
 
 import missmix as mx
 from missmix.cli import main
-from missmix.cptv import MuMode, log_evidence_nmar
+from missmix.cptv import log_evidence_nmar
 from missmix.mixture import FitConfig
 from missmix.protocol import ModelSpec, ProtocolConfig, run_protocol
+from oracles import brute_force_user_evidence
 
 
 def _report(capsys, num, name, ok, detail):
@@ -58,11 +59,10 @@ def test_01_em_objective_never_decreases(capsys):
         cfg = FitConfig(n_components=K_cycle[i % 3], seed=i, max_iters=40,
                         rel_tol=0.0)
         if i % 2 == 0:
-            mode = MuMode.fixed(mu)
-        else:
-            mode = MuMode.learn(np.full(5, 3.0), np.full(5, 3.0))
-        worst = min(worst, _worst_relative_dip(
-            mx.fit_nmar(ds, cfg, mode).log_posterior_trace))
+            result = mx.fit_nmar(ds, cfg, mu)
+        else:  # prior counts xi1 = xi0 = 3
+            result = mx.fit_nmar(ds, cfg, np.full(5, 0.5), strength=6.0)
+        worst = min(worst, _worst_relative_dip(result.log_posterior_trace))
     elapsed = time.monotonic() - t0
     ok = worst >= -1e-9 and elapsed <= 120
     _report(capsys, 1, "EM objective monotone over 100 runs", ok,
@@ -91,8 +91,8 @@ def test_02_evidence_matches_enumeration_oracle(capsys):
         fast = np.exp(log_evidence_nmar(truth.params, cptv, ds))
         for i in range(ds.n_users):
             items, values = ds.row(i)
-            oracle = mx.brute_force_user_evidence(truth.params, mu, items,
-                                                  values)
+            oracle = brute_force_user_evidence(truth.params, mu, items,
+                                               values)
             worst = max(worst, abs(fast[i] - oracle) / oracle)
             checked += 1
     elapsed = time.monotonic() - t0
@@ -113,7 +113,7 @@ def test_03_fully_observed_reduction(capsys):
         assert full.n_obs == 300 * 15
         cfg = FitConfig(n_components=K, seed=seed, max_iters=60, rel_tol=0.0)
         ra = mx.fit_mar(full, cfg)
-        rb = mx.fit_nmar(full, cfg, MuMode.fixed(np.full(V, 0.37)))
+        rb = mx.fit_nmar(full, cfg, np.full(V, 0.37))
         worst = max(worst,
                     float(np.abs(ra.params.theta - rb.params.theta).max()),
                     float(np.abs(ra.params.beta - rb.params.beta).max()))
@@ -305,10 +305,9 @@ def test_09_learned_attribution_is_a_distribution(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         mu_hat = mx.estimate_mu_heldout(split.train, split.test, 50)
-    xi1, xi0 = mx.build_mu_prior(mu_hat, 200.0)
     result = mx.fit_nmar(split.train,
                          FitConfig(n_components=3, seed=9, max_iters=200),
-                         MuMode.learn(xi1, xi0))
+                         mu_hat, strength=200.0)
     attr = result.missing_value_attribution
     gap = abs(float(attr.sum()) - 1.0)
     ok = (result.mu_mode == "learn" and attr is not None

@@ -139,6 +139,21 @@ def test_exit_code_bad_configuration(study, tmp_path):
     assert main(["train", study + ".train.csv", "--model", "mm-cptv",
                  "-K", "2", "--mu", "yahoo", "--mu-mode", "learn",
                  "--out", out]) == 3
+    # non-finite or out-of-range numbers, which used to run on silently
+    cptv = ["train", study + ".train.csv", "--model", "mm-cptv", "-K", "2",
+            "--max-iters", "3", "--out", out]
+    for flags in (["--mu", "0.5,2,0.5,0.5,0.5"],
+                  ["--mu", "0.5,0.5,nan,0.5,0.5"],
+                  ["--mu", "0.5,0.5,nan,0.5,0.5", "--mu-mode", "learn",
+                   "-S", "100"],
+                  ["--mu", "yahoo", "--mu-mode", "learn", "-S", "nan"],
+                  ["--mu", "yahoo", "--alpha", "nan"],
+                  ["--mu", "yahoo", "--phi", "nan"],
+                  ["--mu", "yahoo", "--tol", "nan"]):
+        assert main(cptv + flags) == 3, flags
+    gen = ["generate", "--out", str(tmp_path / "g"), "-N", "20", "-M", "5"]
+    assert main(gen + ["--concentration", "nan"]) == 3
+    assert main(gen + ["--mu", "0.5,0.5,nan,0.5,0.5", "--mu-scale", "1"]) == 3
 
 
 def test_exit_code_pair_out_of_range(study, tmp_path):
@@ -200,6 +215,14 @@ def test_evaluate_exit_code_bad_configuration(study, tmp_path):
     assert main(args + ["--families", "mm-cptv"]) == 3
     assert main(args + ["--families", "mm-cptv", "--mu", "yahoo",
                         "--mu-mode", "learn"]) == 3
+    # checked before any fit runs, so no report of blank rows is written
+    for flags in (["--mu", "yahoo", "--mu-mode", "learn", "-S", "5"],
+                  ["--mu", "0.5,0.5,0.5,0.5,nan"],
+                  ["--mu", "0.5,2,0.5,0.5,0.5"],
+                  ["--mu", "yahoo", "--alpha", "nan"],
+                  ["--mu", "yahoo", "--tol", "nan"]):
+        assert main(args + ["--families", "mm-cptv"] + flags) == 3, flags
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_predict_rejects_invalid_model(study, tmp_path):
@@ -214,3 +237,16 @@ def test_predict_rejects_invalid_model(study, tmp_path):
     rc = main(["predict", study + ".train.csv", "--model", str(model),
                "--pairs", str(pairs), "--out", str(tmp_path / "p.csv")])
     assert rc == 2
+
+
+def test_non_utf8_input_is_a_parse_error(study, tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"user,item,rating\n0,0,\xff\n")
+    model_path = str(tmp_path / "m.model")
+    assert main(["train", study + ".train.csv", "--model", "mm-none", "-K", "1",
+                 "--max-iters", "2", "--out", model_path]) == 0
+    predict = ["predict", study + ".train.csv", "--out", str(tmp_path / "p.csv")]
+    assert main(["analyze", str(bad)]) == 2
+    assert main(predict + ["--model", model_path, "--pairs", str(bad)]) == 2
+    assert main(predict + ["--model", str(bad),
+                           "--pairs", study + ".test.csv"]) == 2

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from missmix.cptv import (CptvParams, MU_EPS, MuMode, YAHOO_MU, build_mu_prior,
-                          compute_gamma, e_step_nmar, estimate_mu_heldout,
-                          fit_nmar, log_evidence_nmar, log_posterior_nmar,
-                          m_step_nmar, missing_value_attribution)
+from missmix.cptv import (CptvParams, MU_EPS, YAHOO_MU, build_mu_prior,
+                          e_step_nmar, estimate_mu_heldout, fit_nmar,
+                          log_evidence_nmar, log_posterior_nmar, m_step_nmar,
+                          missing_value_attribution)
 from missmix.data import RatingDataset
 from missmix.errors import (ConfigurationError, DataValidationError,
                             EstimationError)
-from missmix.mixture import FitConfig, MixtureParams, e_step_mar, fit_mar
-from missmix.synthetic import (apply_cptv_missingness, brute_force_user_evidence,
-                               sample_ground_truth)
+from missmix.mixture import (FitConfig, MixtureParams, e_step_mar, fit_mar,
+                             init_params, m_step_mar)
+from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
+from oracles import (brute_force_user_evidence, compute_gamma,
+                     expected_complete_objective)
 
 
 def _params_for(theta, beta):
@@ -43,15 +47,49 @@ def test_cptv_params_validation_and_clamping():
     with pytest.raises(ConfigurationError):
         CptvParams(mu=np.array([0.5, 0.5]), xi1=np.array([2.0]),
                    xi0=np.array([2.0]))
+    for mu in ([0.5, 2.0], [0.5, np.nan], [-0.1, 0.5], [[0.5]], 0.5):
+        with pytest.raises(ConfigurationError, match="mu must be"):
+            CptvParams(mu=mu)
+    for xi in ([2.0, np.nan], [2.0, np.inf]):
+        with pytest.raises(ConfigurationError, match="prior counts"):
+            CptvParams(mu=[0.5, 0.5], xi1=[2.0, 2.0], xi0=xi)
 
 
-def test_mu_mode_validation():
-    with pytest.raises(ConfigurationError):
-        MuMode.fixed(np.ones((2, 2)))
-    with pytest.raises(ConfigurationError):
-        MuMode.learn(np.array([0.5, 2.0]), np.array([2.0, 2.0]))
-    mode = MuMode.learn(np.array([3.0]), np.array([2.0]))
-    assert mode.kind == "learn"
+_floats = st.one_of(st.floats(), st.floats(0, 1), st.floats(1, 1e3))
+_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2,
+                                                  min_side=0, max_side=3),
+                     elements=_floats)
+
+
+@given(mu=_arrays, xi1=st.none() | _arrays, xi0=st.none() | _arrays)
+def test_cptv_params_holds_only_valid_values(mu, xi1, xi0):
+    try:
+        p = CptvParams(mu=mu, xi1=xi1, xi0=xi0)
+    except ConfigurationError:
+        return
+    assert p.mu.ndim == 1
+    assert ((0 < p.mu) & (p.mu < 1)).all()
+    if p.xi1 is not None:
+        for xi in (p.xi1, p.xi0):
+            assert xi.shape == p.mu.shape
+            assert ((1 < xi) & (xi < np.inf)).all()
+
+
+def test_fit_nmar_validation():
+    ds = RatingDataset.from_arrays(2, 2, 2, [0, 1], [0, 1], [1, 2])
+    cfg = FitConfig(n_components=1, max_iters=2)
+    bad = [(np.ones((2, 2)), None),             # not a vector
+           (np.full(3, 0.5), None),             # wrong length
+           (np.array([0.5, 2.0]), None),        # not a probability
+           (np.array([0.5, np.nan]), None),
+           (np.array([0.5, 0.5]), 2.0),         # prior counts <= 1
+           (np.array([0.5, 0.5]), np.nan),
+           (np.array([0.5, np.nan]), 10.0),
+           (np.full(3, 0.5), 10.0)]
+    for mu, strength in bad:
+        with pytest.raises(ConfigurationError):
+            fit_nmar(ds, cfg, mu, strength)
+    assert fit_nmar(ds, cfg, np.array([0.5, 0.5]), 10.0).mu_mode == "learn"
 
 
 def test_compute_gamma_hand_case():
@@ -157,16 +195,17 @@ def test_fit_nmar_monotone_and_converges():
     truth = sample_ground_truth(80, 12, 3, 2, np.array([0.3, 0.5, 0.8]), seed=5)
     ds = apply_cptv_missingness(truth, seed=6)
     cfg = FitConfig(n_components=2, seed=1, max_iters=300, rel_tol=1e-8)
-    for mode in (MuMode.fixed(truth.mu),
-                 MuMode.learn(np.full(3, 4.0), np.full(3, 4.0))):
-        result = fit_nmar(ds, cfg, mode)
+    # learn mode: prior counts xi1 = xi0 = 4
+    for mu, strength, kind in ((truth.mu, None, "fixed"),
+                               (np.full(3, 0.5), 8.0, "learn")):
+        result = fit_nmar(ds, cfg, mu, strength)
         trace = result.log_posterior_trace
         deltas = np.diff(trace)
         assert (deltas >= -1e-9 * np.abs(trace[1:])).all()
-        assert result.mu_mode == mode.kind
+        assert result.mu_mode == kind
         assert result.log_posterior_trace[-1] == pytest.approx(
             log_posterior_nmar(result.params, result.cptv, ds), abs=1e-9)
-    fixed = fit_nmar(ds, cfg, MuMode.fixed(truth.mu))
+    fixed = fit_nmar(ds, cfg, truth.mu)
     np.testing.assert_allclose(fixed.cptv.mu, truth.mu, atol=1e-15)
 
 
@@ -174,7 +213,7 @@ def test_attribution_sums_to_one_and_none_when_complete():
     truth = sample_ground_truth(50, 8, 3, 2, np.array([0.2, 0.5, 0.9]), seed=2)
     ds = apply_cptv_missingness(truth, seed=3)
     cfg = FitConfig(n_components=2, seed=0, max_iters=60)
-    result = fit_nmar(ds, cfg, MuMode.fixed(truth.mu))
+    result = fit_nmar(ds, cfg, truth.mu)
     attr = result.missing_value_attribution
     assert attr is not None and attr.shape == (3,)
     assert attr.sum() == pytest.approx(1.0, abs=1e-12)
@@ -182,7 +221,7 @@ def test_attribution_sums_to_one_and_none_when_complete():
 
     complete = apply_cptv_missingness(truth, seed=4, mu=np.ones(3))
     assert complete.n_obs == 50 * 8
-    r2 = fit_nmar(complete, cfg, MuMode.fixed(np.full(3, 0.5)))
+    r2 = fit_nmar(complete, cfg, np.full(3, 0.5))
     assert r2.missing_value_attribution is None
 
 
@@ -191,7 +230,7 @@ def test_fully_observed_fixed_mu_matches_value_blind_fit():
     full = apply_cptv_missingness(truth, seed=9)
     cfg = FitConfig(n_components=3, seed=2, max_iters=50, rel_tol=0.0)
     ra = fit_mar(full, cfg)
-    rb = fit_nmar(full, cfg, MuMode.fixed(np.full(4, 0.37)))
+    rb = fit_nmar(full, cfg, np.full(4, 0.37))
     np.testing.assert_allclose(ra.params.theta, rb.params.theta, atol=1e-6)
     np.testing.assert_allclose(ra.params.beta, rb.params.beta, atol=1e-6)
 
@@ -245,6 +284,10 @@ def test_build_mu_prior_strength_floor():
         build_mu_prior(np.array([0.5, 1.0]), 10.0)
     with pytest.raises(ConfigurationError):
         build_mu_prior(np.array([0.5]), 0.0)
+    for mu_hat, strength in (([0.5, np.nan], 10.0), ([0.5], np.nan),
+                             ([0.5], np.inf)):
+        with pytest.raises(ConfigurationError):
+            build_mu_prior(np.array(mu_hat), strength)
 
 
 def test_missing_value_attribution_direct():
@@ -258,3 +301,65 @@ def test_missing_value_attribution_direct():
     ds = RatingDataset.from_arrays(1, 2, 2, [0], [0], [1])
     attr = missing_value_attribution(params, cptv, ds, np.ones((1, 1)))
     np.testing.assert_allclose(attr, [0.0, 1.0], atol=1e-15)
+
+
+def _simplex_moves(p, eps=1e-3):
+    """Copies of ``p`` with a little mass moved between two entries of
+    one distribution along axis 0, both ways, staying on the simplex."""
+    V = p.shape[0]
+    for idx in np.ndindex(p.shape[1:]):
+        for a in range(V):
+            for b in range(V):
+                if a != b:
+                    moved = p.copy()
+                    d = eps * min(p[(a,) + idx], p[(b,) + idx])
+                    moved[(a,) + idx] += d
+                    moved[(b,) + idx] -= d
+                    yield moved
+
+
+def test_m_steps_are_stationary_for_the_expected_objective():
+    # Small moves of theta, each beta[:, m, z] and each mu[v] away from
+    # the M-step's output never raise the expected complete-data
+    # objective, written out cell by cell in the oracle.
+    rng = np.random.default_rng(57)
+    for case in range(4):
+        _, _, ds = _random_nmar_case(rng, N=8)
+        K = int(rng.integers(1, 4))
+        V = ds.n_values
+        cfg = FitConfig(n_components=K, alpha=1.6, phi=2.4, seed=case)
+        params = init_params(ds.n_items, V, cfg)
+        xi1, xi0 = rng.uniform(1.5, 6.0, V), rng.uniform(1.5, 6.0, V)
+        cptv = CptvParams(mu=rng.uniform(0.1, 0.9, V), xi1=xi1, xi0=xi0)
+
+        q = e_step_mar(params, ds)
+        new = m_step_mar(params, ds, q)
+        best = expected_complete_objective(new.theta, new.beta, q, ds, 1.6, 2.4)
+        tol = 1e-12 * abs(best)
+        for theta in _simplex_moves(new.theta):
+            assert expected_complete_objective(
+                theta, new.beta, q, ds, 1.6, 2.4) <= best + tol
+        for beta in _simplex_moves(new.beta):
+            assert expected_complete_objective(
+                new.theta, beta, q, ds, 1.6, 2.4) <= best + tol
+
+        q = e_step_nmar(params, cptv, ds)
+        new, new_cptv = m_step_nmar(params, cptv, ds, q, learn_mu=True)
+
+        def objective(theta, beta, mu):
+            return expected_complete_objective(
+                theta, beta, q, ds, 1.6, 2.4, mu=mu,
+                old=(params.beta, cptv.mu), prior=(xi1, xi0))
+
+        mu = new_cptv.mu
+        best = objective(new.theta, new.beta, mu)
+        tol = 1e-12 * abs(best)
+        for theta in _simplex_moves(new.theta):
+            assert objective(theta, new.beta, mu) <= best + tol
+        for beta in _simplex_moves(new.beta):
+            assert objective(new.theta, beta, mu) <= best + tol
+        for v in range(V):
+            for sign in (1, -1):
+                moved = mu.copy()
+                moved[v] += sign * 1e-3 * min(mu[v], 1 - mu[v])
+                assert objective(new.theta, new.beta, moved) <= best + tol

@@ -32,6 +32,10 @@ def test_config_validation():
         FitConfig(n_components=2, phi=0.5)
     with pytest.raises(ConfigurationError):
         FitConfig(n_components=2, max_iters=0)
+    for bad in (dict(alpha=np.nan), dict(phi=np.nan), dict(alpha=np.inf),
+                dict(rel_tol=np.nan), dict(rel_tol=-1.0)):
+        with pytest.raises(ConfigurationError):
+            FitConfig(n_components=2, **bad)
 
 
 def test_init_params_shapes_and_simplexes():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from missmix.cptv import CptvParams, MuMode, fit_nmar
-from missmix.errors import ParseError
+from missmix.cptv import CptvParams, fit_nmar
+from missmix.errors import MissmixError, ParseError
 from missmix.mixture import FitConfig, fit_mar
 from missmix.modelio import load_model, save_model
 from missmix.predict import posterior_z
@@ -16,7 +17,7 @@ def fitted():
     ds = apply_cptv_missingness(truth, seed=31)
     cfg = FitConfig(n_components=2, seed=3, max_iters=40)
     plain = fit_mar(ds, cfg)
-    aware = fit_nmar(ds, cfg, MuMode.learn(np.full(4, 5.0), np.full(4, 5.0)))
+    aware = fit_nmar(ds, cfg, np.full(4, 0.5), strength=10.0)  # xi1 = xi0 = 5
     return truth, plain, aware
 
 
@@ -73,6 +74,11 @@ def _write(tmp_path, lines, name="m.model"):
     return path
 
 
+def _cptv_lines():
+    return ["format_version 1", "kind mixture+cptv"] + _base_lines()[2:] + [
+        "mu 0.5 0.5"]
+
+
 def test_load_rejects_malformed_files(tmp_path):
     ok = load_model(_write(tmp_path, _base_lines()))
     assert ok.params.beta.shape == (2, 1, 1)
@@ -100,6 +106,14 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines() + ["phi 2 3"], "repeated 2 times"),             # v1
         (["format_version 2"] + _base_lines()[1:] + ["phi 2 2"],
          "one finite value"),
+        (_cptv_lines() + ["xi1 nan nan", "xi0 2 2"], "prior counts"),
+        (_cptv_lines() + ["xi1 0.5 2", "xi0 2 2"], "prior counts"),
+        (_cptv_lines() + ["xi1 2 2 2", "xi0 2 2"], "match mu in shape"),
+        (_cptv_lines() + ["xi1 2 2"], "given together"),
+        (_base_lines()[:3] + ["M -1", "V -1", "theta 1", "beta 1"], ">= 1"),
+        (_base_lines()[:3] + ["M 0", "V 2", "theta 1", "beta"], ">= 1"),
+        (_base_lines() + ["z 99999999999999999999"], "malformed integer"),
+        (_base_lines()[:2] + ["K 1 1"] + _base_lines()[3:], "takes one token"),
     ]
     for i, (lines, match) in enumerate(cases):
         with pytest.raises(ParseError, match=match):
@@ -123,6 +137,48 @@ def test_format_1_smoothing_loads_as_scalars(tmp_path, fitted):
     ds = apply_cptv_missingness(truth, seed=32)
     assert np.array_equal(posterior_z(old.params, ds, cptv=old.cptv),
                           posterior_z(new.params, ds, cptv=new.cptv))
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["-1", "0", "1", "0.5", "nan", "inf", "-inf", "1e999",
+                     "99999999999999999999", "x", "mixture", "learn"]),
+    st.integers(-3, 3).map(str),
+    st.floats().map(repr))
+
+
+@st.composite
+def _model_files(draw):
+    """Model file text from load_model's keys: small (possibly invalid)
+    dimensions, each array of the size they imply or arbitrary tokens,
+    and each optional key present or not."""
+    K, M, V = (draw(st.integers(-1, 2)) for _ in range(3))
+
+    def tokens(n, value):
+        if draw(st.integers(0, 3)):
+            return [repr(value)] * max(n, 0)
+        return draw(st.lists(_TOKENS, max_size=3))
+
+    fields = {"format_version": [draw(st.sampled_from(["1", "2", "3"]))],
+              "kind": [draw(st.sampled_from(["mixture", "mixture+cptv", "x"]))],
+              "K": [str(K)], "M": [str(M)], "V": [str(V)],
+              "theta": tokens(K, 1 / K if K else 0.0),
+              "beta": tokens(V * M * K, 1 / V if V else 0.0)}
+    for key, n, value in (("mu", V, 0.5), ("xi1", V, 2.0), ("xi0", V, 2.0),
+                          ("alpha", 1, 2.0), ("phi", 1, 2.0), ("z", 1, 0),
+                          ("mu_mode", 1, "learn")):
+        if draw(st.booleans()):
+            fields[key] = tokens(n, value)
+    return "".join(f"{k} {' '.join(v)}\n" for k, v in fields.items())
+
+
+@given(text=_model_files())
+def test_load_gives_a_model_or_a_missmix_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("prop") / "m.model"
+    path.write_text(text, encoding="utf-8")
+    try:
+        load_model(path)
+    except MissmixError:
+        pass
 
 
 def test_comments_and_blanks_ignored(tmp_path):

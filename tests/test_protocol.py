@@ -26,6 +26,15 @@ def test_model_spec_validation():
     with pytest.raises(ConfigurationError):
         ModelSpec(family="mm-cptv", n_components=2, mu_mode="learn",
                   mu=np.full(5, 0.2))
+    # mu, its prior and the smoothing are checked before any fit runs
+    for bad in (dict(mu_mode="fixed", mu=[0.5, np.nan]),
+                dict(mu_mode="fixed", mu=[0.5, 2.0]),
+                dict(mu_mode="learn", mu=[0.5, 0.5], strength=np.nan),
+                dict(mu_mode="learn", mu=[0.5, 0.5], strength=1.5),
+                dict(mu_mode="fixed", mu=[0.5, 0.5], alpha=np.nan),
+                dict(mu_mode="fixed", mu=[0.5, 0.5], n_components=0)):
+        with pytest.raises(ConfigurationError):
+            ModelSpec(family="mm-cptv", **bad)
     spec = ModelSpec(family="mm-cptv", n_components=2, mu_mode="learn",
                      mu=np.full(5, 0.2), strength=100.0)
     assert spec.label() == "mm-cptv"
@@ -77,6 +86,14 @@ def test_run_protocol_rejects_overlapping_split():
     bad = SplitPair(train=ds, test=ds)
     with pytest.raises(ConfigurationError):
         run_protocol(bad, [ModelSpec(family="constant")])
+
+
+def test_run_protocol_rejects_bad_settings_before_fitting(small_split):
+    split, _ = small_split
+    spec = ModelSpec(family="mm-none", n_components=2)
+    for bad in (dict(rel_tol=np.nan), dict(max_iters=0)):
+        with pytest.raises(ConfigurationError):
+            run_protocol(split, [spec], ProtocolConfig(seeds=(0,), **bad))
 
 
 def test_run_protocol_deterministic(small_split):

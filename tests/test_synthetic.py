@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from missmix.errors import ConfigurationError, GenerationError, OracleLimitError
-from missmix.synthetic import (ORACLE_ASSIGNMENT_LIMIT, apply_cptv_missingness,
-                               brute_force_user_evidence, build_study_dataset,
+from missmix.errors import ConfigurationError, GenerationError
+from missmix.synthetic import (apply_cptv_missingness, build_study_dataset,
                                sample_ground_truth, sample_mcar_test)
+from oracles import (ORACLE_ASSIGNMENT_LIMIT, OracleLimitError,
+                     brute_force_user_evidence)
 
 
 def test_ground_truth_shapes_and_ranges():
@@ -32,10 +33,13 @@ def test_ground_truth_validation():
         sample_ground_truth(0, 5, 3, 2, np.full(3, 0.5), seed=0)
     with pytest.raises(ConfigurationError):
         sample_ground_truth(5, 5, 3, 2, np.full(4, 0.5), seed=0)
-    with pytest.raises(ConfigurationError):
-        sample_ground_truth(5, 5, 3, 2, np.array([0.5, 0.5, 1.5]), seed=0)
-    with pytest.raises(ConfigurationError):
-        sample_ground_truth(5, 5, 3, 2, np.full(3, 0.5), seed=0, concentration=0)
+    for mu in ([0.5, 0.5, 1.5], [0.5, 0.5, np.nan]):
+        with pytest.raises(ConfigurationError):
+            sample_ground_truth(5, 5, 3, 2, np.array(mu), seed=0)
+    for concentration in (0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            sample_ground_truth(5, 5, 3, 2, np.full(3, 0.5), seed=0,
+                                concentration=concentration)
 
 
 def test_ratings_follow_component_distributions():
