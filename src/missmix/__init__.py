@@ -5,7 +5,7 @@ from .cptv import (CptvParams, YAHOO_MU, build_mu_prior, e_step_nmar,
                    estimate_mu_heldout, fit_nmar, log_posterior_nmar,
                    m_step_nmar)
 from .data import (RatingDataset, SplitPair, load_csv, min_ratings_filter,
-                   save_csv, validate)
+                   save_csv)
 from .errors import (ConfigurationError, DataValidationError, EstimationError,
                      EvaluationError, GenerationError, MissmixError,
                      ParseError)
@@ -32,5 +32,5 @@ __all__ = [
     "m_step_mar", "m_step_nmar", "mae", "min_ratings_filter", "posterior_z",
     "predict_median", "predictive_distribution", "run_protocol",
     "sample_ground_truth", "sample_mcar_test", "save_csv", "save_model",
-    "skl", "skl_report", "smoothed_distribution", "validate", "write_report",
+    "skl", "skl_report", "smoothed_distribution", "write_report",
 ]

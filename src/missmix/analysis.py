@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset, _require_in_range
+from .data import RatingDataset
 from .errors import EvaluationError
 
 
@@ -40,8 +40,7 @@ def skl(p, q) -> float:
 
 
 def item_value_counts(dataset: RatingDataset) -> np.ndarray:
-    """Per-item value counts, shape (M, V); out-of-range triples raise."""
-    _require_in_range(dataset)
+    """Per-item value counts, shape (M, V)."""
     M, V = dataset.n_items, dataset.n_values
     cells = dataset.items * V + dataset.values - 1
     return np.bincount(cells, minlength=M * V).reshape(M, V)

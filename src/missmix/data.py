@@ -33,7 +33,10 @@ class RatingDataset:
     n_users, n_items, n_values : int
         Dimensions (N, M, V). Rating values live in 1..V.
     users, items, values : ndarray
-        Parallel int arrays sorted by (user, item).
+        Parallel int arrays sorted by (user, item), one entry per pair.
+
+    Construction raises DataValidationError for negative dimensions, a
+    triple outside them, or a repeated or out-of-order pair.
     """
 
     n_users: int
@@ -46,14 +49,9 @@ class RatingDataset:
     _incidence: csr_array | None = field(repr=False, default=None)
 
     @classmethod
-    def from_arrays(cls, n_users, n_items, n_values, users, items, values,
-                    require_unique=True) -> "RatingDataset":
-        """Build a dataset from unsorted triple arrays.
-
-        Sorts by (user, item) and freezes the arrays. With
-        ``require_unique`` (the default) a repeated (user, item) pair
-        raises; pass False to defer duplicate detection to `validate`.
-        """
+    def from_arrays(cls, n_users, n_items, n_values, users, items,
+                    values) -> "RatingDataset":
+        """Build a dataset from triple arrays in any order."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
@@ -61,19 +59,24 @@ class RatingDataset:
             raise DataValidationError("users/items/values arrays differ in length")
         order = np.lexsort((items, users))
         users, items, values = users[order], items[order], values[order]
-        if require_unique and len(users) > 1:
-            same = (np.diff(users) == 0) & (np.diff(items) == 0)
-            if same.any():
-                i = int(np.flatnonzero(same)[0])
-                raise DataValidationError(
-                    f"duplicate rating for (user={users[i]}, item={items[i]})")
         return cls(int(n_users), int(n_items), int(n_values), users, items, values)
 
     def __post_init__(self):
+        dims = (self.n_users, self.n_items, self.n_values)
+        if min(dims) < 0:
+            raise DataValidationError(f"dimensions must be >= 0, got {dims}")
+        problems = _range_violations(self)
+        if problems:
+            raise DataValidationError("; ".join(problems))
+        # Keys of in-range pairs increase strictly iff pairs are sorted and unique.
+        steps = np.diff(self.pair_keys())
+        if (steps <= 0).any():
+            i = int(np.argmax(steps <= 0))
+            raise DataValidationError(
+                f"duplicate rating for (user={self.users[i]}, item={self.items[i]})"
+                if steps[i] == 0 else "triples must be sorted by (user, item)")
         for arr in (self.users, self.items, self.values):
             arr.flags.writeable = False
-        # searchsorted-based row index tolerates even out-of-range user ids,
-        # which validate() must be able to report rather than crash on.
         self._row_ptr = np.searchsorted(self.users, np.arange(self.n_users + 1))
 
     @property
@@ -96,12 +99,8 @@ class RatingDataset:
         entries in item order. ``A @ table.reshape(V*M, K)`` sums table
         rows over every user's observations, and ``A.T @ q`` sums
         per-user rows into (value, item) cells.
-
-        Raises DataValidationError if any triple lies outside the
-        dimensions, since the sparse kernels do not bounds-check.
         """
         if self._incidence is None:
-            _require_in_range(self)
             cols = (self.values - 1) * self.n_items + self.items
             self._incidence = csr_array(
                 (np.ones(self.n_obs), cols, self._row_ptr),
@@ -110,8 +109,7 @@ class RatingDataset:
 
     def value_counts(self) -> np.ndarray:
         """Count of each rating value 1..V, shape (V,)."""
-        in_range = (self.values >= 1) & (self.values <= self.n_values)
-        return np.bincount(self.values[in_range], minlength=self.n_values + 1)[1:]
+        return np.bincount(self.values, minlength=self.n_values + 1)[1:]
 
     def pair_keys(self) -> np.ndarray:
         """Unique int64 key per (user, item) pair; used for set operations."""
@@ -120,24 +118,28 @@ class RatingDataset:
 
 @dataclass
 class SplitPair:
-    """A train/test dataset pair over the same (N, M, V) dimensions."""
+    """A train/test dataset pair over the same (N, M, V) dimensions that
+    share no (user, item) pair; construction raises DataValidationError
+    otherwise."""
 
     train: RatingDataset
     test: RatingDataset
 
-    def violations(self) -> list[str]:
-        out = []
-        for dim in ("n_users", "n_items", "n_values"):
-            if getattr(self.train, dim) != getattr(self.test, dim):
-                out.append(f"train/test disagree on {dim}")
-        if not out:
-            overlap = np.intersect1d(self.train.pair_keys(), self.test.pair_keys())
-            if len(overlap):
-                key = int(overlap[0])
-                out.append("train and test overlap on %d pairs, e.g. (user=%d, item=%d)"
-                           % (len(overlap), key // self.train.n_items,
-                              key % self.train.n_items))
-        return out
+    def __post_init__(self):
+        mismatched = [f"train/test disagree on {dim}"
+                      for dim in ("n_users", "n_items", "n_values")
+                      if getattr(self.train, dim) != getattr(self.test, dim)]
+        if mismatched:
+            raise DataValidationError("; ".join(mismatched))
+        # Both key arrays are sorted; the appended -1 matches no key.
+        keys = np.append(self.train.pair_keys(), -1)
+        test_keys = self.test.pair_keys()
+        overlap = test_keys[keys[np.searchsorted(keys[:-1], test_keys)] == test_keys]
+        if len(overlap):
+            key = int(overlap[0])
+            raise DataValidationError(
+                "train and test overlap on %d pairs, e.g. (user=%d, item=%d)"
+                % (len(overlap), key // self.train.n_items, key % self.train.n_items))
 
 
 def _range_violations(dataset: RatingDataset) -> list[str]:
@@ -153,28 +155,6 @@ def _range_violations(dataset: RatingDataset) -> list[str]:
     for i in np.flatnonzero(bad_v):
         out.append(f"rating {dataset.values[i]} out of range [1, {dataset.n_values}]"
                    f" at (user={dataset.users[i]}, item={dataset.items[i]})")
-    return out
-
-
-def _require_in_range(dataset: RatingDataset) -> None:
-    """Raise DataValidationError for the first triple outside the dimensions."""
-    problems = _range_violations(dataset)
-    if problems:
-        raise DataValidationError(problems[0])
-
-
-def validate(dataset: RatingDataset) -> list[str]:
-    """Check dataset invariants, returning one message per violation.
-
-    Violations are returned rather than raised so callers can report all
-    of them at once. An empty list means the dataset is well-formed.
-    """
-    out = _range_violations(dataset)
-    if dataset.n_obs > 1:
-        same = (np.diff(dataset.users) == 0) & (np.diff(dataset.items) == 0)
-        for i in np.flatnonzero(same):
-            out.append(f"duplicate rating for (user={dataset.users[i]},"
-                       f" item={dataset.items[i]})")
     return out
 
 
@@ -221,11 +201,7 @@ def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:
     else:
         n_users = n_items = n_values = 0
 
-    ds = RatingDataset.from_arrays(n_users, n_items, n_values, users, items, values)
-    problems = validate(ds)
-    if problems:
-        raise DataValidationError("; ".join(problems))
-    return ds
+    return RatingDataset.from_arrays(n_users, n_items, n_values, users, items, values)
 
 
 def save_csv(path, dataset: RatingDataset) -> None:

@@ -125,6 +125,8 @@ def load_model(path) -> LoadedModel:
         raise ParseError(f"unsupported format_version {fields['format_version']}")
     if fields["kind"] not in (_KIND_PLAIN, _KIND_CPTV):
         raise ParseError(f"unknown kind {fields['kind']!r}")
+    if fields.get("mu_mode", "fixed") not in ("fixed", "learn"):
+        raise ParseError(f"unknown mu_mode {fields['mu_mode']!r}")
 
     K, M, V = fields["K"], fields["M"], fields["V"]
     if min(K, M, V) < 1:
@@ -156,8 +158,10 @@ def load_model(path) -> LoadedModel:
                               xi0=fields.get("xi0"))
         except ConfigurationError as exc:
             raise ParseError(str(exc)) from None
-    elif "mu" in fields:
-        raise ParseError("mu line present but kind is plain mixture")
+    else:
+        for key in ("mu", "xi1", "xi0", "mu_mode"):
+            if key in fields:
+                raise ParseError(f"{key} line present but kind is plain mixture")
 
     return LoadedModel(params=params, cptv=cptv,
                        mu_mode=fields.get("mu_mode"), z=fields.get("z"))

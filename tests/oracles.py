@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from missmix import DataValidationError, MissmixError, validate
+from missmix import MissmixError
 
 # Enumerating V ** n_missing joint assignments beyond this is refused.
 ORACLE_ASSIGNMENT_LIMIT = 1_000_000
@@ -26,11 +26,8 @@ def compute_gamma(params, cptv, dataset):
     gamma[i, m, z] is the probability of cell (i, m)'s outcome given
     component z: mu[x] * beta[x, m, z] for an entry observed with value
     x, and the hidden-cell mass sum_v (1 - mu[v]) * beta[v, m, z]
-    otherwise. Out-of-range triples raise DataValidationError.
+    otherwise.
     """
-    problems = validate(dataset)
-    if problems:
-        raise DataValidationError(problems[0])
     V, M, K = params.beta.shape
     out = np.empty((dataset.n_users, M, K))
     for m in range(M):

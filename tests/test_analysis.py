@@ -104,6 +104,6 @@ def test_paired_difference_no_common_pairs():
 
 
 def test_item_value_counts_rejects_out_of_range_values():
-    ds = RatingDataset.from_arrays(2, 1, 2, [0, 1], [0, 0], [1, 0])
+    # such a dataset cannot be built, so item_value_counts never sees one
     with pytest.raises(DataValidationError, match="rating 0 out of range"):
-        item_value_counts(ds)
+        RatingDataset.from_arrays(2, 1, 2, [0, 1], [0, 0], [1, 0])

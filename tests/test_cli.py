@@ -149,7 +149,10 @@ def test_exit_code_bad_configuration(study, tmp_path):
                   ["--mu", "yahoo", "--mu-mode", "learn", "-S", "nan"],
                   ["--mu", "yahoo", "--alpha", "nan"],
                   ["--mu", "yahoo", "--phi", "nan"],
-                  ["--mu", "yahoo", "--tol", "nan"]):
+                  ["--mu", "yahoo", "--tol", "nan"],
+                  # a prior strength only means something in learn mode
+                  ["--mu", "yahoo", "-S", "nan"],
+                  ["--mu", "yahoo", "-S", "100"]):
         assert main(cptv + flags) == 3, flags
     gen = ["generate", "--out", str(tmp_path / "g"), "-N", "20", "-M", "5"]
     assert main(gen + ["--concentration", "nan"]) == 3
@@ -181,6 +184,15 @@ def test_dims_flag(study, tmp_path):
     assert rc == 0
     lines = (tmp_path / "a.txt").read_text().splitlines()
     assert lines[-1].startswith("7,")
+
+
+def test_negative_dims_are_a_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("user,item,rating\n", encoding="utf-8")
+    assert main(["train", str(empty), "--model", "mm-none", "-K", "1",
+                 "--dims=-1,5,5", "--out", str(tmp_path / "m.model")]) == 2
+    assert main(["analyze", str(empty), "--dims=0,-3,5"]) == 2
+    assert capsys.readouterr().err.count("dimensions must be >= 0") == 2
 
 
 def test_train_and_evaluate_share_one_fit(study, tmp_path):
@@ -220,7 +232,8 @@ def test_evaluate_exit_code_bad_configuration(study, tmp_path):
                   ["--mu", "0.5,0.5,0.5,0.5,nan"],
                   ["--mu", "0.5,2,0.5,0.5,0.5"],
                   ["--mu", "yahoo", "--alpha", "nan"],
-                  ["--mu", "yahoo", "--tol", "nan"]):
+                  ["--mu", "yahoo", "--tol", "nan"],
+                  ["--mu", "yahoo", "-S", "nan"]):
         assert main(args + ["--families", "mm-cptv"] + flags) == 3, flags
     assert not (tmp_path / "r.csv").exists()
 

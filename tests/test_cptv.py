@@ -107,10 +107,9 @@ def test_compute_gamma_hand_case():
 
 
 def test_compute_gamma_rejects_out_of_range_values():
-    params = _params_for([1.0], np.full((2, 1, 1), 0.5))
-    ds = RatingDataset.from_arrays(2, 1, 2, [0, 1], [0, 0], [1, 0])
+    # such a dataset cannot be built, so compute_gamma never sees one
     with pytest.raises(DataValidationError, match="rating 0 out of range"):
-        compute_gamma(params, CptvParams(mu=np.array([0.2, 0.7])), ds)
+        RatingDataset.from_arrays(2, 1, 2, [0, 1], [0, 0], [1, 0])
 
 
 def test_log_evidence_matches_dense_gamma():

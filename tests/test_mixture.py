@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from missmix.cptv import CptvParams, _log_weights_nmar, e_step_nmar
+from missmix.cptv import CptvParams, _log_weights_nmar
 from missmix.data import RatingDataset
 from missmix.errors import ConfigurationError, DataValidationError
 from missmix.mixture import (FitConfig, MixtureParams, _log_weights_mar,
@@ -143,16 +143,13 @@ def test_single_component_converges_immediately():
 
 def test_e_steps_reject_out_of_range_entries():
     # value 0 would otherwise read the value-V row of every table, and
-    # item M a cell past the end, without any error
-    params = init_params(3, 2, FitConfig(n_components=2, seed=1))
-    cptv = CptvParams(mu=np.array([0.3, 0.6]))
-    bad_value = RatingDataset.from_arrays(2, 3, 2, [0, 1], [0, 2], [1, 0])
-    bad_item = RatingDataset.from_arrays(2, 3, 2, [0, 1], [0, 3], [1, 2])
-    for ds, match in ((bad_value, "rating 0"), (bad_item, "item index 3")):
+    # item M a cell past the end, without any error; no dataset holding
+    # either can be built, so no E-step ever sees one
+    bad_value = (2, 3, 2, [0, 1], [0, 2], [1, 0])
+    bad_item = (2, 3, 2, [0, 1], [0, 3], [1, 2])
+    for args, match in ((bad_value, "rating 0"), (bad_item, "item index 3")):
         with pytest.raises(DataValidationError, match=match):
-            e_step_mar(params, ds)
-        with pytest.raises(DataValidationError, match=match):
-            e_step_nmar(params, cptv, ds)
+            RatingDataset.from_arrays(*args)
 
 
 def test_incidence_forms_match_per_triple_loop():

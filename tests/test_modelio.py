@@ -114,6 +114,11 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines()[:3] + ["M 0", "V 2", "theta 1", "beta"], ">= 1"),
         (_base_lines() + ["z 99999999999999999999"], "malformed integer"),
         (_base_lines()[:2] + ["K 1 1"] + _base_lines()[3:], "takes one token"),
+        (_base_lines() + ["xi1 nan"], "xi1 line present but kind is plain"),
+        (_base_lines() + ["xi0 2"], "xi0 line present but kind is plain"),
+        (_base_lines() + ["mu_mode learn"], "mu_mode line present but kind"),
+        (_base_lines() + ["xi1 nan", "mu_mode banana"], "unknown mu_mode"),
+        (_cptv_lines() + ["mu_mode banana"], "unknown mu_mode 'banana'"),
     ]
     for i, (lines, match) in enumerate(cases):
         with pytest.raises(ParseError, match=match):

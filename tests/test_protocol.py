@@ -5,7 +5,7 @@ import pytest
 
 from missmix.cptv import YAHOO_MU
 from missmix.data import RatingDataset, SplitPair
-from missmix.errors import ConfigurationError
+from missmix.errors import ConfigurationError, DataValidationError
 from missmix.protocol import (ModelSpec, ProtocolConfig, REPORT_COLUMNS,
                               format_cell, run_protocol, write_report)
 from missmix.synthetic import build_study_dataset, sample_ground_truth
@@ -32,12 +32,13 @@ def test_model_spec_validation():
                 dict(mu_mode="learn", mu=[0.5, 0.5], strength=np.nan),
                 dict(mu_mode="learn", mu=[0.5, 0.5], strength=1.5),
                 dict(mu_mode="fixed", mu=[0.5, 0.5], alpha=np.nan),
-                dict(mu_mode="fixed", mu=[0.5, 0.5], n_components=0)):
+                dict(mu_mode="fixed", mu=[0.5, 0.5], n_components=0),
+                dict(mu_mode="fixed", mu=[0.5, 0.5], strength=np.nan),
+                dict(mu_mode="fixed", mu=[0.5, 0.5], strength=100.0)):
         with pytest.raises(ConfigurationError):
             ModelSpec(family="mm-cptv", **bad)
-    spec = ModelSpec(family="mm-cptv", n_components=2, mu_mode="learn",
-                     mu=np.full(5, 0.2), strength=100.0)
-    assert spec.label() == "mm-cptv"
+    ModelSpec(family="mm-cptv", n_components=2, mu_mode="learn",
+              mu=np.full(5, 0.2), strength=100.0)
 
 
 def test_run_protocol_report_structure(small_split):
@@ -82,10 +83,10 @@ def test_constant_family_uses_train_median(small_split):
 
 
 def test_run_protocol_rejects_overlapping_split():
+    # such a split cannot be built, so run_protocol never sees one
     ds = RatingDataset.from_arrays(2, 2, 5, [0, 1], [0, 1], [1, 2])
-    bad = SplitPair(train=ds, test=ds)
-    with pytest.raises(ConfigurationError):
-        run_protocol(bad, [ModelSpec(family="constant")])
+    with pytest.raises(DataValidationError, match="overlap"):
+        SplitPair(train=ds, test=ds)
 
 
 def test_run_protocol_rejects_bad_settings_before_fitting(small_split):
