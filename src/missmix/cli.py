@@ -19,7 +19,8 @@ import numpy as np
 
 from . import analysis, modelio
 from .cptv import CptvParams, YAHOO_MU, estimate_mu_heldout
-from .data import RatingDataset, SplitPair, load_csv, read_lines, save_csv
+from .data import (RatingDataset, SplitPair, format_floats, load_csv,
+                   read_int_columns, save_csv, write_int_csv)
 from .errors import (ConfigurationError, DataValidationError, EstimationError,
                      EvaluationError, GenerationError, ParseError)
 from .predict import posterior_z, predict_median, predictive_distribution
@@ -67,25 +68,14 @@ def _parse_int_list(text: str):
 
 
 def _load_pair(train_path, test_path, dims) -> SplitPair:
-    train = load_csv(train_path, dims=dims)
-    test = load_csv(test_path, dims=dims)
+    halves = [load_csv(path, dims=dims) for path in (train_path, test_path)]
     if dims is None:
-        joint = (max(train.n_users, test.n_users),
-                 max(train.n_items, test.n_items),
-                 max(train.n_values, test.n_values))
-        train = RatingDataset.from_arrays(*joint, train.users, train.items,
-                                          train.values)
-        test = RatingDataset.from_arrays(*joint, test.users, test.items,
-                                         test.values)
-    return SplitPair(train=train, test=test)
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def _fmt_vec(arr) -> str:
-    return " ".join(_fmt(x) for x in np.asarray(arr, dtype=float).ravel())
+        joint = [max(getattr(ds, dim) for ds in halves)
+                 for dim in ("n_users", "n_items", "n_values")]
+        # Sorted, valid triples stay so at dimensions at least as large.
+        halves = [RatingDataset(*joint, ds.users, ds.items, ds.values)
+                  for ds in halves]
+    return SplitPair(*halves)
 
 
 def _cmd_generate(args) -> int:
@@ -129,35 +119,16 @@ def _cmd_train(args) -> int:
     with open(args.out + ".trace.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,log_posterior\n")
         for i, lp in enumerate(result.log_posterior_trace, start=1):
-            fh.write(f"{i},{_fmt(lp)}\n")
+            fh.write(f"{i},{format_floats(lp)}\n")
     print(f"model {args.out}")
     print(f"converged {int(result.converged)} iterations {result.iterations}"
-          f" log_posterior {_fmt(result.log_posterior_trace[-1])}")
+          f" log_posterior {format_floats(result.log_posterior_trace[-1])}")
     if result.cptv is not None:
-        print("mu " + _fmt_vec(result.cptv.mu))
+        print("mu " + format_floats(result.cptv.mu))
     if result.missing_value_attribution is not None:
         print("missing_value_attribution "
-              + _fmt_vec(result.missing_value_attribution))
+              + format_floats(result.missing_value_attribution))
     return 0
-
-
-def _read_pairs(path):
-    users, items = [], []
-    lines = read_lines(path)
-    if not lines:
-        raise ParseError("missing header line", line=1)
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise ParseError("expected user,item", line=ln)
-        try:
-            users.append(int(parts[0]))
-            items.append(int(parts[1]))
-        except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", line=ln) from None
-    return np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
 
 
 def _cmd_predict(args) -> int:
@@ -168,19 +139,16 @@ def _cmd_predict(args) -> int:
             f"model covers {model.params.n_items} items and"
             f" {model.params.n_values} values; data has {data.n_items}"
             f" and {data.n_values}")
-    users, items = _read_pairs(args.pairs)
+    users, items = read_int_columns(args.pairs, 2)
     if len(users) == 0:
         raise DataValidationError("no pairs to predict")
-    if (users < 0).any() or (users >= data.n_users).any():
+    if (users >= data.n_users).any():
         raise DataValidationError("pair user index out of range")
-    if (items < 0).any() or (items >= model.params.n_items).any():
+    if (items >= model.params.n_items).any():
         raise DataValidationError("pair item index out of range")
     q = posterior_z(model.params, data, cptv=model.cptv)
     pred = predict_median(predictive_distribution(model.params, q, users, items))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user,item,prediction\n")
-        for u, m, p in zip(users, items, pred):
-            fh.write(f"{u},{m},{p}\n")
+    write_int_csv(args.out, "user,item,prediction", users, items, pred)
     print(f"predictions {args.out} {len(pred)}")
     return 0
 
@@ -206,8 +174,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_analyze(args) -> int:
     a = load_csv(args.data, dims=_parse_dims(args.dims))
     lines = [f"# value_histogram {args.data}", "value,count"]
-    for v, c in enumerate(a.value_counts(), start=1):
-        lines.append(f"{v},{c}")
+    lines += [f"{v},{c}" for v, c in enumerate(a.value_counts(), start=1)]
     if args.compare is not None:
         b = load_csv(args.compare, dims=_parse_dims(args.dims))
         if a.n_items != b.n_items or a.n_values != b.n_values:
@@ -216,17 +183,15 @@ def _cmd_analyze(args) -> int:
         report = analysis.skl_report(a, b)
         lines.append(f"# skl_bits {args.data} {args.compare}")
         lines.append("item,skl_bits")
-        for m, s in enumerate(report.per_item):
-            lines.append(f"{m},{_fmt(s)}")
+        lines += [f"{m},{format_floats(s)}" for m, s in enumerate(report.per_item)]
         lines.append("# skl_summary")
-        lines.append(f"median,{_fmt(report.median)}")
-        lines.append(f"mean,{_fmt(report.mean)}")
+        lines.append(f"median,{format_floats(report.median)}")
+        lines.append(f"mean,{format_floats(report.mean)}")
         if a.n_users == b.n_users:
             offsets, counts = analysis.paired_difference_histogram(a, b)
             lines.append("# paired_difference_histogram")
             lines.append("diff,count")
-            for d, c in zip(offsets, counts):
-                lines.append(f"{d},{c}")
+            lines += [f"{d},{c}" for d, c in zip(offsets, counts)]
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -243,7 +208,7 @@ def _cmd_estimate_mu(args) -> int:
     if args.exposure <= 0:
         raise ConfigurationError(f"--exposure must be > 0, got {args.exposure}")
     mu = estimate_mu_heldout(train, heldout, args.exposure)
-    line = "mu " + _fmt_vec(mu)
+    line = "mu " + format_floats(mu)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(line + "\n")

@@ -14,17 +14,16 @@ per-user rows back into (value, item) cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ConfigurationError, DataValidationError, ParseError
 
-CSV_HEADER = "user,item,rating"
 
-
-@dataclass
+@dataclass(frozen=True)
 class RatingDataset:
     """Sparse collection of integer ratings for N users x M items.
 
@@ -36,7 +35,8 @@ class RatingDataset:
         Parallel int arrays sorted by (user, item), one entry per pair.
 
     Construction raises DataValidationError for negative dimensions, a
-    triple outside them, or a repeated or out-of-order pair.
+    triple outside them, or a repeated or out-of-order pair. Datasets are
+    frozen, so the checks hold for the object's lifetime.
     """
 
     n_users: int
@@ -45,8 +45,6 @@ class RatingDataset:
     users: np.ndarray
     items: np.ndarray
     values: np.ndarray
-    _row_ptr: np.ndarray = field(repr=False, default=None)
-    _incidence: csr_array | None = field(repr=False, default=None)
 
     @classmethod
     def from_arrays(cls, n_users, n_items, n_values, users, items,
@@ -77,7 +75,6 @@ class RatingDataset:
                 if steps[i] == 0 else "triples must be sorted by (user, item)")
         for arr in (self.users, self.items, self.values):
             arr.flags.writeable = False
-        self._row_ptr = np.searchsorted(self.users, np.arange(self.n_users + 1))
 
     @property
     def n_obs(self) -> int:
@@ -100,12 +97,17 @@ class RatingDataset:
         rows over every user's observations, and ``A.T @ q`` sums
         per-user rows into (value, item) cells.
         """
-        if self._incidence is None:
-            cols = (self.values - 1) * self.n_items + self.items
-            self._incidence = csr_array(
-                (np.ones(self.n_obs), cols, self._row_ptr),
-                shape=(self.n_users, self.n_values * self.n_items))
         return self._incidence
+
+    @cached_property
+    def _row_ptr(self) -> np.ndarray:
+        return np.searchsorted(self.users, np.arange(self.n_users + 1))
+
+    @cached_property
+    def _incidence(self) -> csr_array:
+        cols = (self.values - 1) * self.n_items + self.items
+        return csr_array((np.ones(self.n_obs), cols, self._row_ptr),
+                         shape=(self.n_users, self.n_values * self.n_items))
 
     def value_counts(self) -> np.ndarray:
         """Count of each rating value 1..V, shape (V,)."""
@@ -116,7 +118,7 @@ class RatingDataset:
         return self.users * np.int64(self.n_items) + self.items
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitPair:
     """A train/test dataset pair over the same (N, M, V) dimensions that
     share no (user, item) pair; construction raises DataValidationError
@@ -167,6 +169,53 @@ def read_lines(path) -> list[str]:
             raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
+def read_int_columns(path, n: int) -> tuple[np.ndarray, ...]:
+    """The first ``n`` (2 or 3) fields of each rating CSV row, as int64 arrays.
+
+    A header line, then ``user,item[,rating]`` rows of ``n`` to 3 integer
+    fields; blank lines are skipped and fields past the n-th are not read.
+    ParseError names the line of a row of the wrong width, a non-integer
+    field, a negative user or item, or an integer outside int64.
+    """
+    lines = read_lines(path)
+    if not lines:
+        raise ParseError("missing header line", line=1)
+    flat = []
+    for ln, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if not n <= len(parts) <= 3:
+            if not line.strip():
+                continue
+            raise ParseError(f"expected {'' if n == 3 else f'{n} to '}3"
+                             f" comma-separated fields, got {len(parts)}", line=ln)
+        try:
+            flat.extend(map(int, parts[:n]))
+        except ValueError:
+            raise ParseError(f"non-integer field in {line!r}", line=ln) from None
+        if "-" in line and min(flat[-n], flat[1 - n]) < 0:
+            raise ParseError(f"negative id in {line!r}", line=ln)
+    try:
+        return tuple(np.array(flat, dtype=np.int64).reshape(-1, n).T)
+    except OverflowError:
+        ln, line = next((ln, line) for ln, line in enumerate(lines[1:], start=2)
+                        if line.strip() and not all(-2**63 <= int(p) < 2**63
+                                                    for p in line.split(",")[:n]))
+        raise ParseError(f"integer out of int64 range in {line!r}", line=ln) from None
+
+
+def write_int_csv(path, header: str, *columns) -> None:
+    """Write a header line, then one comma-joined row per index of ``columns``."""
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.write("".join(map(row.format, *(np.asarray(c).tolist() for c in columns))))
+
+
+def format_floats(values) -> str:
+    """Space-joined values to 17 significant digits: every float64 reads back exactly."""
+    return " ".join("%.17g" % x for x in np.asarray(values, dtype=float).ravel())
+
+
 def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:
     """Load `user,item,rating` rows (one header line) into a dataset.
 
@@ -174,42 +223,16 @@ def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:
     ``dims`` supplies explicit (N, M, V); explicit dims let a file omit
     trailing users/items ratings never mention.
     """
-    users, items, values = [], [], []
-    lines = read_lines(path)
-    if not lines:
-        raise ParseError("missing header line", line=1)
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", line=ln)
-        try:
-            u, m, v = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", line=ln) from None
-        if u < 0 or m < 0:
-            raise ParseError(f"negative id in {line!r}", line=ln)
-        users.append(u)
-        items.append(m)
-        values.append(v)
-
-    if dims is not None:
-        n_users, n_items, n_values = dims
-    elif users:
-        n_users, n_items, n_values = max(users) + 1, max(items) + 1, max(values)
-    else:
-        n_users = n_items = n_values = 0
-
-    return RatingDataset.from_arrays(n_users, n_items, n_values, users, items, values)
+    users, items, values = read_int_columns(path, 3)
+    if dims is None:
+        dims = ((int(users.max()) + 1, int(items.max()) + 1, int(values.max()))
+                if len(users) else (0, 0, 0))
+    return RatingDataset.from_arrays(*dims, users, items, values)
 
 
 def save_csv(path, dataset: RatingDataset) -> None:
     """Write the dataset as CSV, rows sorted by (user, item), LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for u, m, v in zip(dataset.users, dataset.items, dataset.values):
-            fh.write(f"{u},{m},{v}\n")
+    write_int_csv(path, "user,item,rating", dataset.users, dataset.items, dataset.values)
 
 
 def min_ratings_filter(dataset: RatingDataset, k: int):

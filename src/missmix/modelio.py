@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cptv import CptvParams
-from .data import read_lines
+from .data import format_floats, read_lines
 from .errors import ConfigurationError, ParseError
 from .mixture import MixtureParams
 
@@ -38,10 +38,6 @@ class LoadedModel:
     z: np.ndarray | None = None
 
 
-def _fmt(arr) -> str:
-    return " ".join("%.17g" % x for x in np.asarray(arr, dtype=float).ravel())
-
-
 def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
                mu_mode: str | None = None, z=None) -> None:
     """Write parameters (and optional observation model) to ``path``."""
@@ -50,19 +46,19 @@ def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
              f"format_version {FORMAT_VERSION}",
              f"kind {_KIND_CPTV if cptv is not None else _KIND_PLAIN}",
              f"K {K}", f"M {M}", f"V {V}",
-             "theta " + _fmt(params.theta),
-             "beta " + _fmt(params.beta)]
+             "theta " + format_floats(params.theta),
+             "beta " + format_floats(params.beta)]
     if params.alpha is not None:
-        lines.append("alpha " + _fmt(params.alpha))
+        lines.append("alpha " + format_floats(params.alpha))
     if params.phi is not None:
-        lines.append("phi " + _fmt(params.phi))
+        lines.append("phi " + format_floats(params.phi))
     if cptv is not None:
-        lines.append("mu " + _fmt(cptv.mu))
+        lines.append("mu " + format_floats(cptv.mu))
         if mu_mode is not None:
             lines.append(f"mu_mode {mu_mode}")
         if cptv.xi1 is not None:
-            lines.append("xi1 " + _fmt(cptv.xi1))
-            lines.append("xi0 " + _fmt(cptv.xi0))
+            lines.append("xi1 " + format_floats(cptv.xi1))
+            lines.append("xi0 " + format_floats(cptv.xi0))
     if z is not None:
         lines.append("z " + " ".join(str(int(v)) for v in np.asarray(z).ravel()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cptv import CptvParams, build_mu_prior, fit_nmar
-from .data import RatingDataset, SplitPair
+from .data import RatingDataset, SplitPair, format_floats
 from .errors import ConfigurationError, MissmixError
 from .mixture import FitConfig, FitResult, fit_mar
 from .predict import (empirical_median_value, mae, posterior_z,
@@ -175,7 +175,7 @@ def format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
+        return format_floats(value)
     return str(value)
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from missmix import MissmixError
+from missmix import MissmixError, ParseError
 
 # Enumerating V ** n_missing joint assignments beyond this is refused.
 ORACLE_ASSIGNMENT_LIMIT = 1_000_000
@@ -110,3 +110,35 @@ def expected_complete_objective(theta, beta, q, dataset, alpha, phi,
         xi1, xi0 = prior
         total += ((xi1 - 1.0) * np.log(mu) + (xi0 - 1.0) * np.log1p(-mu)).sum()
     return float(total)
+
+
+def parse_ratings_rows(raw):
+    """The ``(line, user, item, rating)`` rows of a ratings CSV given as bytes.
+
+    A line-by-line reading of the ratings grammar: one header line, then
+    ``user,item,rating`` rows of three integer fields with user and item
+    >= 0; blank lines are skipped. Raises ParseError, with the line
+    number, at the first row that breaks it. Fields are Python ints, so
+    values outside int64 come back as they are.
+    """
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    if not lines:
+        raise ParseError("missing header line", line=1)
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", line=ln)
+        try:
+            u, m, v = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(f"non-integer field in {line!r}", line=ln) from None
+        if u < 0 or m < 0:
+            raise ParseError(f"negative id in {line!r}", line=ln)
+        rows.append((ln, u, m, v))
+    return rows

@@ -263,3 +263,42 @@ def test_non_utf8_input_is_a_parse_error(study, tmp_path):
     assert main(predict + ["--model", model_path, "--pairs", str(bad)]) == 2
     assert main(predict + ["--model", str(bad),
                            "--pairs", study + ".test.csv"]) == 2
+
+
+def test_rows_outside_the_csv_grammar_exit_2(study, tmp_path, capsys):
+    model_path = str(tmp_path / "m.model")
+    assert main(["train", study + ".train.csv", "--model", "mm-none", "-K", "1",
+                 "--max-iters", "2", "--out", model_path]) == 0
+    for i, (text, message) in enumerate([
+            ("user,item\n99999999999999999999,0\n", "line 2: integer out of int64 range"),
+            ("user,item\n0,0\n0,1,2,3\n", "line 3: expected 2 to 3 comma-separated"
+                                          " fields, got 4"),
+            ("user,item\n0,-1\n", "line 2: negative id in '0,-1'")]):
+        pairs = tmp_path / f"pairs{i}.csv"
+        pairs.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", study + ".train.csv", "--model", model_path,
+                     "--pairs", str(pairs), "--out", str(tmp_path / "p.csv")]) == 2
+        assert message in capsys.readouterr().err
+    ratings = tmp_path / "r.csv"
+    ratings.write_text("user,item,rating\n99999999999999999999,1,2\n", encoding="utf-8")
+    assert main(["analyze", str(ratings)]) == 2
+    assert "line 2: integer out of int64 range" in capsys.readouterr().err
+
+
+def test_evaluate_infers_the_joint_dims_of_both_halves(tmp_path):
+    # test mentions users and items train does not; train's values stop at 4
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text("user,item,rating\n" + "".join(
+        f"{u},{m},{1 + (u + m) % 4}\n" for u in range(6) for m in range(4)
+        if (u + m) % 3), encoding="utf-8")
+    test.write_text("user,item,rating\n" + "".join(
+        f"{u},{m},{1 + u * m % 5}\n" for u in range(8) for m in range(6)
+        if (u + m) % 3 == 0), encoding="utf-8")
+    args = ["evaluate", str(train), str(test), "--families",
+            "constant,mm-none,mm-cptv", "--mu", "yahoo", "-K", "1,2",
+            "--seeds", "0,1", "--max-iters", "10"]
+    inferred, explicit = tmp_path / "inferred.csv", tmp_path / "explicit.csv"
+    assert main(args + ["--out", str(inferred)]) == 0
+    assert main(args + ["--dims", "8,6,5", "--out", str(explicit)]) == 0
+    assert inferred.read_bytes() == explicit.read_bytes()

@@ -1,11 +1,17 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from missmix.data import (RatingDataset, SplitPair, load_csv,
-                          min_ratings_filter, remap_users, save_csv)
-from missmix.errors import ConfigurationError, DataValidationError, ParseError
+from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
+                          min_ratings_filter, read_int_columns, remap_users,
+                          save_csv)
+from missmix.errors import (ConfigurationError, DataValidationError,
+                            MissmixError, ParseError)
+from oracles import parse_ratings_rows
 
 
 def _write(tmp_path, text, name="r.csv"):
@@ -49,6 +55,29 @@ def test_load_csv_parse_errors(tmp_path):
         load_csv(_write(tmp_path, ""))
     with pytest.raises(ParseError, match="negative"):
         load_csv(_write(tmp_path, "user,item,rating\n-1,0,1\n"))
+    # an id past int64, after a blank line
+    with pytest.raises(ParseError, match="line 4: integer out of int64 range"):
+        load_csv(_write(tmp_path, "user,item,rating\n0,0,1\n\n99999999999999999999,1,2\n"))
+
+
+def test_read_int_columns_reads_pairs_and_ratings_files(tmp_path):
+    users, items = read_int_columns(_write(tmp_path, "user,item\n3,1\n\n0,2\n"), 2)
+    assert (users.tolist(), items.tolist()) == ([3, 0], [1, 2])
+    assert users.dtype == items.dtype == np.int64
+    # a ratings file gives its first two columns
+    users, items = read_int_columns(_write(tmp_path, "user,item,rating\n3,1,5\n"), 2)
+    assert (users.tolist(), items.tolist()) == ([3], [1])
+    assert [c.tolist() for c in read_int_columns(_write(tmp_path, "h\n"), 3)] == [[]] * 3
+    for text, match in [
+            ("user,item\n0\n", "^line 2: expected 2 to 3 comma-separated fields, got 1$"),
+            ("user,item\n0,1,2,3\n", "^line 2: expected 2 to 3 .* got 4$"),
+            ("user,item\n0,1\n0,-1\n", "^line 3: negative id in '0,-1'$"),
+            ("user,item\n0,x\n", "^line 2: non-integer field"),
+            ("user,item\n0,-99999999999999999999\n", "^line 2: negative id"),
+            ("user,item\n1,99999999999999999999\n", "^line 2: integer out of int64"),
+            ("", "^line 1: missing header line$")]:
+        with pytest.raises(ParseError, match=match):
+            read_int_columns(_write(tmp_path, text), 2)
 
 
 def test_load_csv_duplicate_pair(tmp_path):
@@ -237,7 +266,110 @@ def test_split_pair_gives_a_valid_split_or_a_data_error(data):
     assert valid and split.train is a and split.test is b
 
 
+def test_datasets_cannot_change_after_their_checks():
+    a = RatingDataset.from_arrays(2, 2, 5, [0, 1], [0, 1], [1, 2])
+    b = RatingDataset.from_arrays(2, 2, 5, [1], [0], [3])
+    split = SplitPair(train=a, test=b)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        split.test = a
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.n_values = 1
+    # a replaced dataset builds its own operator, not the cached one of `a`
+    a.incidence()
+    c = dataclasses.replace(a, values=np.array([4, 2]))
+    fresh = RatingDataset.from_arrays(2, 2, 5, [0, 1], [0, 1], [4, 2])
+    assert c.incidence().indices.tolist() == fresh.incidence().indices.tolist() == [6, 3]
+    # the caches are not constructor arguments
+    with pytest.raises(TypeError):
+        RatingDataset(2, 2, 5, a.users, a.items, a.values, _incidence=b.incidence())
+
+
 def test_arrays_are_frozen():
     ds = RatingDataset.from_arrays(1, 1, 5, [0], [0], [1])
     with pytest.raises(ValueError):
         ds.values[0] = 2
+
+
+# Pieces of ratings files, biased toward the grammar's edges: signs,
+# spaces, underscores, blank lines, ids just inside and past int64, and a
+# byte that is not UTF-8.
+_CSV_PIECES = [b"0", b"1", b"7", b"12", b",", b",", b"-", b"+", b" ", b"_", b"x",
+               b"\n", b"\n\n", b"\r\n", b"\xff", b"0,1,2\n", b"3,0,5\n", b"4,2\n",
+               b"99999999999999999999", b"9223372036854775807",
+               b"-9223372036854775808", b"9223372036854775808"]
+_ANY_CSV = st.binary(max_size=48) | st.builds(
+    bytes.__add__, st.sampled_from([b"", b"user,item,rating\n", b"user,item\n"]),
+    st.lists(st.sampled_from(_CSV_PIECES), max_size=40).map(b"".join))
+
+
+def _write_bytes(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("csv") / "r.csv"
+    path.write_bytes(raw)
+    return path
+
+
+@given(_ANY_CSV)
+def test_readers_give_a_value_or_a_missmix_error(tmp_path_factory, raw):
+    path = _write_bytes(tmp_path_factory, raw)
+    # explicit dims keep every allocation small
+    for read in (lambda: load_csv(path, dims=(8, 8, 5)),
+                 lambda: read_int_columns(path, 2)):
+        try:
+            read()
+        except MissmixError:
+            pass
+
+
+@given(_ANY_CSV)
+@example(b"h\n0,0,1\n-1,x\n")
+@example(b"h\n99999999999999999999,0,1\n0,x,1\n")
+@example(b"h\n0,0,1\n\n1,2,-99999999999999999999\n")
+@example(b"h\n0,0,1\n9223372036854775808,1,2\n")
+def test_ratings_reader_matches_the_line_by_line_oracle(tmp_path_factory, raw):
+    path = _write_bytes(tmp_path_factory, raw)
+    try:
+        rows = parse_ratings_rows(raw)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            read_int_columns(path, 3)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        return
+    wide = [row[0] for row in rows if not all(-2**63 <= f < 2**63 for f in row[1:])]
+    if wide:
+        with pytest.raises(ParseError, match=f"^line {wide[0]}: integer out of int64"):
+            read_int_columns(path, 3)
+        return
+    columns = [[row[k] for row in rows] for k in (1, 2, 3)]
+    assert [c.tolist() for c in read_int_columns(path, 3)] == columns
+    assert [c.tolist() for c in read_int_columns(path, 2)] == columns[:2]
+
+
+@given(st.data())
+def test_save_csv_then_load_csv_round_trips(tmp_path_factory, data):
+    dims = data.draw(st.tuples(*[st.integers(0, 6)] * 3))
+    cells = data.draw(st.lists(
+        st.tuples(*[st.integers(0, n - 1) for n in dims[:2]], st.integers(1, dims[2])),
+        max_size=10, unique_by=lambda c: c[:2])) if min(dims) > 0 else []
+    ds = _from_triples(dims, cells)
+    path = tmp_path_factory.mktemp("csv") / "r.csv"
+    save_csv(path, ds)
+    back = load_csv(path, dims=dims)
+    assert (back.n_users, back.n_items, back.n_values) == dims
+    for name in ("users", "items", "values"):
+        assert getattr(back, name).tolist() == getattr(ds, name).tolist()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+@example([5e-324, -0.0, 0.1, 1.7976931348623157e308, -2.2250738585072014e-308])
+def test_format_floats_reads_back_bit_for_bit(values):
+    arr = np.array(values, dtype=np.float64)
+    back = np.array([float(t) for t in format_floats(arr).split()], dtype=np.float64)
+    assert back.view(np.int64).tolist() == arr.view(np.int64).tolist()
+
+
+def test_float_format_lives_in_data_only():
+    # one module owns the 17-digit format every float output uses
+    src = Path(__file__).resolve().parents[1] / "src" / "missmix"
+    holders = [p.name for p in sorted(src.glob("*.py"))
+               if "%.17g" in p.read_text(encoding="utf-8")]
+    assert holders == ["data.py"]
