@@ -17,16 +17,17 @@ from .errors import EvaluationError
 
 
 def smoothed_distribution(counts) -> np.ndarray:
-    """Add-one smoothed distribution from nonnegative counts."""
+    """Add-one smoothed distributions from nonnegative counts along the last axis."""
     counts = np.asarray(counts, dtype=float)
-    return (counts + 1.0) / (counts.sum() + counts.shape[-1])
+    return (counts + 1.0) / (counts.sum(axis=-1, keepdims=True) + counts.shape[-1])
 
 
-def skl(p, q) -> float:
-    """Symmetrised Kullback-Leibler divergence in bits.
+def skl(p, q):
+    """Symmetrised Kullback-Leibler divergence in bits along the last axis.
 
     Both arguments must be strictly positive distributions; smooth
-    counts first (`smoothed_distribution`).
+    counts first (`smoothed_distribution`). Returns a float for 1-d
+    inputs and one divergence per row otherwise.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -36,7 +37,7 @@ def skl(p, q) -> float:
         raise EvaluationError(
             "distributions must be strictly positive; smooth counts first")
     ratio = np.log2(p / q)
-    return float((p * ratio).sum() - (q * ratio).sum())
+    return (p * ratio).sum(axis=-1) - (q * ratio).sum(axis=-1)
 
 
 def item_value_counts(dataset: RatingDataset) -> np.ndarray:
@@ -51,8 +52,7 @@ def item_marginals(dataset: RatingDataset) -> np.ndarray:
 
     Items with no observations come out uniform.
     """
-    counts = item_value_counts(dataset).astype(float)
-    return (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + dataset.n_values)
+    return smoothed_distribution(item_value_counts(dataset))
 
 
 @dataclass
@@ -69,13 +69,9 @@ class SklReport:
 
 
 def skl_report(a: RatingDataset, b: RatingDataset) -> SklReport:
-    """Itemwise symmetrised divergence between two datasets."""
-    if a.n_items != b.n_items or a.n_values != b.n_values:
-        raise EvaluationError("datasets disagree on items or value range")
-    pa = item_marginals(a)
-    pb = item_marginals(b)
-    ratio = np.log2(pa / pb)
-    per_item = (pa * ratio).sum(axis=1) - (pb * ratio).sum(axis=1)
+    """Itemwise symmetrised divergence between two datasets over the
+    same items and values; EvaluationError otherwise."""
+    per_item = skl(item_marginals(a), item_marginals(b))
     return SklReport(per_item=per_item, median=float(np.median(per_item)),
                      mean=float(per_item.mean()))
 
@@ -87,14 +83,12 @@ def paired_difference_histogram(a: RatingDataset, b: RatingDataset):
     is how many shared (user, item) pairs have value_a - value_b equal
     to offsets[j].
     """
-    if (a.n_users != b.n_users or a.n_items != b.n_items
-            or a.n_values != b.n_values):
-        raise EvaluationError("datasets must share dimensions")
-    keys_a = a.pair_keys()
-    keys_b = b.pair_keys()
-    common, ia, ib = np.intersect1d(keys_a, keys_b, return_indices=True)
+    if a.n_values != b.n_values:
+        raise EvaluationError("datasets must share the value range")
+    rows = a.find(b)
+    shared = rows >= 0
     V = a.n_values
     offsets = np.arange(-(V - 1), V)
-    diffs = a.values[ia] - b.values[ib]
+    diffs = a.values[rows[shared]] - b.values[shared]
     counts = np.bincount(diffs + V - 1, minlength=2 * V - 1)
     return offsets, counts

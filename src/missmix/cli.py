@@ -6,8 +6,8 @@ rating distributions, and estimate observation probabilities from a
 random probe. All numeric output is written with 17 significant digits
 and fixed row order, so identical invocations produce identical bytes.
 
-Exit codes: 0 success, 2 malformed input data, 3 bad configuration,
-4 I/O failure, 5 numerical or estimation failure.
+A command exits 0 on success; each failure exits with the code its
+error class carries (see `errors`).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 from . import analysis, modelio
 from .cptv import CptvParams, YAHOO_MU, estimate_mu_heldout
 from .data import (RatingDataset, SplitPair, format_floats, load_csv,
-                   read_int_columns, save_csv, write_int_csv)
-from .errors import (ConfigurationError, DataValidationError, EstimationError,
-                     EvaluationError, GenerationError, ParseError)
+                   read_int_columns, save_csv, write_int_csv, write_text)
+from .errors import (IO_EXIT_CODE, ConfigurationError, DataValidationError,
+                     MissmixError)
 from .predict import posterior_z, predict_median, predictive_distribution
 from .protocol import (ModelSpec, ProtocolConfig, fit_spec, run_protocol,
                        write_report)
@@ -47,18 +47,6 @@ def _parse_mu(text: str, n_values: int) -> np.ndarray:
     return mu
 
 
-def _parse_dims(text: str | None):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigurationError(f"--dims must be N,M,V, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigurationError(f"--dims must be integers, got {text!r}") from None
-
-
 def _parse_int_list(text: str):
     try:
         return [int(t) for t in text.split(",")]
@@ -67,18 +55,28 @@ def _parse_int_list(text: str):
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _load_pair(train_path, test_path, dims) -> SplitPair:
-    halves = [load_csv(path, dims=dims) for path in (train_path, test_path)]
+def _parse_dims(text: str | None):
+    dims = None if text is None else tuple(_parse_int_list(text))
+    if dims is not None and len(dims) != 3:
+        raise ConfigurationError(f"--dims must be N,M,V, got {text!r}")
+    return dims
+
+
+def _load_joint(paths, dims) -> list[RatingDataset]:
+    """Load ratings files on ``dims``, or else on the largest inferred dims."""
+    loaded = [load_csv(path, dims=dims) for path in paths]
     if dims is None:
-        joint = [max(getattr(ds, dim) for ds in halves)
+        joint = [max(getattr(ds, dim) for ds in loaded)
                  for dim in ("n_users", "n_items", "n_values")]
         # Sorted, valid triples stay so at dimensions at least as large.
-        halves = [RatingDataset(*joint, ds.users, ds.items, ds.values)
-                  for ds in halves]
-    return SplitPair(*halves)
+        loaded = [RatingDataset(*joint, ds.users, ds.items, ds.values)
+                  for ds in loaded]
+    return loaded
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     mu = _parse_mu(args.mu, args.values) * args.mu_scale
     seed_truth, seed_study = np.random.SeedSequence(args.seed).spawn(2)
     truth = sample_ground_truth(args.users, args.items, args.values,
@@ -95,7 +93,6 @@ def _cmd_generate(args) -> int:
     print(f"train {args.out}.train.csv {split.train.n_obs}")
     print(f"test {args.out}.test.csv {split.test.n_obs}")
     print(f"truth {args.out}.truth.model")
-    return 0
 
 
 def _model_spec(args, family: str, n_components: int,
@@ -110,16 +107,15 @@ def _model_spec(args, family: str, n_components: int,
                      strength=args.strength if cptv else None)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     data = load_csv(args.data, dims=_parse_dims(args.dims))
     spec = _model_spec(args, args.model, args.components, data.n_values)
     result = fit_spec(data, spec, args.max_iters, args.tol, args.seed)
     modelio.save_model(args.out, result.params, cptv=result.cptv,
                        mu_mode=result.mu_mode)
-    with open(args.out + ".trace.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,log_posterior\n")
-        for i, lp in enumerate(result.log_posterior_trace, start=1):
-            fh.write(f"{i},{format_floats(lp)}\n")
+    write_text(args.out + ".trace.csv", "iteration,log_posterior\n", *(
+        f"{i},{format_floats(lp)}\n"
+        for i, lp in enumerate(result.log_posterior_trace, start=1)))
     print(f"model {args.out}")
     print(f"converged {int(result.converged)} iterations {result.iterations}"
           f" log_posterior {format_floats(result.log_posterior_trace[-1])}")
@@ -128,10 +124,9 @@ def _cmd_train(args) -> int:
     if result.missing_value_attribution is not None:
         print("missing_value_attribution "
               + format_floats(result.missing_value_attribution))
-    return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> None:
     data = load_csv(args.data, dims=_parse_dims(args.dims))
     model = modelio.load_model(args.model)
     if model.params.n_items < data.n_items or model.params.n_values != data.n_values:
@@ -150,11 +145,10 @@ def _cmd_predict(args) -> int:
     pred = predict_median(predictive_distribution(model.params, q, users, items))
     write_int_csv(args.out, "user,item,prediction", users, items, pred)
     print(f"predictions {args.out} {len(pred)}")
-    return 0
 
 
-def _cmd_evaluate(args) -> int:
-    split = _load_pair(args.train, args.test, _parse_dims(args.dims))
+def _cmd_evaluate(args) -> None:
+    split = SplitPair(*_load_joint((args.train, args.test), _parse_dims(args.dims)))
     specs = []
     for family in args.families.split(","):
         if family == "constant":
@@ -165,21 +159,16 @@ def _cmd_evaluate(args) -> int:
     config = ProtocolConfig(max_iters=args.max_iters, rel_tol=args.tol,
                             seeds=tuple(_parse_int_list(args.seeds)))
     rows = run_protocol(split, specs, config)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        write_report(fh, rows)
+    write_report(args.out, rows)
     print(f"report {args.out} {len(rows)}")
-    return 0
 
 
-def _cmd_analyze(args) -> int:
-    a = load_csv(args.data, dims=_parse_dims(args.dims))
+def _cmd_analyze(args) -> None:
+    paths = (args.data,) if args.compare is None else (args.data, args.compare)
+    a, *compared = _load_joint(paths, _parse_dims(args.dims))
     lines = [f"# value_histogram {args.data}", "value,count"]
     lines += [f"{v},{c}" for v, c in enumerate(a.value_counts(), start=1)]
-    if args.compare is not None:
-        b = load_csv(args.compare, dims=_parse_dims(args.dims))
-        if a.n_items != b.n_items or a.n_values != b.n_values:
-            raise DataValidationError(
-                "compared datasets disagree on items or value range")
+    for b in compared:
         report = analysis.skl_report(a, b)
         lines.append(f"# skl_bits {args.data} {args.compare}")
         lines.append("item,skl_bits")
@@ -187,22 +176,19 @@ def _cmd_analyze(args) -> int:
         lines.append("# skl_summary")
         lines.append(f"median,{format_floats(report.median)}")
         lines.append(f"mean,{format_floats(report.mean)}")
-        if a.n_users == b.n_users:
-            offsets, counts = analysis.paired_difference_histogram(a, b)
-            lines.append("# paired_difference_histogram")
-            lines.append("diff,count")
-            lines += [f"{d},{c}" for d, c in zip(offsets, counts)]
+        offsets, counts = analysis.paired_difference_histogram(a, b)
+        lines.append("# paired_difference_histogram")
+        lines.append("diff,count")
+        lines += [f"{d},{c}" for d, c in zip(offsets, counts)]
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(args.out, text)
         print(f"analysis {args.out}")
     else:
         sys.stdout.write(text)
-    return 0
 
 
-def _cmd_estimate_mu(args) -> int:
+def _cmd_estimate_mu(args) -> None:
     train = load_csv(args.train, dims=_parse_dims(args.dims))
     heldout = load_csv(args.heldout, dims=_parse_dims(args.dims))
     if args.exposure <= 0:
@@ -210,13 +196,18 @@ def _cmd_estimate_mu(args) -> int:
     mu = estimate_mu_heldout(train, heldout, args.exposure)
     line = "mu " + format_floats(mu)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line + "\n")
+        write_text(args.out, line + "\n")
     print(line)
-    return 0
 
 
 def _add_fit_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mu-mode", choices=["fixed", "learn"], default="fixed")
+    p.add_argument("--mu", default=None,
+                   help="observation probabilities (preset or csv);"
+                        " the prior mean in learn mode")
+    p.add_argument("--mu-scale", type=float, default=1.0)
+    p.add_argument("-S", "--strength", type=float, default=None,
+                   help="prior pseudo-count budget in learn mode")
     p.add_argument("--alpha", type=float, default=2.0,
                    help="Dirichlet smoothing on component weights")
     p.add_argument("--phi", type=float, default=2.0,
@@ -256,13 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="training ratings CSV")
     p.add_argument("--model", choices=["mm-none", "mm-cptv"], required=True)
     p.add_argument("-K", "--components", type=int, required=True)
-    p.add_argument("--mu-mode", choices=["fixed", "learn"], default="fixed")
-    p.add_argument("--mu", default=None,
-                   help="observation probabilities (preset or csv);"
-                        " the prior mean in learn mode")
-    p.add_argument("--mu-scale", type=float, default=1.0)
-    p.add_argument("-S", "--strength", type=float, default=None,
-                   help="prior pseudo-count budget in learn mode")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default=None, help="force dimensions N,M,V")
     p.add_argument("--out", required=True, help="model file to write")
@@ -287,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", "--components", default="1,2,5,10",
                    help="comma-separated component counts")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--mu-mode", choices=["fixed", "learn"], default="fixed")
-    p.add_argument("--mu", default=None)
-    p.add_argument("--mu-scale", type=float, default=1.0)
-    p.add_argument("-S", "--strength", type=float, default=None)
     p.add_argument("--dims", default=None, help="force dimensions N,M,V")
     p.add_argument("--out", required=True, help="report CSV to write")
     _add_fit_options(p)
@@ -322,19 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, DataValidationError) as exc:
+        args.func(args)
+    except MissmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (EstimationError, GenerationError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return IO_EXIT_CODE
+    return 0
 
 
 if __name__ == "__main__":

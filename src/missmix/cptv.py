@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .analysis import smoothed_distribution
 from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
 from .mixture import (FitConfig, FitResult, MixtureParams, _gather,
-                      _log_dirichlet_prior, _normalize_log_weights, _run_em,
-                      _scatter, init_params)
+                      _log_dirichlet_prior, _map_update,
+                      _normalize_log_weights, _run_em, _scatter, init_params)
 
 # Observation probabilities are clamped inside the open unit interval so
 # their logs stay finite.
@@ -108,20 +109,19 @@ def log_evidence_nmar(params: MixtureParams, cptv: CptvParams,
     return logsumexp(_log_weights_nmar(params, cptv, dataset), axis=1)
 
 
-def _hidden_mass_stats(params: MixtureParams, cptv: CptvParams,
-                       dataset: RatingDataset, q: np.ndarray):
-    """Expected hidden-rating mass, split by value.
+def _expected_counts(params: MixtureParams, cptv: CptvParams,
+                     dataset: RatingDataset, q: np.ndarray):
+    """Expected (V, M, K) rating counts of the observed and the hidden cells.
 
-    Returns (w, hidden_q, obs_vmz): w[v, m, z] is the conditional
-    distribution of a hidden rating at (m, z); hidden_q[m, z] is the
-    responsibility mass of users whose (i, m) cell is hidden; obs_vmz is
-    the responsibility scatter of the observed entries.
+    Returns (observed, hidden): the responsibility scatter of the observed
+    entries, and the responsibility mass of users whose (i, m) cell is
+    hidden spread over the values as a hidden rating at (m, z) is.
     """
     gamma0 = _hidden_cell_table(params, cptv)
     w = (1.0 - cptv.mu)[:, None, None] * params.beta / gamma0
-    obs_vmz = _scatter(dataset, q)
-    hidden_q = np.maximum(q.sum(axis=0) - obs_vmz.sum(axis=0), 0.0)
-    return w, hidden_q, obs_vmz
+    observed = _scatter(dataset, q)
+    hidden_q = np.maximum(q.sum(axis=0) - observed.sum(axis=0), 0.0)
+    return observed, w * hidden_q
 
 
 def m_step_nmar(params: MixtureParams, cptv: CptvParams, dataset: RatingDataset,
@@ -132,23 +132,14 @@ def m_step_nmar(params: MixtureParams, cptv: CptvParams, dataset: RatingDataset,
     re-estimated only with ``learn_mu``, which requires cptv to carry
     its Beta prior.
     """
-    if params.alpha is None or params.phi is None:
-        raise ConfigurationError("maximum-posterior updates need smoothing")
-    theta_num = params.alpha - 1.0 + q.sum(axis=0)
-    theta = theta_num / theta_num.sum()
-
-    w, hidden_q, obs_vmz = _hidden_mass_stats(params, cptv, dataset, q)
-    beta_num = params.phi - 1.0 + obs_vmz + w * hidden_q
-    beta = beta_num / beta_num.sum(axis=0, keepdims=True)
-    new_params = MixtureParams(theta=theta, beta=beta,
-                               alpha=params.alpha, phi=params.phi)
-
+    observed, hidden = _expected_counts(params, cptv, dataset, q)
+    new_params = _map_update(params, q, observed, hidden)
     if not learn_mu:
         return new_params, cptv
     if cptv.xi1 is None:
         raise ConfigurationError("cannot learn mu without its Beta prior")
     observed_v = dataset.value_counts()
-    hidden_v = (w * hidden_q).sum(axis=(1, 2))
+    hidden_v = hidden.sum(axis=(1, 2))
     mu_num = cptv.xi1 - 1.0 + observed_v
     mu = mu_num / (cptv.xi1 + cptv.xi0 - 2.0 + observed_v + hidden_v)
     return new_params, CptvParams(mu=mu, xi1=cptv.xi1, xi0=cptv.xi0)
@@ -165,8 +156,7 @@ def missing_value_attribution(params: MixtureParams, cptv: CptvParams,
     """
     if dataset.n_obs >= dataset.n_users * dataset.n_items:
         return None
-    w, hidden_q, _ = _hidden_mass_stats(params, cptv, dataset, q)
-    by_value = (w * hidden_q).sum(axis=(1, 2))
+    by_value = _expected_counts(params, cptv, dataset, q)[1].sum(axis=(1, 2))
     return by_value / by_value.sum()
 
 
@@ -253,8 +243,7 @@ def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,
     """
     import warnings
 
-    V = train.n_values
-    if heldout.n_values != V:
+    if heldout.n_values != train.n_values:
         raise ConfigurationError("train and heldout disagree on n_values")
     if heldout.n_obs == 0:
         raise EstimationError("heldout probe is empty")
@@ -271,7 +260,7 @@ def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,
             f"total exposure {total_exposure:g} is below the number of"
             f" observed training entries {train.n_obs}")
 
-    probe_freq = (heldout.value_counts() + 1.0) / (heldout.n_obs + V)
+    probe_freq = smoothed_distribution(heldout.value_counts())
     select_rate = train.value_counts() / total_exposure
     mu_hat = select_rate / probe_freq
     if (mu_hat > 1.0).any():

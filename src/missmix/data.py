@@ -63,6 +63,9 @@ class RatingDataset:
         dims = (self.n_users, self.n_items, self.n_values)
         if min(dims) < 0:
             raise DataValidationError(f"dimensions must be >= 0, got {dims}")
+        if self.n_users * self.n_items >= 2**63:
+            raise DataValidationError(f"dimensions {dims} overflow the int64 pair"
+                                      " keys (N * M >= 2**63); pass smaller --dims")
         problems = _range_violations(self)
         if problems:
             raise DataValidationError("; ".join(problems))
@@ -114,8 +117,17 @@ class RatingDataset:
         return np.bincount(self.values, minlength=self.n_values + 1)[1:]
 
     def pair_keys(self) -> np.ndarray:
-        """Unique int64 key per (user, item) pair; used for set operations."""
+        """Unique int64 key per (user, item) pair, increasing along the rows."""
         return self.users * np.int64(self.n_items) + self.items
+
+    def find(self, other: "RatingDataset") -> np.ndarray:
+        """The row of each of ``other``'s (user, item) pairs here, or -1."""
+        # The appended -1 matches no key of a pair inside these dims.
+        keys = np.append(self.pair_keys(), -1)
+        other_keys = other.users * np.int64(self.n_items) + other.items
+        rows = np.searchsorted(keys[:-1], other_keys)
+        inside = (other.users < self.n_users) & (other.items < self.n_items)
+        return np.where(inside & (keys[rows] == other_keys), rows, -1)
 
 
 @dataclass(frozen=True)
@@ -133,15 +145,12 @@ class SplitPair:
                       if getattr(self.train, dim) != getattr(self.test, dim)]
         if mismatched:
             raise DataValidationError("; ".join(mismatched))
-        # Both key arrays are sorted; the appended -1 matches no key.
-        keys = np.append(self.train.pair_keys(), -1)
-        test_keys = self.test.pair_keys()
-        overlap = test_keys[keys[np.searchsorted(keys[:-1], test_keys)] == test_keys]
+        overlap = np.flatnonzero(self.train.find(self.test) >= 0)
         if len(overlap):
-            key = int(overlap[0])
+            i = overlap[0]
             raise DataValidationError(
                 "train and test overlap on %d pairs, e.g. (user=%d, item=%d)"
-                % (len(overlap), key // self.train.n_items, key % self.train.n_items))
+                % (len(overlap), self.test.users[i], self.test.items[i]))
 
 
 def _range_violations(dataset: RatingDataset) -> list[str]:
@@ -203,12 +212,17 @@ def read_int_columns(path, n: int) -> tuple[np.ndarray, ...]:
         raise ParseError(f"integer out of int64 range in {line!r}", line=ln) from None
 
 
+def write_text(path, *parts: str) -> None:
+    """Write ``parts`` to ``path`` as UTF-8 with LF line ends, replacing it."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(parts)
+
+
 def write_int_csv(path, header: str, *columns) -> None:
     """Write a header line, then one comma-joined row per index of ``columns``."""
     row = ",".join(["{}"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write("".join(map(row.format, *(np.asarray(c).tolist() for c in columns))))
+    write_text(path, header + "\n", "".join(
+        map(row.format, *(np.asarray(c).tolist() for c in columns))))
 
 
 def format_floats(values) -> str:
@@ -221,12 +235,18 @@ def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:
 
     Dimensions are inferred as (max id + 1, max id + 1, max rating) unless
     ``dims`` supplies explicit (N, M, V); explicit dims let a file omit
-    trailing users/items ratings never mention.
+    trailing users/items ratings never mention. Inferred dims with more
+    than 64 dense cells (N + V*M) per row, plus 2**20, raise
+    DataValidationError, so a stray large id cannot size an allocation.
     """
     users, items, values = read_int_columns(path, 3)
     if dims is None:
         dims = ((int(users.max()) + 1, int(items.max()) + 1, int(values.max()))
                 if len(users) else (0, 0, 0))
+        if dims[0] + dims[2] * dims[1] > 64 * len(users) + 2**20:
+            raise DataValidationError(
+                f"inferred dimensions {dims} are too sparse for {len(users)}"
+                " rows; pass --dims N,M,V if the ids are meant to be this large")
     return RatingDataset.from_arrays(*dims, users, items, values)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .data import RatingDataset
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EstimationError
 
 # Relative convergence test uses max(|L|, _TINY) to survive L == 0.
 _TINY = 1e-300
@@ -79,8 +79,10 @@ class FitConfig:
                 f" updates stay interior, got alpha={self.alpha}, phi={self.phi}")
         if not self.max_iters >= 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.rel_tol >= 0:
-            raise ConfigurationError(f"rel_tol must be >= 0, got {self.rel_tol}")
+        if not 0 <= self.rel_tol < np.inf:
+            raise ConfigurationError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
+        if not self.seed >= 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -166,11 +168,18 @@ def m_step_mar(params: MixtureParams, dataset: RatingDataset,
     Both simplex constraints are met exactly because each denominator is
     computed as the sum of its own numerators.
     """
+    return _map_update(params, q, _scatter(dataset, q))
+
+
+def _map_update(params: MixtureParams, q: np.ndarray,
+                *beta_counts: np.ndarray) -> MixtureParams:
+    """MAP theta and beta from responsibilities ``q`` and the expected
+    (V, M, K) rating counts, added to phi - 1 in the order given."""
     if params.alpha is None or params.phi is None:
         raise ConfigurationError("maximum-posterior updates need smoothing")
     theta_num = params.alpha - 1.0 + q.sum(axis=0)
     theta = theta_num / theta_num.sum()
-    beta_num = params.phi - 1.0 + _scatter(dataset, q)
+    beta_num = sum(beta_counts, params.phi - 1.0)
     beta = beta_num / beta_num.sum(axis=0, keepdims=True)
     return MixtureParams(theta=theta, beta=beta, alpha=params.alpha, phi=params.phi)
 
@@ -201,6 +210,7 @@ def _relative_change(cur: float, prev: float) -> float:
     return abs(cur - prev) / max(abs(cur), _TINY)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_em(state, log_weights, m_step, objective, config: FitConfig):
     """The EM loop shared by every model family.
 
@@ -209,7 +219,8 @@ def _run_em(state, log_weights, m_step, objective, config: FitConfig):
     the next state, and ``objective(state, log_z)`` the log posterior
     from the per-user log normalisers. Iterates M then E until the
     relative objective change falls below ``config.rel_tol`` or
-    ``config.max_iters`` runs out.
+    ``config.max_iters`` runs out. A non-finite objective raises
+    EstimationError in place of the overflow warnings behind it.
 
     Returns (state, q, trace, converged) with q the responsibilities
     under the final state and trace[t] the objective after M-step t+1.
@@ -221,6 +232,9 @@ def _run_em(state, log_weights, m_step, objective, config: FitConfig):
         state = m_step(state, q)
         q, log_z = _normalize_log_weights(log_weights(state))
         trace.append(objective(state, log_z))
+        if not np.isfinite(trace[-1]):
+            raise EstimationError(f"log posterior is {trace[-1]} after EM iteration"
+                                  f" {len(trace)}; a smoothing or prior count is too large")
         if len(trace) >= 2 and _relative_change(trace[-1], trace[-2]) < config.rel_tol:
             converged = True
             break

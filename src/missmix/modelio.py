@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cptv import CptvParams
-from .data import format_floats, read_lines
+from .data import format_floats, read_lines, write_text
 from .errors import ConfigurationError, ParseError
 from .mixture import MixtureParams
 
@@ -61,8 +61,7 @@ def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
             lines.append("xi0 " + format_floats(cptv.xi0))
     if z is not None:
         lines.append("z " + " ".join(str(int(v)) for v in np.asarray(z).ravel()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_floats(rest, line_no):

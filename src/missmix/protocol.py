@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cptv import CptvParams, build_mu_prior, fit_nmar
-from .data import RatingDataset, SplitPair, format_floats
+from .data import RatingDataset, SplitPair, format_floats, write_text
 from .errors import ConfigurationError, MissmixError
 from .mixture import FitConfig, FitResult, fit_mar
 from .predict import (empirical_median_value, mae, posterior_z,
@@ -132,7 +132,8 @@ def run_protocol(split: SplitPair, specs, config: ProtocolConfig | None = None):
     a failed fit leaves its error cells empty, outside the aggregate.
     """
     config = config or ProtocolConfig()
-    FitConfig(1, max_iters=config.max_iters, rel_tol=config.rel_tol)
+    for seed in config.seeds:
+        FitConfig(1, max_iters=config.max_iters, rel_tol=config.rel_tol, seed=seed)
 
     rows = []
     for spec in specs:
@@ -155,13 +156,11 @@ def run_protocol(split: SplitPair, specs, config: ProtocolConfig | None = None):
         agg = _label_cells(spec)
         agg["agg"] = 1
         if per_seed:
-            tr = np.array([p[0] for p in per_seed])
-            te = np.array([p[1] for p in per_seed])
-            agg["train_mae"] = tr.mean()
-            agg["test_mae"] = te.mean()
-            if len(per_seed) > 1:
-                agg["train_mae_se"] = tr.std(ddof=1) / np.sqrt(len(tr))
-                agg["test_mae_se"] = te.std(ddof=1) / np.sqrt(len(te))
+            for col, name in enumerate(("train_mae", "test_mae")):
+                maes = np.array([p[col] for p in per_seed])
+                agg[name] = maes.mean()
+                if len(maes) > 1:
+                    agg[name + "_se"] = maes.std(ddof=1) / np.sqrt(len(maes))
             agg["iterations"] = float(np.mean([p[2] for p in per_seed]))
             agg["converged"] = float(np.mean([float(p[3]) for p in per_seed]))
         rows.append(agg)
@@ -179,8 +178,8 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_report(fh, rows) -> None:
-    """Write protocol rows as CSV to an open text file."""
-    fh.write(",".join(REPORT_COLUMNS) + "\n")
-    for row in rows:
-        fh.write(",".join(format_cell(row.get(c, "")) for c in REPORT_COLUMNS) + "\n")
+def write_report(path, rows) -> None:
+    """Write protocol rows as a CSV file."""
+    write_text(path, ",".join(REPORT_COLUMNS) + "\n", *(
+        ",".join(format_cell(row.get(c, "")) for c in REPORT_COLUMNS) + "\n"
+        for row in rows))

@@ -66,8 +66,8 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     """
     if min(n_users, n_items, n_values, n_components) < 1:
         raise ConfigurationError("all dimensions must be >= 1")
-    if not 0 < concentration < np.inf:
-        raise ConfigurationError(f"need 0 < concentration < inf, got {concentration}")
+    if not 0 < concentration <= 1e300:  # larger ones overflow the Dirichlet draws
+        raise ConfigurationError(f"need 0 < concentration <= 1e300, got {concentration}")
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n_values,):
         raise ConfigurationError(
@@ -146,7 +146,7 @@ def build_study_dataset(truth: GroundTruth, seed, per_user_test: int = 10,
     observed = apply_cptv_missingness(truth, seed_missing)
     test = sample_mcar_test(truth, per_user_test, seed_test)
 
-    in_test = np.isin(observed.pair_keys(), test.pair_keys())
+    in_test = test.find(observed) >= 0
     train = RatingDataset.from_arrays(
         truth.n_users, truth.n_items, truth.n_values,
         observed.users[~in_test], observed.items[~in_test],

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from missmix.cli import main
 from missmix.data import load_csv
@@ -150,12 +154,16 @@ def test_exit_code_bad_configuration(study, tmp_path):
                   ["--mu", "yahoo", "--alpha", "nan"],
                   ["--mu", "yahoo", "--phi", "nan"],
                   ["--mu", "yahoo", "--tol", "nan"],
+                  ["--mu", "yahoo", "--tol", "inf"],
+                  ["--mu", "yahoo", "--seed", "-1"],
                   # a prior strength only means something in learn mode
                   ["--mu", "yahoo", "-S", "nan"],
                   ["--mu", "yahoo", "-S", "100"]):
         assert main(cptv + flags) == 3, flags
     gen = ["generate", "--out", str(tmp_path / "g"), "-N", "20", "-M", "5"]
     assert main(gen + ["--concentration", "nan"]) == 3
+    assert main(gen + ["--concentration", "1e308"]) == 3
+    assert main(gen + ["--seed", "-1"]) == 3
     assert main(gen + ["--mu", "0.5,0.5,nan,0.5,0.5", "--mu-scale", "1"]) == 3
 
 
@@ -233,7 +241,8 @@ def test_evaluate_exit_code_bad_configuration(study, tmp_path):
                   ["--mu", "0.5,2,0.5,0.5,0.5"],
                   ["--mu", "yahoo", "--alpha", "nan"],
                   ["--mu", "yahoo", "--tol", "nan"],
-                  ["--mu", "yahoo", "-S", "nan"]):
+                  ["--mu", "yahoo", "-S", "nan"],
+                  ["--mu", "yahoo", "--seeds", "0,-1"]):
         assert main(args + ["--families", "mm-cptv"] + flags) == 3, flags
     assert not (tmp_path / "r.csv").exists()
 
@@ -286,7 +295,7 @@ def test_rows_outside_the_csv_grammar_exit_2(study, tmp_path, capsys):
     assert "line 2: integer out of int64 range" in capsys.readouterr().err
 
 
-def test_evaluate_infers_the_joint_dims_of_both_halves(tmp_path):
+def _uneven_halves(tmp_path):
     # test mentions users and items train does not; train's values stop at 4
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     train.write_text("user,item,rating\n" + "".join(
@@ -295,6 +304,11 @@ def test_evaluate_infers_the_joint_dims_of_both_halves(tmp_path):
     test.write_text("user,item,rating\n" + "".join(
         f"{u},{m},{1 + u * m % 5}\n" for u in range(8) for m in range(6)
         if (u + m) % 3 == 0), encoding="utf-8")
+    return train, test
+
+
+def test_evaluate_infers_the_joint_dims_of_both_halves(tmp_path):
+    train, test = _uneven_halves(tmp_path)
     args = ["evaluate", str(train), str(test), "--families",
             "constant,mm-none,mm-cptv", "--mu", "yahoo", "-K", "1,2",
             "--seeds", "0,1", "--max-iters", "10"]
@@ -302,3 +316,117 @@ def test_evaluate_infers_the_joint_dims_of_both_halves(tmp_path):
     assert main(args + ["--out", str(inferred)]) == 0
     assert main(args + ["--dims", "8,6,5", "--out", str(explicit)]) == 0
     assert inferred.read_bytes() == explicit.read_bytes()
+
+
+def test_analyze_compare_infers_the_joint_dims_as_evaluate_does(tmp_path):
+    train, test = _uneven_halves(tmp_path)
+    inferred, explicit = tmp_path / "inferred.txt", tmp_path / "explicit.txt"
+    assert main(["analyze", str(train), "--compare", str(test),
+                 "--out", str(inferred)]) == 0
+    assert main(["analyze", str(train), "--compare", str(test),
+                 "--dims", "8,6,5", "--out", str(explicit)]) == 0
+    text = inferred.read_text(encoding="utf-8")
+    assert text == explicit.read_text(encoding="utf-8")
+    # five values and six items on both sides, and the paired differences
+    assert "\n5,0\n# skl_bits" in text and "\n5," in text.split("item,skl_bits")[1]
+    assert "# paired_difference_histogram" in text
+
+
+def test_a_non_finite_objective_is_an_estimation_error(study, tmp_path, capsys):
+    out = str(tmp_path / "m.model")
+    train = ["train", study + ".train.csv", "-K", "2", "--out", out]
+    for flags in (["--model", "mm-none", "--alpha", "1e308"],
+                  ["--model", "mm-none", "--phi", "1e308"],
+                  ["--model", "mm-cptv", "--mu", "yahoo", "--mu-mode", "learn",
+                   "-S", "1e308"]):
+        assert main(train + flags) == 5, flags
+        assert "log posterior is nan after EM iteration 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # evaluate counts such a fit as failed: blank cells, the constant row intact
+    report = tmp_path / "r.csv"
+    with pytest.warns(UserWarning, match="mm-none seed 0 failed: log posterior is nan"):
+        assert main(["evaluate", study + ".train.csv", study + ".test.csv",
+                     "--families", "mm-none,constant", "-K", "1", "--seeds", "0",
+                     "--alpha", "1e308", "--out", str(report)]) == 0
+    rows = report.read_text(encoding="utf-8").splitlines()
+    assert rows[1:3] == ["mm-none,1,,,0,,,,,,,0", "mm-none,1,,,,,,,,,,1"]
+    assert rows[3].startswith("constant,,,,0,0.")
+
+
+def test_a_stray_large_id_does_not_size_an_allocation(tmp_path, capsys):
+    # a user id of 10**10 would size a 74.5 GiB row index
+    data = tmp_path / "big.csv"
+    data.write_text("user,item,rating\n0,0,1\n10000000000,1,2\n", encoding="utf-8")
+    assert main(["train", str(data), "--model", "mm-none", "-K", "1",
+                 "--out", str(tmp_path / "m.model")]) == 2
+    err = capsys.readouterr().err
+    assert "inferred dimensions (10000000001, 2, 2)" in err and "--dims" in err
+    assert load_csv(data, dims=(10**10 + 1, 2, 2)).n_users == 10**10 + 1
+
+
+def test_pair_keys_cannot_wrap_past_int64(tmp_path, capsys):
+    # (1844674407370955162, 0) and (0, 10) share a key once N * M wraps past int64
+    data = tmp_path / "wrap.csv"
+    data.write_text("user,item,rating\n0,10,3\n1844674407370955162,0,4\n",
+                    encoding="utf-8")
+    assert main(["analyze", str(data)]) == 2
+    assert main(["analyze", str(data), "--dims", "1844674407370955163,11,4"]) == 2
+    err = capsys.readouterr().err
+    assert "--dims" in err and "overflow the int64 pair keys" in err
+
+
+# Numeric flags and the command line that reads each; "{study}" and "{out}"
+# are filled in per example.
+_FIT = ["--max-iters", "5", "--out", "{out}/m.model"]
+_COMMANDS = {
+    "mm-none": ["train", "{study}.train.csv", "--model", "mm-none", "-K", "2", *_FIT],
+    "mm-cptv": ["train", "{study}.train.csv", "--model", "mm-cptv", "-K", "2",
+                "--mu", "yahoo", *_FIT],
+    "learn": ["train", "{study}.train.csv", "--model", "mm-cptv", "-K", "2",
+              "--mu", "yahoo", "--mu-mode", "learn", "-S", "300", *_FIT],
+    "evaluate": ["evaluate", "{study}.train.csv", "{study}.test.csv", "-K", "1",
+                 "--seeds", "0", "--families", "mm-none,mm-cptv,constant",
+                 "--mu", "yahoo", "--max-iters", "5", "--out", "{out}/r.csv"],
+    "generate": ["generate", "--out", "{out}/g", "-N", "30", "-M", "6",
+                 "--per-user-test", "2", "--min-train", "1"],
+    "estimate-mu": ["estimate-mu", "{study}.train.csv", "{study}.test.csv",
+                    "--exposure", "21"],
+}
+_FLOAT_FLAGS = [("mm-none", "--alpha"), ("mm-none", "--phi"), ("mm-none", "--tol"),
+                ("mm-cptv", "--mu-scale"), ("learn", "--strength"),
+                ("evaluate", "--alpha"), ("evaluate", "--strength"),
+                ("generate", "--mu-scale"), ("generate", "--concentration")]
+_INT_FLAGS = [("mm-none", "--max-iters"), ("mm-none", "--seed"),
+              ("evaluate", "--seeds"), ("generate", "--seed"),
+              ("generate", "--per-user-test"), ("generate", "--min-train"),
+              ("estimate-mu", "--exposure")]
+# Sizes: negative values only, since a huge size is a request for memory.
+_SIZE_FLAGS = [("mm-none", "--components"), ("evaluate", "--components"),
+               ("generate", "--users"), ("generate", "--items"),
+               ("generate", "--values"), ("generate", "--components")]
+_NEGATIVE = st.integers(max_value=-1).map(str)
+_BAD_NUMBERS = st.one_of(
+    st.tuples(st.sampled_from(_FLOAT_FLAGS), st.sampled_from(
+        ["nan", "inf", "-inf", "1e999", "-1e999", "1e308", "-1e-300"])
+        | st.floats(max_value=-1e-300).map(repr)),
+    st.tuples(st.sampled_from(_INT_FLAGS),
+              _NEGATIVE | st.sampled_from([str(2**63), str(2**64)])),
+    st.tuples(st.sampled_from(_SIZE_FLAGS), _NEGATIVE))
+
+
+@given(_BAD_NUMBERS)
+@settings(max_examples=80)
+def test_bad_numeric_flags_exit_3_or_5_never_1(study, tmp_path_factory, case):
+    (command, flag), value = case
+    out = tmp_path_factory.mktemp("flags")
+    argv = [a.format(study=study, out=out) for a in _COMMANDS[command]]
+    with warnings.catch_warnings():
+        # failed grid fits and clamped rate estimates warn; nothing else may
+        warnings.simplefilter("ignore", UserWarning)
+        rc = main(argv + [f"{flag}={value}"])
+    if not float(value) >= 0 or not float(value) < float("inf"):
+        assert rc == 3
+    else:
+        # finite values too large for float64 or int64: a fit that overflows
+        # is an estimation error, and any other outcome is a valid run
+        assert rc in (0, 3, 5)

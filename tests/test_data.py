@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from missmix import analysis
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
                           min_ratings_filter, read_int_columns, remap_users,
                           save_csv)
@@ -108,6 +111,10 @@ def test_validate_clean():
 def test_dataset_invariants_checked_at_construction():
     with pytest.raises(DataValidationError, match="dimensions must be >= 0"):
         RatingDataset.from_arrays(-1, 5, 5, [], [], [])
+    # pair keys are user * n_items + item, so N * M must fit in int64
+    with pytest.raises(DataValidationError, match=r"overflow the int64 pair keys"):
+        RatingDataset.from_arrays(2**32, 2**31, 5, [], [], [])
+    assert RatingDataset.from_arrays(2**32, 2**31 - 1, 5, [], [], []).n_obs == 0
     with pytest.raises(DataValidationError,
                        match=r"duplicate rating for \(user=1, item=0\)"):
         RatingDataset.from_arrays(2, 2, 5, [1, 0, 1], [0, 1, 0], [1, 2, 3])
@@ -266,6 +273,19 @@ def test_split_pair_gives_a_valid_split_or_a_data_error(data):
     assert valid and split.train is a and split.test is b
 
 
+@given(st.data())
+def test_find_gives_the_row_of_each_pair_or_minus_one(data):
+    # the two datasets may differ in every dimension
+    dims = [data.draw(st.tuples(*[st.integers(1, 4)] * 3)) for _ in range(2)]
+    a, b = (_from_triples(d, data.draw(st.lists(
+        st.tuples(st.integers(0, d[0] - 1), st.integers(0, d[1] - 1),
+                  st.integers(1, d[2])), max_size=10, unique_by=lambda c: c[:2])))
+        for d in dims)
+    rows = {pair: i for i, pair in enumerate(zip(a.users.tolist(), a.items.tolist()))}
+    expected = [rows.get(pair, -1) for pair in zip(b.users.tolist(), b.items.tolist())]
+    assert a.find(b).tolist() == expected
+
+
 def test_datasets_cannot_change_after_their_checks():
     a = RatingDataset.from_arrays(2, 2, 5, [0, 1], [0, 1], [1, 2])
     b = RatingDataset.from_arrays(2, 2, 5, [1], [0], [3])
@@ -367,9 +387,23 @@ def test_format_floats_reads_back_bit_for_bit(values):
     assert back.view(np.int64).tolist() == arr.view(np.int64).tolist()
 
 
+def _holders(pattern):
+    src = Path(__file__).resolve().parents[1] / "src" / "missmix"
+    return [p.name for p in sorted(src.glob("*.py"))
+            if re.search(pattern, p.read_text(encoding="utf-8"))]
+
+
 def test_float_format_lives_in_data_only():
     # one module owns the 17-digit format every float output uses
-    src = Path(__file__).resolve().parents[1] / "src" / "missmix"
-    holders = [p.name for p in sorted(src.glob("*.py"))
-               if "%.17g" in p.read_text(encoding="utf-8")]
-    assert holders == ["data.py"]
+    assert _holders("%.17g") == ["data.py"]
+
+
+def test_shared_formulas_and_policies_have_one_home_each():
+    # the pair-key encoding and the file writer live in data, the
+    # divergence in analysis.skl, and exit codes on the error classes
+    assert _holders(r"pair_keys\(") == ["data.py"]
+    assert _holders(r"open\([^)]*, *['\"][wax]") == ["data.py"]
+    assert _holders(r"\breturn [1-9]|exit\([1-9]|EXIT_CODE = |exit_code = ") == ["errors.py"]
+    assert _holders(r"np\.log2") == ["analysis.py"]
+    assert re.findall(r"np\.log2", inspect.getsource(analysis)) == ["np.log2"]
+    assert "np.log2" in inspect.getsource(analysis.skl)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from missmix.cptv import CptvParams, _log_weights_nmar
+from missmix.cptv import CptvParams, _log_weights_nmar, fit_nmar
 from missmix.data import RatingDataset
-from missmix.errors import ConfigurationError, DataValidationError
+from missmix.errors import ConfigurationError, DataValidationError, EstimationError
 from missmix.mixture import (FitConfig, MixtureParams, _log_weights_mar,
                              _scatter, e_step_mar, fit_mar, init_params,
                              log_posterior_mar, m_step_mar)
@@ -33,7 +33,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         FitConfig(n_components=2, max_iters=0)
     for bad in (dict(alpha=np.nan), dict(phi=np.nan), dict(alpha=np.inf),
-                dict(rel_tol=np.nan), dict(rel_tol=-1.0)):
+                dict(rel_tol=np.nan), dict(rel_tol=-1.0), dict(rel_tol=np.inf),
+                dict(seed=-1)):
         with pytest.raises(ConfigurationError):
             FitConfig(n_components=2, **bad)
 
@@ -131,6 +132,20 @@ def test_fit_matches_manual_objective():
     result = fit_mar(ds, cfg)
     assert result.log_posterior_trace[-1] == pytest.approx(
         log_posterior_mar(result.params, ds), abs=1e-9)
+
+
+def test_both_fits_raise_on_a_non_finite_objective():
+    # finite settings whose gammaln terms overflow; no RuntimeWarning escapes
+    rng = np.random.default_rng(3)
+    ds = _random_dataset(rng, 20, 4, 3)
+    mu = np.full(3, 0.5)
+    for bad in (dict(alpha=1e308), dict(phi=1e308)):
+        cfg = FitConfig(n_components=2, **bad)
+        for fit in (lambda: fit_mar(ds, cfg), lambda: fit_nmar(ds, cfg, mu)):
+            with pytest.raises(EstimationError, match="log posterior is nan"):
+                fit()
+    with pytest.raises(EstimationError, match="log posterior is nan"):
+        fit_nmar(ds, FitConfig(n_components=2), mu, strength=1e308)
 
 
 def test_single_component_converges_immediately():

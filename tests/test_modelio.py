@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from missmix.cptv import CptvParams, fit_nmar
 from missmix.errors import MissmixError, ParseError
-from missmix.mixture import FitConfig, fit_mar
+from missmix.mixture import FitConfig, MixtureParams, fit_mar
 from missmix.modelio import load_model, save_model
 from missmix.predict import posterior_z
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
@@ -190,3 +190,46 @@ def test_comments_and_blanks_ignored(tmp_path):
     lines = ["# header", ""] + _base_lines() + ["", "# trailing"]
     model = load_model(_write(tmp_path, lines))
     assert model.params.theta.tolist() == [1.0]
+
+
+@st.composite
+def _models(draw):
+    """A plain, fixed-mu or learned-mu model, with or without smoothing
+    and assignments; probabilities may come out very small."""
+    K, M, V = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    conc = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    beta = rng.dirichlet(np.full(V, conc), size=(M, K)).transpose(2, 0, 1)
+    smoothing = draw(st.sampled_from([None, 1.5, 2.0, 1e6]))
+    params = MixtureParams(theta=rng.dirichlet(np.full(K, conc)),
+                           beta=np.ascontiguousarray(beta), alpha=smoothing,
+                           phi=None if smoothing is None else smoothing + 0.25)
+    kind = draw(st.sampled_from(["plain", "fixed", "learn"]))
+    cptv = None
+    if kind != "plain":
+        mu = rng.uniform(0, 1, V)
+        prior = (1 + rng.uniform(0, 50, V), 1 + rng.uniform(0, 50, V))
+        cptv = CptvParams(mu, *(prior if kind == "learn" else (None, None)))
+    z = rng.integers(0, K, draw(st.integers(0, 6))) if draw(st.booleans()) else None
+    return params, cptv, None if kind == "plain" else kind, z
+
+
+@given(_models())
+def test_save_then_load_round_trips_every_model(tmp_path_factory, model):
+    params, cptv, mu_mode, z = model
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    save_model(path, params, cptv=cptv, mu_mode=mu_mode, z=z)
+    back = load_model(path)
+
+    def same(x, y):
+        return x is None and y is None or (
+            np.asarray(x).shape == np.asarray(y).shape
+            and np.asarray(x).tobytes() == np.asarray(y).tobytes())
+
+    assert same(back.params.theta, params.theta) and same(back.params.beta, params.beta)
+    assert back.params.alpha == params.alpha and back.params.phi == params.phi
+    assert (back.cptv is None) == (cptv is None) and back.mu_mode == mu_mode
+    if cptv is not None:
+        assert all(same(getattr(back.cptv, k), getattr(cptv, k))
+                   for k in ("mu", "xi1", "xi0"))
+    assert same(back.z, None if z is None else np.asarray(z, dtype=np.int64))

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -92,9 +91,9 @@ def test_run_protocol_rejects_overlapping_split():
 def test_run_protocol_rejects_bad_settings_before_fitting(small_split):
     split, _ = small_split
     spec = ModelSpec(family="mm-none", n_components=2)
-    for bad in (dict(rel_tol=np.nan), dict(max_iters=0)):
+    for bad in (dict(rel_tol=np.nan), dict(max_iters=0), dict(seeds=(0, -1))):
         with pytest.raises(ConfigurationError):
-            run_protocol(split, [spec], ProtocolConfig(seeds=(0,), **bad))
+            run_protocol(split, [spec], ProtocolConfig(**{"seeds": (0,), **bad}))
 
 
 def test_run_protocol_deterministic(small_split):
@@ -107,13 +106,12 @@ def test_run_protocol_deterministic(small_split):
     assert a == b
 
 
-def test_write_report_formatting():
+def test_write_report_formatting(tmp_path):
     rows = [{c: "" for c in REPORT_COLUMNS}]
     rows[0].update(model="constant", seed=0, train_mae=0.5, test_mae=1.25,
                    iterations=3, converged=1, agg=0)
-    buf = io.StringIO()
-    write_report(buf, rows)
-    lines = buf.getvalue().splitlines()
+    write_report(tmp_path / "r.csv", rows)
+    lines = (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(REPORT_COLUMNS)
     assert lines[1] == "constant,,,,0,0.5,1.25,,,3,1,0"
     assert format_cell(np.float64(1) / 3) == "0.33333333333333331"

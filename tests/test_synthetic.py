@@ -36,7 +36,7 @@ def test_ground_truth_validation():
     for mu in ([0.5, 0.5, 1.5], [0.5, 0.5, np.nan]):
         with pytest.raises(ConfigurationError):
             sample_ground_truth(5, 5, 3, 2, np.array(mu), seed=0)
-    for concentration in (0, np.nan, np.inf):
+    for concentration in (0, np.nan, np.inf, 1e308):
         with pytest.raises(ConfigurationError):
             sample_ground_truth(5, 5, 3, 2, np.full(3, 0.5), seed=0,
                                 concentration=concentration)
