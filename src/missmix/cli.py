@@ -30,6 +30,12 @@ from .synthetic import build_study_dataset, sample_ground_truth
 
 _MU_PRESETS = {"yahoo": YAHOO_MU}
 
+# The most cells a command may allocate for one dense table; 2**28 float64
+# cells are 2 GiB. The benchmark's largest table, wide-learn's 2000 x 5000 x 5
+# generate (50M cells), stays over five times inside it, while a size flag or
+# --dims off by orders of magnitude stops with one line.
+DENSE_CELL_BUDGET = 2**28
+
 
 def _parse_mu(text: str, n_values: int) -> np.ndarray:
     if text in _MU_PRESETS:
@@ -62,6 +68,28 @@ def _parse_dims(text: str | None):
     return dims
 
 
+def _check_dense_cells(command: str, n: int, m: int, v: int, k: int = 1) -> None:
+    """ConfigurationError if ``command`` on N users, M items, V values and K
+    components would allocate a dense table over DENSE_CELL_BUDGET cells.
+
+    Fits and predict hold an N+1 row index, N x K responsibilities and a
+    V x M x K rating table, analyze and estimate-mu a V x M count table,
+    and generate the N x M x V table of rating CDFs and a V x M x K one.
+    Negative sizes are left to the checks that name them.
+    """
+    n, m, v, k = (max(x, 0) for x in (n, m, v, k))
+    if command == "generate":
+        cells = max(n * m * v, v * m * k)
+    elif command in ("analyze", "estimate-mu"):
+        cells = v * m
+    else:
+        cells = max(n + 1, n * k, v * m * k)
+    if cells > DENSE_CELL_BUDGET:
+        raise ConfigurationError(
+            f"{command} on (N, M, V, K) = {(n, m, v, k)} needs a dense table"
+            f" of {cells} cells, over the budget of {DENSE_CELL_BUDGET}")
+
+
 def _load_joint(paths, dims) -> list[RatingDataset]:
     """Load ratings files on ``dims``, or else on the largest inferred dims."""
     loaded = [load_csv(path, dims=dims) for path in paths]
@@ -77,6 +105,8 @@ def _load_joint(paths, dims) -> list[RatingDataset]:
 def _cmd_generate(args) -> None:
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    _check_dense_cells("generate", args.users, args.items, args.values,
+                       args.components)
     mu = _parse_mu(args.mu, args.values) * args.mu_scale
     seed_truth, seed_study = np.random.SeedSequence(args.seed).spawn(2)
     truth = sample_ground_truth(args.users, args.items, args.values,
@@ -95,6 +125,17 @@ def _cmd_generate(args) -> None:
     print(f"truth {args.out}.truth.model")
 
 
+def _check_mu_flags(args, families) -> None:
+    """--mu-mode learn and -S go together, and only with an mm-cptv model."""
+    learn = args.mu_mode == "learn"
+    if learn and args.strength is None:
+        raise ConfigurationError("learn mode needs a prior strength")
+    if args.strength is not None and not learn:
+        raise ConfigurationError("a prior strength needs mu_mode 'learn', not 'fixed'")
+    if learn and "mm-cptv" not in families:
+        raise ConfigurationError("--mu-mode learn and -S need an mm-cptv model")
+
+
 def _model_spec(args, family: str, n_components: int,
                 n_values: int) -> ModelSpec:
     """The spec of one model the train/evaluate flags describe."""
@@ -102,17 +143,19 @@ def _model_spec(args, family: str, n_components: int,
     mu = (_parse_mu(args.mu, n_values) * args.mu_scale
           if cptv and args.mu is not None else None)
     return ModelSpec(family=family, n_components=n_components,
-                     alpha=args.alpha, phi=args.phi,
-                     mu_mode=args.mu_mode if cptv else None, mu=mu,
+                     alpha=args.alpha, phi=args.phi, mu=mu,
                      strength=args.strength if cptv else None)
 
 
 def _cmd_train(args) -> None:
     data = load_csv(args.data, dims=_parse_dims(args.dims))
+    _check_mu_flags(args, [args.model])
     spec = _model_spec(args, args.model, args.components, data.n_values)
+    _check_dense_cells("train", data.n_users, data.n_items, data.n_values,
+                       args.components)
     result = fit_spec(data, spec, args.max_iters, args.tol, args.seed)
     modelio.save_model(args.out, result.params, cptv=result.cptv,
-                       mu_mode=result.mu_mode)
+                       mu_mode=args.mu_mode)
     write_text(args.out + ".trace.csv", "iteration,log_posterior\n", *(
         f"{i},{format_floats(lp)}\n"
         for i, lp in enumerate(result.log_posterior_trace, start=1)))
@@ -134,6 +177,8 @@ def _cmd_predict(args) -> None:
             f"model covers {model.params.n_items} items and"
             f" {model.params.n_values} values; data has {data.n_items}"
             f" and {data.n_values}")
+    _check_dense_cells("predict", data.n_users, data.n_items, data.n_values,
+                       model.params.n_components)
     users, items = read_int_columns(args.pairs, 2)
     if len(users) == 0:
         raise DataValidationError("no pairs to predict")
@@ -149,13 +194,18 @@ def _cmd_predict(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     split = SplitPair(*_load_joint((args.train, args.test), _parse_dims(args.dims)))
+    families = args.families.split(",")
+    _check_mu_flags(args, families)
     specs = []
-    for family in args.families.split(","):
+    for family in families:
         if family == "constant":
             specs.append(ModelSpec(family="constant"))
             continue
         specs += [_model_spec(args, family, K, split.train.n_values)
                   for K in _parse_int_list(args.components)]
+    _check_dense_cells("evaluate", split.train.n_users, split.train.n_items,
+                       split.train.n_values,
+                       max(spec.n_components for spec in specs))
     config = ProtocolConfig(max_iters=args.max_iters, rel_tol=args.tol,
                             seeds=tuple(_parse_int_list(args.seeds)))
     rows = run_protocol(split, specs, config)
@@ -166,6 +216,7 @@ def _cmd_evaluate(args) -> None:
 def _cmd_analyze(args) -> None:
     paths = (args.data,) if args.compare is None else (args.data, args.compare)
     a, *compared = _load_joint(paths, _parse_dims(args.dims))
+    _check_dense_cells("analyze", a.n_users, a.n_items, a.n_values)
     lines = [f"# value_histogram {args.data}", "value,count"]
     lines += [f"{v},{c}" for v, c in enumerate(a.value_counts(), start=1)]
     for b in compared:
@@ -191,6 +242,8 @@ def _cmd_analyze(args) -> None:
 def _cmd_estimate_mu(args) -> None:
     train = load_csv(args.train, dims=_parse_dims(args.dims))
     heldout = load_csv(args.heldout, dims=_parse_dims(args.dims))
+    _check_dense_cells("estimate-mu", train.n_users, train.n_items,
+                       train.n_values)
     if args.exposure <= 0:
         raise ConfigurationError(f"--exposure must be > 0, got {args.exposure}")
     mu = estimate_mu_heldout(train, heldout, args.exposure)

@@ -201,8 +201,8 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
     Returns
     -------
     FitResult
-        With cptv, mu_mode ("fixed" or "learn"), and (when any cell is
-        hidden) the missing-value attribution of the final model.
+        With cptv (holding the prior's xi1/xi0 when mu was learned) and,
+        when any cell is hidden, the missing-value attribution.
     """
     params = init_params(dataset.n_items, dataset.n_values, config)
     learn = strength is not None
@@ -219,10 +219,8 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
         lambda s, q: m_step_nmar(*s, dataset, q, learn_mu=learn),
         lambda s, log_z: _objective_nmar(*s, log_z),
         config)
-    return FitResult(params=params, cptv=cptv,
-                     mu_mode="learn" if learn else "fixed",
-                     log_posterior_trace=trace, converged=converged,
-                     iterations=len(trace),
+    return FitResult(params=params, cptv=cptv, log_posterior_trace=trace,
+                     converged=converged, iterations=len(trace), q=q,
                      missing_value_attribution=missing_value_attribution(
                          params, cptv, dataset, q))
 

@@ -153,20 +153,26 @@ class SplitPair:
                 % (len(overlap), self.test.users[i], self.test.items[i]))
 
 
+# Out-of-range entries a range error names before it counts the rest.
+_RANGE_EXAMPLES = 3
+
+
 def _range_violations(dataset: RatingDataset) -> list[str]:
-    """One message per user, item or rating outside the dimensions."""
+    """One message for each of the first _RANGE_EXAMPLES users, items or
+    ratings outside the dimensions, then the count of the rest."""
     out = []
     bad_u = (dataset.users < 0) | (dataset.users >= dataset.n_users)
     bad_m = (dataset.items < 0) | (dataset.items >= dataset.n_items)
     bad_v = (dataset.values < 1) | (dataset.values > dataset.n_values)
-    for i in np.flatnonzero(bad_u):
+    for i in np.flatnonzero(bad_u)[:_RANGE_EXAMPLES]:
         out.append(f"user index {dataset.users[i]} out of range [0, {dataset.n_users})")
-    for i in np.flatnonzero(bad_m):
+    for i in np.flatnonzero(bad_m)[:_RANGE_EXAMPLES]:
         out.append(f"item index {dataset.items[i]} out of range [0, {dataset.n_items})")
-    for i in np.flatnonzero(bad_v):
+    for i in np.flatnonzero(bad_v)[:_RANGE_EXAMPLES]:
         out.append(f"rating {dataset.values[i]} out of range [1, {dataset.n_values}]"
                    f" at (user={dataset.users[i]}, item={dataset.items[i]})")
-    return out
+    rest = int(bad_u.sum() + bad_m.sum() + bad_v.sum()) - _RANGE_EXAMPLES
+    return out[:_RANGE_EXAMPLES] + ([f"and {rest} more"] if rest > 0 else [])
 
 
 def read_lines(path) -> list[str]:

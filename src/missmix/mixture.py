@@ -90,8 +90,9 @@ class FitResult:
     """Outcome of an EM run.
 
     log_posterior_trace[t] is the objective after M-step t+1, so the
-    trace is non-decreasing up to round-off. For models with a
-    missingness component, `cptv` and `mu_mode` are set, and
+    trace is non-decreasing up to round-off; q holds the (N, K) component
+    responsibilities under the final parameters. With a missingness
+    component, `cptv` is set (with xi1/xi0 when mu was learned), and
     `missing_value_attribution[v-1]` gives the fraction of the hidden
     entries the fitted model attributes to rating value v (entries sum
     to 1; None when nothing is hidden).
@@ -101,8 +102,8 @@ class FitResult:
     log_posterior_trace: np.ndarray
     converged: bool
     iterations: int
+    q: np.ndarray
     cptv: object = None
-    mu_mode: str | None = None
     missing_value_attribution: np.ndarray | None = None
 
 
@@ -255,11 +256,11 @@ def fit_mar(dataset: RatingDataset, config: FitConfig) -> FitResult:
         With the objective evaluated after every update; the run stops
         once the relative change falls below ``config.rel_tol``.
     """
-    params, _, trace, converged = _run_em(
+    params, q, trace, converged = _run_em(
         init_params(dataset.n_items, dataset.n_values, config),
         lambda p: _log_weights_mar(p, dataset),
         lambda p, q: m_step_mar(p, dataset, q),
         lambda p, log_z: float(log_z.sum()) + _log_dirichlet_prior(p),
         config)
     return FitResult(params=params, log_posterior_trace=trace,
-                     converged=converged, iterations=len(trace))
+                     converged=converged, iterations=len(trace), q=q)

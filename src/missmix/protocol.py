@@ -19,8 +19,8 @@ from .cptv import CptvParams, build_mu_prior, fit_nmar
 from .data import RatingDataset, SplitPair, format_floats, write_text
 from .errors import ConfigurationError, MissmixError
 from .mixture import FitConfig, FitResult, fit_mar
-from .predict import (empirical_median_value, mae, posterior_z,
-                      predict_median, predictive_distribution)
+from .predict import (empirical_median_value, mae, predict_median,
+                      predictive_distribution)
 
 REPORT_COLUMNS = ["model", "K", "mu_mode", "S", "seed", "train_mae",
                   "test_mae", "train_mae_se", "test_mae_se", "iterations",
@@ -35,16 +35,16 @@ class ModelSpec:
 
     family "mm-none" ignores the response pattern, "mm-cptv" models it,
     and "constant" predicts the training median everywhere (no fit).
-    For mm-cptv, mu_mode "fixed" uses ``mu`` as is, while "learn" treats
-    ``mu`` as a prior mean with pseudo-count budget ``strength``. Every
-    setting is checked here, before any fit runs.
+    mm-cptv holds the observation rates at ``mu`` when ``strength`` is
+    None, and otherwise learns them under a prior with mean ``mu`` and
+    pseudo-count budget ``strength`` (`fit_nmar`). Every setting is
+    checked here, before any fit runs.
     """
 
     family: str
     n_components: int = 1
     alpha: float = 2.0
     phi: float = 2.0
-    mu_mode: str | None = None
     mu: np.ndarray | None = None
     strength: float | None = None
 
@@ -54,16 +54,11 @@ class ModelSpec:
                 f"family must be one of {_FAMILIES}, got {self.family!r}")
         FitConfig(self.n_components, alpha=self.alpha, phi=self.phi)
         if self.family == "mm-cptv":
-            if self.mu_mode not in ("fixed", "learn") or self.mu is None:
+            if self.mu is None:
                 raise ConfigurationError(
                     "mm-cptv needs mu_mode 'fixed' or 'learn' and a mu vector")
-            if self.mu_mode == "fixed":
-                if self.strength is not None:
-                    raise ConfigurationError(
-                        "a prior strength needs mu_mode 'learn', not 'fixed'")
+            if self.strength is None:
                 CptvParams(self.mu)
-            elif self.strength is None:
-                raise ConfigurationError("learn mode needs a prior strength")
             else:
                 build_mu_prior(self.mu, self.strength)
 
@@ -100,12 +95,10 @@ def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int,
                 mae(np.full(test.n_obs, value), test.values), 0, True)
 
     result = fit_spec(train, spec, config.max_iters, config.rel_tol, seed)
-
-    q = posterior_z(result.params, train, cptv=result.cptv)
-    train_pred = predict_median(
-        predictive_distribution(result.params, q, train.users, train.items))
-    test_pred = predict_median(
-        predictive_distribution(result.params, q, test.users, test.items))
+    train_pred = predict_median(predictive_distribution(
+        result.params, result.q, train.users, train.items))
+    test_pred = predict_median(predictive_distribution(
+        result.params, result.q, test.users, test.items))
     return (mae(train_pred, train.values), mae(test_pred, test.values),
             result.iterations, result.converged)
 
@@ -117,9 +110,8 @@ def _label_cells(spec: ModelSpec) -> dict:
     if spec.family != "constant":
         row["K"] = spec.n_components
     if spec.family == "mm-cptv":
-        row["mu_mode"] = spec.mu_mode
-        if spec.mu_mode == "learn":
-            row["S"] = spec.strength
+        row["mu_mode"] = "fixed" if spec.strength is None else "learn"
+        row["S"] = "" if spec.strength is None else spec.strength
     return row
 
 

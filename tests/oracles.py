@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import stats
 
 from missmix import MissmixError, ParseError
 
@@ -70,6 +71,35 @@ def brute_force_user_evidence(params, mu, observed_items, observed_values):
         for z in range(K):
             cell = beta[full - 1, np.arange(M), z] * obs_prob
             terms.append(theta[z] * math.prod(cell.tolist()))
+    return math.fsum(terms)
+
+
+def log_posterior(params, dataset, mu=None, prior=None):
+    """The log posterior a fit maximises, term by term.
+
+    The log of each user's evidence: with ``mu``, the enumeration of
+    `brute_force_user_evidence`; without it, the mixture of direct
+    products over the user's observed cells. Plus scipy's Dirichlet log
+    densities of theta under alpha and of every beta[:, m, z] under phi,
+    and, with ``prior = (xi1, xi0)``, the Beta log density of each mu[v].
+    """
+    V, M, K = params.beta.shape
+    terms = []
+    for i in range(dataset.n_users):
+        mine = dataset.users == i
+        items, values = dataset.items[mine], dataset.values[mine]
+        if mu is None:
+            evidence = math.fsum(
+                params.theta[z] * math.prod(params.beta[values - 1, items, z].tolist())
+                for z in range(K))
+        else:
+            evidence = brute_force_user_evidence(params, mu, items, values)
+        terms.append(math.log(evidence))
+    terms.append(stats.dirichlet.logpdf(params.theta, np.full(K, params.alpha)))
+    terms += [stats.dirichlet.logpdf(params.beta[:, m, z], np.full(V, params.phi))
+              for m in range(M) for z in range(K)]
+    if prior is not None:
+        terms += stats.beta.logpdf(mu, *prior).tolist()
     return math.fsum(terms)
 
 

@@ -155,8 +155,8 @@ def test_05_protocol_gap_on_skewed_study(capsys):
                                       min_train=10)
     specs = [ModelSpec(family="mm-none", n_components=K)
              for K in (1, 2, 5, 10)]
-    specs += [ModelSpec(family="mm-cptv", n_components=K, mu_mode="fixed",
-                        mu=truth.mu) for K in (1, 2, 5, 10)]
+    specs += [ModelSpec(family="mm-cptv", n_components=K, mu=truth.mu)
+              for K in (1, 2, 5, 10)]
     config = ProtocolConfig(max_iters=300, rel_tol=1e-5, seeds=(0, 1, 2, 3, 4))
     rows = run_protocol(split, specs, config)
     aggs = [r for r in rows if r["agg"] == 1]
@@ -310,11 +310,11 @@ def test_09_learned_attribution_is_a_distribution(capsys):
                          mu_hat, strength=200.0)
     attr = result.missing_value_attribution
     gap = abs(float(attr.sum()) - 1.0)
-    ok = (result.mu_mode == "learn" and attr is not None
+    ok = (result.cptv.xi1 is not None and attr is not None
           and attr.shape == (5,) and gap <= 1e-6 and (attr >= 0).all())
     _report(capsys, 9, "learned-mode attribution sums to one", ok,
             f"sum deviation {gap:.2e} (tol 1e-6), S=200, entries "
             + np.array2string(attr, precision=3))
-    assert result.mu_mode == "learn"
+    assert result.cptv.xi1 is not None
     assert gap <= 1e-6
     assert (attr >= 0).all()

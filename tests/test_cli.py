@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from missmix import cli
 from missmix.cli import main
 from missmix.data import load_csv
 from missmix.mixture import MixtureParams
@@ -245,6 +246,55 @@ def test_evaluate_exit_code_bad_configuration(study, tmp_path):
                   ["--mu", "yahoo", "--seeds", "0,-1"]):
         assert main(args + ["--families", "mm-cptv"] + flags) == 3, flags
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_mu_flags_need_each_other_and_an_mm_cptv_model(study, tmp_path, capsys):
+    train = ["train", study + ".train.csv", "-K", "2", "--max-iters", "3",
+             "--out", str(tmp_path / "m.model")]
+    evaluate = ["evaluate", study + ".train.csv", study + ".test.csv", "-K", "1",
+                "--seeds", "0", "--max-iters", "3", "--out", str(tmp_path / "r.csv")]
+    # each ran before, ignoring the flags an mm-none or constant model has no use for
+    for argv, message in (
+            (train + ["--model", "mm-none", "--mu-mode", "learn", "-S", "nan"],
+             "--mu-mode learn and -S need an mm-cptv model"),
+            (train + ["--model", "mm-none", "--mu-mode", "learn", "-S", "300"],
+             "--mu-mode learn and -S need an mm-cptv model"),
+            (evaluate + ["--families", "mm-none,constant", "--mu-mode", "learn",
+                         "-S", "300"], "--mu-mode learn and -S need an mm-cptv model"),
+            (train + ["--model", "mm-none", "-S", "300"],
+             "a prior strength needs mu_mode 'learn', not 'fixed'"),
+            (evaluate + ["--families", "constant", "--mu-mode", "learn"],
+             "learn mode needs a prior strength")):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_size_flags_stop_before_any_table_is_allocated(study, tmp_path, capsys,
+                                                       monkeypatch):
+    train = ["train", study + ".train.csv", "--model", "mm-none", "--max-iters", "1",
+             "--out", str(tmp_path / "m.model")]
+    # each asks for a table numpy cannot or should not allocate; without the
+    # check, the large M makes the first big request one no machine can grant
+    for argv in (train + ["-K", str(10**20)],
+                 train + ["-K", "30000000", "--dims", "250,1000000,5"],
+                 ["evaluate", study + ".train.csv", study + ".test.csv", "--families",
+                  "mm-none", "-K", "1,30000000", "--dims", "250,1000000,5",
+                  "--out", str(tmp_path / "r.csv")],
+                 ["analyze", study + ".train.csv", "--dims", f"250,25,{10**20}"],
+                 ["generate", "--out", str(tmp_path / "g"), "-M", str(10**12)]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "over the budget of" in err
+    assert list(tmp_path.iterdir()) == []
+    # --dims 1000000000,200,5 sizes an N + 1 row index from one flag; a
+    # budget of the study's N stands in for it, one cell short
+    monkeypatch.setattr(cli, "DENSE_CELL_BUDGET", 250)
+    assert main(train + ["-K", "1", "--dims", "250,25,5"]) == 3
+    assert "needs a dense table of 251 cells" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "DENSE_CELL_BUDGET", 251)
+    assert main(train + ["-K", "1", "--dims", "250,25,5"]) == 0
 
 
 def test_predict_rejects_invalid_model(study, tmp_path):

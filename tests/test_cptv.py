@@ -14,7 +14,7 @@ from missmix.mixture import (FitConfig, MixtureParams, e_step_mar, fit_mar,
                              init_params, m_step_mar)
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 from oracles import (brute_force_user_evidence, compute_gamma,
-                     expected_complete_objective)
+                     expected_complete_objective, log_posterior)
 
 
 def _params_for(theta, beta):
@@ -89,7 +89,7 @@ def test_fit_nmar_validation():
     for mu, strength in bad:
         with pytest.raises(ConfigurationError):
             fit_nmar(ds, cfg, mu, strength)
-    assert fit_nmar(ds, cfg, np.array([0.5, 0.5]), 10.0).mu_mode == "learn"
+    assert fit_nmar(ds, cfg, np.array([0.5, 0.5]), 10.0).cptv.xi1 is not None
 
 
 def test_compute_gamma_hand_case():
@@ -189,6 +189,23 @@ def test_m_step_fixed_mode_keeps_mu():
         m_step_nmar(params, cptv, ds, q, learn_mu=True)
 
 
+def test_log_posterior_nmar_matches_the_objective_oracle():
+    # smoothing away from 2 and rates away from 1/2, where terms of the
+    # priors vanish or coincide
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        truth_params, mu, ds = _random_nmar_case(rng)
+        params = MixtureParams(theta=truth_params.theta, beta=truth_params.beta,
+                               alpha=1.7, phi=2.6)
+        fixed = CptvParams(mu=mu)
+        assert log_posterior_nmar(params, fixed, ds) == pytest.approx(
+            log_posterior(params, ds, mu), rel=1e-12, abs=0)
+        prior = build_mu_prior(rng.uniform(0.1, 0.9, size=len(mu)), 30.0)
+        learned = CptvParams(mu=mu, xi1=prior[0], xi0=prior[1])
+        assert log_posterior_nmar(params, learned, ds) == pytest.approx(
+            log_posterior(params, ds, mu, prior), rel=1e-12, abs=0)
+
+
 def test_fit_nmar_monotone_and_converges():
     rng = np.random.default_rng(19)
     truth = sample_ground_truth(80, 12, 3, 2, np.array([0.3, 0.5, 0.8]), seed=5)
@@ -201,7 +218,7 @@ def test_fit_nmar_monotone_and_converges():
         trace = result.log_posterior_trace
         deltas = np.diff(trace)
         assert (deltas >= -1e-9 * np.abs(trace[1:])).all()
-        assert result.mu_mode == kind
+        assert (result.cptv.xi1 is not None) == (kind == "learn")
         assert result.log_posterior_trace[-1] == pytest.approx(
             log_posterior_nmar(result.params, result.cptv, ds), abs=1e-9)
     fixed = fit_nmar(ds, cfg, truth.mu)

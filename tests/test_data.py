@@ -124,6 +124,20 @@ def test_dataset_invariants_checked_at_construction():
         RatingDataset(2, 1, 5, *arrays)
 
 
+def test_a_range_error_names_a_few_entries_and_counts_the_rest():
+    n = 10_000
+    with pytest.raises(DataValidationError) as info:
+        RatingDataset.from_arrays(1, 1, 5, np.arange(n), np.zeros(n, int),
+                                  np.full(n, 9))
+    message = str(info.value)
+    assert message.startswith("user index 1 out of range [0, 1); user index 2")
+    # 9999 bad users and 10000 bad ratings, three of them named
+    assert message.endswith("; and 19996 more") and len(message) < 300
+    with pytest.raises(DataValidationError) as info:
+        RatingDataset.from_arrays(1, 1, 5, [0], [0], [6])
+    assert str(info.value) == "rating 6 out of range [1, 5] at (user=0, item=0)"
+
+
 def _from_triples(dims, triples):
     users, items, values = [list(col) for col in zip(*triples)] or [[], [], []]
     return RatingDataset.from_arrays(*dims, users, items, values)
@@ -405,5 +419,8 @@ def test_shared_formulas_and_policies_have_one_home_each():
     assert _holders(r"open\([^)]*, *['\"][wax]") == ["data.py"]
     assert _holders(r"\breturn [1-9]|exit\([1-9]|EXIT_CODE = |exit_code = ") == ["errors.py"]
     assert _holders(r"np\.log2") == ["analysis.py"]
+    # one bound on the dense tables a command allocates from its sizes
+    assert _holders(r"DENSE_CELL_BUDGET") == ["cli.py"]
+    assert _holders(r"def _check_dense_cells") == ["cli.py"]
     assert re.findall(r"np\.log2", inspect.getsource(analysis)) == ["np.log2"]
     assert "np.log2" in inspect.getsource(analysis.skl)

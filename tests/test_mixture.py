@@ -7,6 +7,7 @@ from missmix.errors import ConfigurationError, DataValidationError, EstimationEr
 from missmix.mixture import (FitConfig, MixtureParams, _log_weights_mar,
                              _scatter, e_step_mar, fit_mar, init_params,
                              log_posterior_mar, m_step_mar)
+from oracles import log_posterior
 
 
 def _random_dataset(rng, N, M, V, density=0.5):
@@ -123,6 +124,17 @@ def test_log_posterior_increases_under_em():
         deltas = np.diff(trace)
         floor = -1e-9 * np.abs(trace[1:])
         assert (deltas >= floor).all()
+
+
+def test_log_posterior_mar_matches_the_objective_oracle():
+    # smoothing away from 2, where gammaln(alpha) = 0 would hide its terms
+    rng = np.random.default_rng(41)
+    for K, M, V in ((1, 3, 2), (2, 4, 3), (3, 2, 5)):
+        ds = _random_dataset(rng, 6, M, V)
+        params = init_params(M, V, FitConfig(n_components=K, alpha=1.7,
+                                             phi=2.6, seed=int(rng.integers(99))))
+        assert log_posterior_mar(params, ds) == pytest.approx(
+            log_posterior(params, ds), rel=1e-12, abs=0)
 
 
 def test_fit_matches_manual_objective():

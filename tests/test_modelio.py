@@ -36,7 +36,7 @@ def test_round_trip_plain_model(tmp_path, fitted):
 def test_round_trip_cptv_model(tmp_path, fitted):
     _, _, aware = fitted
     path = tmp_path / "aware.model"
-    save_model(path, aware.params, cptv=aware.cptv, mu_mode=aware.mu_mode)
+    save_model(path, aware.params, cptv=aware.cptv, mu_mode="learn")
     back = load_model(path)
     assert np.array_equal(back.params.beta, aware.params.beta)
     assert np.array_equal(back.cptv.mu, aware.cptv.mu)
@@ -128,7 +128,7 @@ def test_load_rejects_malformed_files(tmp_path):
 def test_format_1_smoothing_loads_as_scalars(tmp_path, fitted):
     _, _, aware = fitted
     v2 = tmp_path / "v2.model"
-    save_model(v2, aware.params, cptv=aware.cptv, mu_mode=aware.mu_mode)
+    save_model(v2, aware.params, cptv=aware.cptv, mu_mode="learn")
     # the same model as format 1 wrote it: smoothing repeated K and V*M*K times
     lines = v2.read_text(encoding="utf-8").splitlines()
     lines[lines.index("format_version 2")] = "format_version 1"

@@ -21,31 +21,26 @@ def test_model_spec_validation():
     with pytest.raises(ConfigurationError):
         ModelSpec(family="nonsense")
     with pytest.raises(ConfigurationError):
-        ModelSpec(family="mm-cptv", n_components=2, mu_mode="fixed")
-    with pytest.raises(ConfigurationError):
-        ModelSpec(family="mm-cptv", n_components=2, mu_mode="learn",
-                  mu=np.full(5, 0.2))
+        ModelSpec(family="mm-cptv", n_components=2)
     # mu, its prior and the smoothing are checked before any fit runs
-    for bad in (dict(mu_mode="fixed", mu=[0.5, np.nan]),
-                dict(mu_mode="fixed", mu=[0.5, 2.0]),
-                dict(mu_mode="learn", mu=[0.5, 0.5], strength=np.nan),
-                dict(mu_mode="learn", mu=[0.5, 0.5], strength=1.5),
-                dict(mu_mode="fixed", mu=[0.5, 0.5], alpha=np.nan),
-                dict(mu_mode="fixed", mu=[0.5, 0.5], n_components=0),
-                dict(mu_mode="fixed", mu=[0.5, 0.5], strength=np.nan),
-                dict(mu_mode="fixed", mu=[0.5, 0.5], strength=100.0)):
+    for bad in (dict(mu=[0.5, np.nan]),
+                dict(mu=[0.5, 2.0]),
+                dict(mu=[0.5, 0.5], strength=np.nan),
+                dict(mu=[0.5, 0.5], strength=1.5),
+                dict(mu=[0.5, 0.5], alpha=np.nan),
+                dict(mu=[0.5, 0.5], n_components=0)):
         with pytest.raises(ConfigurationError):
             ModelSpec(family="mm-cptv", **bad)
-    ModelSpec(family="mm-cptv", n_components=2, mu_mode="learn",
-              mu=np.full(5, 0.2), strength=100.0)
+    ModelSpec(family="mm-cptv", n_components=2, mu=np.full(5, 0.2))
+    ModelSpec(family="mm-cptv", n_components=2, mu=np.full(5, 0.2),
+              strength=100.0)
 
 
 def test_run_protocol_report_structure(small_split):
     split, truth = small_split
     specs = [ModelSpec(family="constant"),
              ModelSpec(family="mm-none", n_components=2),
-             ModelSpec(family="mm-cptv", n_components=2, mu_mode="fixed",
-                       mu=truth.mu)]
+             ModelSpec(family="mm-cptv", n_components=2, mu=truth.mu)]
     config = ProtocolConfig(max_iters=40, rel_tol=1e-5, seeds=(0, 1))
     rows = run_protocol(split, specs, config)
     assert len(rows) == 3 * (2 + 1)
@@ -98,8 +93,7 @@ def test_run_protocol_rejects_bad_settings_before_fitting(small_split):
 
 def test_run_protocol_deterministic(small_split):
     split, truth = small_split
-    specs = [ModelSpec(family="mm-cptv", n_components=2, mu_mode="fixed",
-                       mu=truth.mu)]
+    specs = [ModelSpec(family="mm-cptv", n_components=2, mu=truth.mu)]
     config = ProtocolConfig(max_iters=30, seeds=(0, 1))
     a = run_protocol(split, specs, config)
     b = run_protocol(split, specs, config)
