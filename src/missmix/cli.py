@@ -126,7 +126,8 @@ def _cmd_generate(args) -> None:
 
 
 def _check_mu_flags(args, families) -> None:
-    """--mu-mode learn and -S go together, and only with an mm-cptv model."""
+    """--mu-mode learn and -S go together, and they, --mu and --mu-scale
+    only with an mm-cptv model."""
     learn = args.mu_mode == "learn"
     if learn and args.strength is None:
         raise ConfigurationError("learn mode needs a prior strength")
@@ -134,13 +135,17 @@ def _check_mu_flags(args, families) -> None:
         raise ConfigurationError("a prior strength needs mu_mode 'learn', not 'fixed'")
     if learn and "mm-cptv" not in families:
         raise ConfigurationError("--mu-mode learn and -S need an mm-cptv model")
+    given = args.mu is not None or args.mu_scale is not None
+    if given and "mm-cptv" not in families:
+        raise ConfigurationError("--mu and --mu-scale need an mm-cptv model")
 
 
 def _model_spec(args, family: str, n_components: int,
                 n_values: int) -> ModelSpec:
     """The spec of one model the train/evaluate flags describe."""
     cptv = family == "mm-cptv"
-    mu = (_parse_mu(args.mu, n_values) * args.mu_scale
+    scale = 1.0 if args.mu_scale is None else args.mu_scale
+    mu = (_parse_mu(args.mu, n_values) * scale
           if cptv and args.mu is not None else None)
     return ModelSpec(family=family, n_components=n_components,
                      alpha=args.alpha, phi=args.phi, mu=mu,
@@ -258,7 +263,7 @@ def _add_fit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", default=None,
                    help="observation probabilities (preset or csv);"
                         " the prior mean in learn mode")
-    p.add_argument("--mu-scale", type=float, default=1.0)
+    p.add_argument("--mu-scale", type=float, default=None)
     p.add_argument("-S", "--strength", type=float, default=None,
                    help="prior pseudo-count budget in learn mode")
     p.add_argument("--alpha", type=float, default=2.0,

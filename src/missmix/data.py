@@ -50,13 +50,16 @@ class RatingDataset:
     def from_arrays(cls, n_users, n_items, n_values, users, items,
                     values) -> "RatingDataset":
         """Build a dataset from triple arrays in any order."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
+        users = np.array(users, dtype=np.int64)
+        items = np.array(items, dtype=np.int64)
+        values = np.array(values, dtype=np.int64)
         if not (users.shape == items.shape == values.shape):
             raise DataValidationError("users/items/values arrays differ in length")
-        order = np.lexsort((items, users))
-        users, items, values = users[order], items[order], values[order]
+        # The stable lexsort is the identity exactly on pairs already in order.
+        step = np.diff(users)
+        if ((step < 0) | (step == 0) & (np.diff(items) < 0)).any():
+            order = np.lexsort((items, users))
+            users, items, values = users[order], items[order], values[order]
         return cls(int(n_users), int(n_items), int(n_values), users, items, values)
 
     def __post_init__(self):
@@ -175,13 +178,30 @@ def _range_violations(dataset: RatingDataset) -> list[str]:
     return out[:_RANGE_EXAMPLES] + ([f"and {rest} more"] if rest > 0 else [])
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; ParseError if it is not UTF-8."""
+def read_text(path) -> str:
+    """The text of a UTF-8 file; ParseError if it is not UTF-8."""
     with open(path, "rb") as fh:
         try:
-            return fh.read().decode("utf-8").splitlines()
+            return fh.read().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def _plain_width(text: str) -> int:
+    """The row width of ``text`` if it is a plain ratings file, else 0."""
+    head = text.find("\n") + 1
+    if not (head < len(text) and text.endswith("\n") and text.isascii()
+            and text[:head - 1].isprintable()):
+        return 0
+    body = np.frombuffer(text.encode(), np.uint8, offset=head)
+    ends = np.flatnonzero((body < ord("0")) | (body > ord("9")))
+    seps = body[ends]
+    width = int(np.argmax(seps == ord("\n"))) + 1
+    if not 2 <= width <= 3 or len(seps) % width or (
+            seps.reshape(-1, width) != list(b",,"[:width - 1] + b"\n")).any():
+        return 0
+    lengths = np.diff(ends, prepend=-1) - 1
+    return width if 1 <= lengths.min() and lengths.max() <= 18 else 0
 
 
 def read_int_columns(path, n: int) -> tuple[np.ndarray, ...]:
@@ -190,9 +210,19 @@ def read_int_columns(path, n: int) -> tuple[np.ndarray, ...]:
     A header line, then ``user,item[,rating]`` rows of ``n`` to 3 integer
     fields; blank lines are skipped and fields past the n-th are not read.
     ParseError names the line of a row of the wrong width, a non-integer
-    field, a negative user or item, or an integer outside int64.
+    field, a negative user or item, or an integer outside int64. A plain file
+    (a printable ASCII header, then LF-ended rows of the same n to 3 fields
+    of 1 to 18 ASCII digits, so inside int64) is parsed in one numpy pass;
+    any other goes through the line loop, the one source of errors.
     """
-    lines = read_lines(path)
+    text = read_text(path)
+    width = _plain_width(text)
+    if width >= n:
+        # A blank separator matches any run of whitespace, LF included.
+        body = text[text.index("\n") + 1:].replace(",", " ")
+        flat = np.fromstring(body, dtype=np.int64, sep=" ")
+        return tuple(flat.reshape(-1, width)[:, :n].T)
+    lines = text.splitlines()
     if not lines:
         raise ParseError("missing header line", line=1)
     flat = []
@@ -226,9 +256,9 @@ def write_text(path, *parts: str) -> None:
 
 def write_int_csv(path, header: str, *columns) -> None:
     """Write a header line, then one comma-joined row per index of ``columns``."""
-    row = ",".join(["{}"] * len(columns)) + "\n"
-    write_text(path, header + "\n", "".join(
-        map(row.format, *(np.asarray(c).tolist() for c in columns))))
+    flat = np.column_stack(columns).ravel().tolist()
+    row = ",".join(["%d"] * len(columns)) + "\n"
+    write_text(path, header + "\n", row * (len(flat) // len(columns)) % tuple(flat))
 
 
 def format_floats(values) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cptv import CptvParams
-from .data import format_floats, read_lines, write_text
+from .data import format_floats, read_text, write_text
 from .errors import ConfigurationError, ParseError
 from .mixture import MixtureParams
 
@@ -93,7 +93,7 @@ def _smoothing(fields, key, v1_size):
 def load_model(path) -> LoadedModel:
     """Read a model file written by `save_model`."""
     fields = {}
-    for line_no, line in enumerate(read_lines(path), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

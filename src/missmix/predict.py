@@ -16,6 +16,9 @@ from .data import RatingDataset
 from .errors import EvaluationError
 from .mixture import MixtureParams, e_step_mar
 
+# Pairs per einsum call, so its V x pairs x K operand stays a few MB.
+PAIR_BLOCK = 2**14
+
 
 def posterior_z(params: MixtureParams, dataset: RatingDataset,
                 cptv: CptvParams | None = None) -> np.ndarray:
@@ -39,7 +42,12 @@ def predictive_distribution(params: MixtureParams, q: np.ndarray,
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    return np.einsum("vnk,nk->nv", params.beta[:, items, :], q[users])
+    out = np.empty((len(users), params.beta.shape[0]))
+    for start in range(0, len(users), PAIR_BLOCK):
+        rows = slice(start, start + PAIR_BLOCK)
+        np.einsum("vnk,nk->nv", params.beta[:, items[rows], :], q[users[rows]],
+                  out=out[rows])
+    return out
 
 
 def predict_median(dist: np.ndarray) -> np.ndarray:

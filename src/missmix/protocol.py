@@ -56,7 +56,7 @@ class ModelSpec:
         if self.family == "mm-cptv":
             if self.mu is None:
                 raise ConfigurationError(
-                    "mm-cptv needs mu_mode 'fixed' or 'learn' and a mu vector")
+                    "mm-cptv needs a mu vector (--mu)")
             if self.strength is None:
                 CptvParams(self.mu)
             else:

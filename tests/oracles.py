@@ -142,14 +142,15 @@ def expected_complete_objective(theta, beta, q, dataset, alpha, phi,
     return float(total)
 
 
-def parse_ratings_rows(raw):
-    """The ``(line, user, item, rating)`` rows of a ratings CSV given as bytes.
+def parse_ratings_rows(raw, n=3):
+    """The ``(line, user, item[, rating])`` rows of a ratings CSV given as bytes.
 
     A line-by-line reading of the ratings grammar: one header line, then
-    ``user,item,rating`` rows of three integer fields with user and item
-    >= 0; blank lines are skipped. Raises ParseError, with the line
-    number, at the first row that breaks it. Fields are Python ints, so
-    values outside int64 come back as they are.
+    rows of ``n`` to 3 comma-separated fields, of which the first ``n``
+    are integers read here, with user and item >= 0; blank lines are
+    skipped. Raises ParseError, with the line number, at the first row
+    that breaks it. Fields are Python ints, so values outside int64 come
+    back as they are.
     """
     try:
         lines = raw.decode("utf-8").splitlines()
@@ -157,18 +158,20 @@ def parse_ratings_rows(raw):
         raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     if not lines:
         raise ParseError("missing header line", line=1)
+    widths = "3" if n == 3 else f"{n} to 3"
     rows = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", line=ln)
+        if not n <= len(parts) <= 3:
+            raise ParseError(f"expected {widths} comma-separated fields, got {len(parts)}",
+                             line=ln)
         try:
-            u, m, v = (int(p) for p in parts)
+            fields = [int(p) for p in parts[:n]]
         except ValueError:
             raise ParseError(f"non-integer field in {line!r}", line=ln) from None
-        if u < 0 or m < 0:
+        if fields[0] < 0 or fields[1] < 0:
             raise ParseError(f"negative id in {line!r}", line=ln)
-        rows.append((ln, u, m, v))
+        rows.append((ln, *fields))
     return rows

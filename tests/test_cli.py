@@ -270,6 +270,35 @@ def test_mu_flags_need_each_other_and_an_mm_cptv_model(study, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_mu_flags_need_an_mm_cptv_model_and_mm_cptv_needs_mu(study, tmp_path, capsys):
+    train = ["train", study + ".train.csv", "-K", "2", "--max-iters", "3",
+             "--out", str(tmp_path / "m.model")]
+    evaluate = ["evaluate", study + ".train.csv", study + ".test.csv", "-K", "1",
+                "--seeds", "0", "--max-iters", "3", "--out", str(tmp_path / "r.csv")]
+    # the first four exited 0, ignoring --mu and --mu-scale
+    for argv, message in (
+            (train + ["--model", "mm-none", "--mu", "0.5,nan", "--mu-scale", "7"],
+             "--mu and --mu-scale need an mm-cptv model"),
+            (train + ["--model", "mm-none", "--mu", "yahoo"],
+             "--mu and --mu-scale need an mm-cptv model"),
+            (train + ["--model", "mm-none", "--mu-scale", "1"],
+             "--mu and --mu-scale need an mm-cptv model"),
+            (evaluate + ["--families", "mm-none,constant", "--mu", "yahoo"],
+             "--mu and --mu-scale need an mm-cptv model"),
+            (train + ["--model", "mm-cptv"], "mm-cptv needs a mu vector (--mu)"),
+            (train + ["--model", "mm-cptv", "--mu-scale", "4"],
+             "mm-cptv needs a mu vector (--mu)")):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+    # without --mu-scale, --mu is taken as given
+    cptv = train + ["--model", "mm-cptv", "--mu", "0.1,0.2,0.3,0.4,0.5"]
+    assert main(cptv) == 0
+    first = (tmp_path / "m.model").read_bytes()
+    assert main(cptv + ["--mu-scale", "1"]) == 0
+    assert (tmp_path / "m.model").read_bytes() == first
+
+
 def test_size_flags_stop_before_any_table_is_allocated(study, tmp_path, capsys,
                                                        monkeypatch):
     train = ["train", study + ".train.csv", "--model", "mm-none", "--max-iters", "1",

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from missmix import analysis
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
                           min_ratings_filter, read_int_columns, remap_users,
-                          save_csv)
+                          save_csv, write_int_csv)
 from missmix.errors import (ConfigurationError, DataValidationError,
                             MissmixError, ParseError)
 from oracles import parse_ratings_rows
@@ -136,6 +137,23 @@ def test_a_range_error_names_a_few_entries_and_counts_the_rest():
     with pytest.raises(DataValidationError) as info:
         RatingDataset.from_arrays(1, 1, 5, [0], [0], [6])
     assert str(info.value) == "rating 6 out of range [1, 5] at (user=0, item=0)"
+
+
+def test_from_arrays_orders_pairs_not_keys():
+    # (1, 2) then (0, 5) at M = 2: the keys 4, 5 increase, but the pairs do
+    # not, and the range error names the bad items in (user, item) order
+    with pytest.raises(DataValidationError) as info:
+        RatingDataset.from_arrays(2, 2, 5, [1, 0], [0, 3], [1, 1])
+    assert str(info.value) == "item index 3 out of range [0, 2)"
+    with pytest.raises(DataValidationError) as info:
+        RatingDataset.from_arrays(2, 2, 5, [1, 0], [2, 5], [1, 1])
+    assert str(info.value) == ("item index 5 out of range [0, 2);"
+                               " item index 2 out of range [0, 2)")
+    # sorted input is not re-sorted, yet the dataset still owns its arrays
+    users = np.array([0, 1])
+    ds = RatingDataset.from_arrays(2, 2, 5, users, [0, 1], [1, 2])
+    users[0] = 1
+    assert ds.users.tolist() == [0, 1]
 
 
 def _from_triples(dims, triples):
@@ -376,6 +394,91 @@ def test_ratings_reader_matches_the_line_by_line_oracle(tmp_path_factory, raw):
     columns = [[row[k] for row in rows] for k in (1, 2, 3)]
     assert [c.tolist() for c in read_int_columns(path, 3)] == columns
     assert [c.tolist() for c in read_int_columns(path, 2)] == columns[:2]
+
+
+def _expect_oracle_reading(path, raw, n):
+    """``read_int_columns(path, n)`` gives the oracle's rows or its error."""
+    try:
+        rows = parse_ratings_rows(raw, n)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            read_int_columns(path, n)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        return
+    wide = [row[0] for row in rows if not all(-2**63 <= f < 2**63 for f in row[1:])]
+    if wide:
+        with pytest.raises(ParseError, match=f"^line {wide[0]}: integer out of int64"):
+            read_int_columns(path, n)
+        return
+    columns = [[row[k] for row in rows] for k in range(1, n + 1)]
+    assert [c.tolist() for c in read_int_columns(path, n)] == columns
+
+
+# Single bytes a mutation writes into a plain file: each separator, a sign,
+# a space, a digit, a letter, a byte that is not UTF-8 and two that split
+# lines for str.splitlines but not for the fast path.
+_MUTANT_BYTES = [b"", b"\n", b"\r", b",", b"-", b"+", b" ", b"0", b"x", b"\xff",
+                 b"\x0b", b"\x1e"]
+
+
+@st.composite
+def _plain_files(draw):
+    """A plain ratings file (a printable ASCII header, then LF-ended rows of
+    2 or 3 fields of 1 to 18 digits, leading zeros allowed) and its row
+    width, or the file after one byte was replaced, inserted or deleted,
+    and 0."""
+    header = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                          max_size=12))
+    width = draw(st.integers(2, 3))
+    fields = st.lists(st.text("0123456789", min_size=1, max_size=18),
+                      min_size=width, max_size=width)
+    rows = draw(st.lists(fields, min_size=1, max_size=6))
+    raw = (header + "\n" + "".join(",".join(row) + "\n" for row in rows)).encode()
+    if not draw(st.booleans()):
+        return raw, width
+    at = draw(st.integers(0, len(raw) - 1))
+    byte = draw(st.sampled_from(_MUTANT_BYTES)
+                | st.integers(0, 255).map(lambda b: bytes([b])))
+    return raw[:at] + byte + raw[at + draw(st.integers(0, 1)):], 0
+
+
+@given(_plain_files())
+@example((b"h\n1,2,3\n\n4,5,6\n", 0))           # a blank line
+@example((b"h\r\n1,2,3\r\n", 0))                # CRLF
+@example((b"h\n+1,2,3\n", 0))                   # a sign
+@example((b"h\n1,-2,3\n", 0))
+@example((b"h\n1, 2,3\n", 0))                   # a space
+@example(("h\n1,\u0662,3\n".encode(), 0))       # a non-ASCII digit
+@example((b"h\n1234567890123456789,2,3\n", 0))  # 19 digits inside int64
+@example((b"h\n0000000000000000001,2,3\n", 0))
+@example((b"h\n9999999999999999999,2,3\n", 0))  # 19 digits past it
+@example((b"h\n1,2,3", 0))                       # no final LF
+@example((b"h\n", 0))                            # a header only
+@example((b"h\n1,2\n3,4,5\n", 0))               # mixed widths
+@example((b"h\n1,,3\n", 0))                     # an empty field
+@example((b"h\x0bx\n1,2,3\n", 0))                # a header str.splitlines splits
+def test_plain_files_take_the_fast_path_and_read_as_the_oracle(tmp_path_factory, case):
+    raw, width = case
+    path = _write_bytes(tmp_path_factory, raw)
+    for n in (2, 3):
+        # the fast path's one numpy call runs, and returns before the loop
+        with mock.patch.object(np, "fromstring", wraps=np.fromstring) as fast:
+            _expect_oracle_reading(path, raw, n)
+        if width >= n:
+            assert fast.called
+
+
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=k, max_size=k), max_size=8))))
+@example((3, []))
+def test_write_int_csv_writes_what_the_per_row_format_wrote(tmp_path_factory, case):
+    k, rows = case
+    columns = np.array(rows, dtype=np.int64).reshape(-1, k).T
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    write_int_csv(path, "a,b,c", *columns)
+    row = ",".join(["{}"] * k) + "\n"
+    expected = "a,b,c\n" + "".join(map(row.format, *(c.tolist() for c in columns)))
+    assert path.read_bytes() == expected.encode()
 
 
 @given(st.data())

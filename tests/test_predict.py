@@ -5,8 +5,8 @@ from missmix.cptv import CptvParams, e_step_nmar
 from missmix.data import RatingDataset
 from missmix.errors import EvaluationError
 from missmix.mixture import FitConfig, MixtureParams, e_step_mar, init_params
-from missmix.predict import (empirical_median_value, mae, posterior_z,
-                             predict_median, predictive_distribution)
+from missmix.predict import (PAIR_BLOCK, empirical_median_value, mae,
+                             posterior_z, predict_median, predictive_distribution)
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 
 
@@ -26,6 +26,16 @@ def test_predictive_distribution_mixes_components():
     q = np.array([[0.25, 0.75]])
     dist = predictive_distribution(params, q, [0], [0])
     np.testing.assert_allclose(dist, [[0.25, 0.75]], atol=1e-15)
+
+
+def test_predictive_distribution_in_blocks_equals_one_einsum():
+    params = init_params(9, 5, FitConfig(n_components=4, seed=3))
+    rng = np.random.default_rng(1)
+    q = rng.dirichlet(np.ones(4), size=40)
+    n = 2 * PAIR_BLOCK + 77
+    users, items = rng.integers(0, 40, n), rng.integers(0, 9, n)
+    whole = np.einsum("vnk,nk->nv", params.beta[:, items, :], q[users])
+    assert predictive_distribution(params, q, users, items).tobytes() == whole.tobytes()
 
 
 def test_predictive_distribution_rows_sum_to_one():
