@@ -69,8 +69,10 @@ class SklReport:
 
 
 def skl_report(a: RatingDataset, b: RatingDataset) -> SklReport:
-    """Itemwise symmetrised divergence between two datasets over the
-    same items and values; EvaluationError otherwise."""
+    """Itemwise symmetrised divergence between two datasets over the same
+    items and values, at least one of each; EvaluationError otherwise."""
+    if 0 in (a.n_items, a.n_values, b.n_items, b.n_values):
+        raise EvaluationError("no items or no rating values to compare")
     per_item = skl(item_marginals(a), item_marginals(b))
     return SklReport(per_item=per_item, median=float(np.median(per_item)),
                      mean=float(per_item.mean()))

@@ -18,14 +18,15 @@ import sys
 import numpy as np
 
 from . import analysis, modelio
-from .cptv import CptvParams, YAHOO_MU, estimate_mu_heldout
+from .cptv import (CptvParams, YAHOO_MU, estimate_mu_heldout,
+                   missing_value_attribution)
 from .data import (RatingDataset, SplitPair, format_floats, load_csv,
                    read_int_columns, save_csv, write_int_csv, write_text)
 from .errors import (IO_EXIT_CODE, ConfigurationError, DataValidationError,
                      MissmixError)
+from .mixture import FitConfig
 from .predict import posterior_z, predict_median, predictive_distribution
-from .protocol import (ModelSpec, ProtocolConfig, fit_spec, run_protocol,
-                       write_report)
+from .protocol import ModelSpec, fit_spec, run_protocol, write_report
 from .synthetic import build_study_dataset, sample_ground_truth
 
 _MU_PRESETS = {"yahoo": YAHOO_MU}
@@ -147,8 +148,10 @@ def _model_spec(args, family: str, n_components: int,
     scale = 1.0 if args.mu_scale is None else args.mu_scale
     mu = (_parse_mu(args.mu, n_values) * scale
           if cptv and args.mu is not None else None)
-    return ModelSpec(family=family, n_components=n_components,
-                     alpha=args.alpha, phi=args.phi, mu=mu,
+    config = FitConfig(n_components, alpha=args.alpha, phi=args.phi,
+                       max_iters=args.max_iters, rel_tol=args.tol,
+                       seed=getattr(args, "seed", FitConfig.seed))  # evaluate has --seeds
+    return ModelSpec(family=family, config=config, mu=mu,
                      strength=args.strength if cptv else None)
 
 
@@ -158,7 +161,7 @@ def _cmd_train(args) -> None:
     spec = _model_spec(args, args.model, args.components, data.n_values)
     _check_dense_cells("train", data.n_users, data.n_items, data.n_values,
                        args.components)
-    result = fit_spec(data, spec, args.max_iters, args.tol, args.seed)
+    result = fit_spec(data, spec)
     modelio.save_model(args.out, result.params, cptv=result.cptv,
                        mu_mode=args.mu_mode)
     write_text(args.out + ".trace.csv", "iteration,log_posterior\n", *(
@@ -169,9 +172,9 @@ def _cmd_train(args) -> None:
           f" log_posterior {format_floats(result.log_posterior_trace[-1])}")
     if result.cptv is not None:
         print("mu " + format_floats(result.cptv.mu))
-    if result.missing_value_attribution is not None:
-        print("missing_value_attribution "
-              + format_floats(result.missing_value_attribution))
+        attribution = missing_value_attribution(result.params, result.cptv, data, result.q)
+        if attribution is not None:
+            print("missing_value_attribution " + format_floats(attribution))
 
 
 def _cmd_predict(args) -> None:
@@ -203,17 +206,16 @@ def _cmd_evaluate(args) -> None:
     _check_mu_flags(args, families)
     specs = []
     for family in families:
-        if family == "constant":
-            specs.append(ModelSpec(family="constant"))
-            continue
-        specs += [_model_spec(args, family, K, split.train.n_values)
-                  for K in _parse_int_list(args.components)]
+        specs += ([ModelSpec(family="constant")] if family == "constant" else
+                  [_model_spec(args, family, K, split.train.n_values)
+                   for K in _parse_int_list(args.components)])
     _check_dense_cells("evaluate", split.train.n_users, split.train.n_items,
                        split.train.n_values,
-                       max(spec.n_components for spec in specs))
-    config = ProtocolConfig(max_iters=args.max_iters, rel_tol=args.tol,
-                            seeds=tuple(_parse_int_list(args.seeds)))
-    rows = run_protocol(split, specs, config)
+                       max((s.config.n_components for s in specs if s.config),
+                           default=1))
+    seeds = _parse_int_list(args.seeds)
+    FitConfig(1, max_iters=args.max_iters, rel_tol=args.tol)  # constant-only grids too
+    rows = run_protocol(split, specs, seeds)
     write_report(args.out, rows)
     print(f"report {args.out} {len(rows)}")
 
@@ -266,13 +268,13 @@ def _add_fit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu-scale", type=float, default=None)
     p.add_argument("-S", "--strength", type=float, default=None,
                    help="prior pseudo-count budget in learn mode")
-    p.add_argument("--alpha", type=float, default=2.0,
+    p.add_argument("--alpha", type=float, default=FitConfig.alpha,
                    help="Dirichlet smoothing on component weights")
-    p.add_argument("--phi", type=float, default=2.0,
+    p.add_argument("--phi", type=float, default=FitConfig.phi,
                    help="Dirichlet smoothing on rating distributions")
-    p.add_argument("--tol", type=float, default=1e-5,
+    p.add_argument("--tol", type=float, default=FitConfig.rel_tol,
                    help="relative objective change that stops EM")
-    p.add_argument("--max-iters", type=int, default=1000)
+    p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
 
 
 def build_parser() -> argparse.ArgumentParser:

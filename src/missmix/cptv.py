@@ -201,8 +201,7 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
     Returns
     -------
     FitResult
-        With cptv (holding the prior's xi1/xi0 when mu was learned) and,
-        when any cell is hidden, the missing-value attribution.
+        With cptv, holding the prior's xi1/xi0 when mu was learned.
     """
     params = init_params(dataset.n_items, dataset.n_values, config)
     learn = strength is not None
@@ -220,9 +219,7 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
         lambda s, log_z: _objective_nmar(*s, log_z),
         config)
     return FitResult(params=params, cptv=cptv, log_posterior_trace=trace,
-                     converged=converged, iterations=len(trace), q=q,
-                     missing_value_attribution=missing_value_attribution(
-                         params, cptv, dataset, q))
+                     converged=converged, iterations=len(trace), q=q)
 
 
 def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,

@@ -263,7 +263,8 @@ def write_int_csv(path, header: str, *columns) -> None:
 
 def format_floats(values) -> str:
     """Space-joined values to 17 significant digits: every float64 reads back exactly."""
-    return " ".join("%.17g" % x for x in np.asarray(values, dtype=float).ravel())
+    flat = np.asarray(values, dtype=float).ravel()
+    return " ".join(["%.17g"] * len(flat)) % tuple(flat.tolist())
 
 
 def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:

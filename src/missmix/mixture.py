@@ -93,9 +93,8 @@ class FitResult:
     trace is non-decreasing up to round-off; q holds the (N, K) component
     responsibilities under the final parameters. With a missingness
     component, `cptv` is set (with xi1/xi0 when mu was learned), and
-    `missing_value_attribution[v-1]` gives the fraction of the hidden
-    entries the fitted model attributes to rating value v (entries sum
-    to 1; None when nothing is hidden).
+    the module function `cptv.missing_value_attribution(params, cptv,
+    dataset, q)` gives the share of the hidden entries it puts on each value.
     """
 
     params: MixtureParams
@@ -104,7 +103,6 @@ class FitResult:
     iterations: int
     q: np.ndarray
     cptv: object = None
-    missing_value_attribution: np.ndarray | None = None
 
 
 def init_params(n_items: int, n_values: int, config: FitConfig) -> MixtureParams:

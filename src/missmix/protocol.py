@@ -11,7 +11,7 @@ with full-precision floats.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,17 +34,15 @@ class ModelSpec:
     """One model configuration to evaluate.
 
     family "mm-none" ignores the response pattern, "mm-cptv" models it,
-    and "constant" predicts the training median everywhere (no fit).
-    mm-cptv holds the observation rates at ``mu`` when ``strength`` is
-    None, and otherwise learns them under a prior with mean ``mu`` and
-    pseudo-count budget ``strength`` (`fit_nmar`). Every setting is
-    checked here, before any fit runs.
+    and "constant" predicts the training median everywhere (no fit, so
+    ``config`` is None exactly for it). mm-cptv holds the observation
+    rates at ``mu`` when ``strength`` is None, and otherwise learns them
+    under a prior with mean ``mu`` and pseudo-count budget ``strength``
+    (`fit_nmar`). Every setting is checked before any fit runs.
     """
 
     family: str
-    n_components: int = 1
-    alpha: float = 2.0
-    phi: float = 2.0
+    config: FitConfig | None = None
     mu: np.ndarray | None = None
     strength: float | None = None
 
@@ -52,41 +50,28 @@ class ModelSpec:
         if self.family not in _FAMILIES:
             raise ConfigurationError(
                 f"family must be one of {_FAMILIES}, got {self.family!r}")
-        FitConfig(self.n_components, alpha=self.alpha, phi=self.phi)
+        if (self.config is None) != (self.family == "constant"):
+            raise ConfigurationError(
+                "mm-none and mm-cptv need a FitConfig; constant takes none")
         if self.family == "mm-cptv":
             if self.mu is None:
-                raise ConfigurationError(
-                    "mm-cptv needs a mu vector (--mu)")
+                raise ConfigurationError("mm-cptv needs a mu vector (--mu)")
             if self.strength is None:
                 CptvParams(self.mu)
             else:
                 build_mu_prior(self.mu, self.strength)
 
 
-@dataclass
-class ProtocolConfig:
-    """Fit settings shared by every model in a run."""
-
-    max_iters: int = 1000
-    rel_tol: float = 1e-5
-    seeds: tuple = field(default_factory=lambda: (0, 1, 2, 3, 4))
-
-
-def fit_spec(train: RatingDataset, spec: ModelSpec, max_iters: int,
-             rel_tol: float, seed: int) -> FitResult:
+def fit_spec(train: RatingDataset, spec: ModelSpec) -> FitResult:
     """Fit the mm-none or mm-cptv model ``spec`` describes to ``train``."""
     if spec.family == "constant":
         raise ConfigurationError("the constant model is not fitted")
-    config = FitConfig(n_components=spec.n_components, alpha=spec.alpha,
-                       phi=spec.phi, max_iters=max_iters, rel_tol=rel_tol,
-                       seed=seed)
     if spec.family == "mm-none":
-        return fit_mar(train, config)
-    return fit_nmar(train, config, spec.mu, spec.strength)
+        return fit_mar(train, spec.config)
+    return fit_nmar(train, spec.config, spec.mu, spec.strength)
 
 
-def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int,
-                   config: ProtocolConfig):
+def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int):
     """Returns (train_mae, test_mae, iterations, converged)."""
     train, test = split.train, split.test
     if spec.family == "constant":
@@ -94,7 +79,7 @@ def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int,
         return (mae(np.full(train.n_obs, value), train.values),
                 mae(np.full(test.n_obs, value), test.values), 0, True)
 
-    result = fit_spec(train, spec, config.max_iters, config.rel_tol, seed)
+    result = fit_spec(train, replace(spec, config=replace(spec.config, seed=seed)))
     train_pred = predict_median(predictive_distribution(
         result.params, result.q, train.users, train.items))
     test_pred = predict_median(predictive_distribution(
@@ -108,33 +93,32 @@ def _label_cells(spec: ModelSpec) -> dict:
     row = {c: "" for c in REPORT_COLUMNS}
     row["model"] = spec.family
     if spec.family != "constant":
-        row["K"] = spec.n_components
+        row["K"] = spec.config.n_components
     if spec.family == "mm-cptv":
         row["mu_mode"] = "fixed" if spec.strength is None else "learn"
         row["S"] = "" if spec.strength is None else spec.strength
     return row
 
 
-def run_protocol(split: SplitPair, specs, config: ProtocolConfig | None = None):
-    """Fit and score every spec under every seed.
+def run_protocol(split: SplitPair, specs, seeds):
+    """Fit and score every spec under every seed, in place of its config's.
 
     Returns a list of dict rows in REPORT_COLUMNS order: per-seed rows
     first for each model (agg 0), then its aggregate row (agg 1) with
     across-seed means and standard errors. Bad settings raise up front;
     a failed fit leaves its error cells empty, outside the aggregate.
     """
-    config = config or ProtocolConfig()
-    for seed in config.seeds:
-        FitConfig(1, max_iters=config.max_iters, rel_tol=config.rel_tol, seed=seed)
+    for seed in seeds:
+        FitConfig(1, seed=seed)
 
     rows = []
     for spec in specs:
         per_seed = []
-        for seed in config.seeds:
+        for seed in seeds:
             row = _label_cells(spec)
             row.update(seed=seed, agg=0)
             try:
-                tr, te, iters, conv = _fit_and_score(split, spec, seed, config)
+                tr, te, iters, conv = _fit_and_score(split, spec, seed)
             except MissmixError as exc:
                 warnings.warn(f"{spec.family} seed {seed} failed: {exc}",
                               stacklevel=2)

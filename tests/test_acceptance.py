@@ -16,9 +16,9 @@ from scipy import stats
 
 import missmix as mx
 from missmix.cli import main
-from missmix.cptv import log_evidence_nmar
+from missmix.cptv import log_evidence_nmar, missing_value_attribution
 from missmix.mixture import FitConfig
-from missmix.protocol import ModelSpec, ProtocolConfig, run_protocol
+from missmix.protocol import ModelSpec, run_protocol
 from oracles import brute_force_user_evidence
 
 
@@ -153,12 +153,11 @@ def test_05_protocol_gap_on_skewed_study(capsys):
     truth = mx.sample_ground_truth(2000, 100, 5, 5, mx.YAHOO_MU * 4, seed=101)
     split, _ = mx.build_study_dataset(truth, seed=202, per_user_test=10,
                                       min_train=10)
-    specs = [ModelSpec(family="mm-none", n_components=K)
-             for K in (1, 2, 5, 10)]
-    specs += [ModelSpec(family="mm-cptv", n_components=K, mu=truth.mu)
-              for K in (1, 2, 5, 10)]
-    config = ProtocolConfig(max_iters=300, rel_tol=1e-5, seeds=(0, 1, 2, 3, 4))
-    rows = run_protocol(split, specs, config)
+    configs = [FitConfig(K, max_iters=300, rel_tol=1e-5) for K in (1, 2, 5, 10)]
+    specs = [ModelSpec(family="mm-none", config=config) for config in configs]
+    specs += [ModelSpec(family="mm-cptv", config=config, mu=truth.mu)
+              for config in configs]
+    rows = run_protocol(split, specs, (0, 1, 2, 3, 4))
     aggs = [r for r in rows if r["agg"] == 1]
     assert all(r["test_mae_se"] != "" for r in aggs)
     none_row = min((r for r in aggs if r["model"] == "mm-none"),
@@ -308,7 +307,8 @@ def test_09_learned_attribution_is_a_distribution(capsys):
     result = mx.fit_nmar(split.train,
                          FitConfig(n_components=3, seed=9, max_iters=200),
                          mu_hat, strength=200.0)
-    attr = result.missing_value_attribution
+    attr = missing_value_attribution(result.params, result.cptv, split.train,
+                                     result.q)
     gap = abs(float(attr.sum()) - 1.0)
     ok = (result.cptv.xi1 is not None and attr is not None
           and attr.shape == (5,) and gap <= 1e-6 and (attr >= 0).all())

@@ -92,6 +92,33 @@ def test_evaluate_writes_report(study, tmp_path):
     assert len(agg) == 5
 
 
+def test_evaluate_of_constant_models_alone_writes_its_report(study, tmp_path):
+    # no fitted family, so no K sizes the dense-table check
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", study + ".train.csv", study + ".test.csv",
+                 "--families", "constant", "--seeds", "0,1",
+                 "--out", str(report)]) == 0
+    lines = report.read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["constant"] * 3
+    # the stopping flags and the seeds are still checked
+    for flags in (["--tol", "nan"], ["--max-iters", "0"], ["--seeds", "0,-1"]):
+        assert main(["evaluate", study + ".train.csv", study + ".test.csv",
+                     "--families", "constant", "--out", str(tmp_path / "r.csv"),
+                     *flags]) == 3, flags
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_analyze_compare_without_items_or_values_is_an_evaluation_error(
+        tmp_path, capsys):
+    empty = tmp_path / "e.csv"
+    empty.write_text("user,item,rating\n", encoding="utf-8")
+    for dims in (["--dims", "0,0,5"], []):
+        assert main(["analyze", str(empty), "--compare", str(empty), *dims]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: no items or no rating values to compare\n"
+
+
 def test_analyze_report(study, tmp_path):
     out = str(tmp_path / "analysis.txt")
     rc = main(["analyze", study + ".train.csv", "--compare", study + ".test.csv",

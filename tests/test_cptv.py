@@ -230,7 +230,7 @@ def test_attribution_sums_to_one_and_none_when_complete():
     ds = apply_cptv_missingness(truth, seed=3)
     cfg = FitConfig(n_components=2, seed=0, max_iters=60)
     result = fit_nmar(ds, cfg, truth.mu)
-    attr = result.missing_value_attribution
+    attr = missing_value_attribution(result.params, result.cptv, ds, result.q)
     assert attr is not None and attr.shape == (3,)
     assert attr.sum() == pytest.approx(1.0, abs=1e-12)
     assert (attr >= 0).all()
@@ -238,7 +238,7 @@ def test_attribution_sums_to_one_and_none_when_complete():
     complete = apply_cptv_missingness(truth, seed=4, mu=np.ones(3))
     assert complete.n_obs == 50 * 8
     r2 = fit_nmar(complete, cfg, np.full(3, 0.5))
-    assert r2.missing_value_attribution is None
+    assert missing_value_attribution(r2.params, r2.cptv, complete, r2.q) is None
 
 
 def test_fully_observed_fixed_mu_matches_value_blind_fit():

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from missmix import analysis
+from missmix import analysis, protocol
+from missmix.cli import build_parser
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
                           min_ratings_filter, read_int_columns, remap_users,
                           save_csv, write_int_csv)
 from missmix.errors import (ConfigurationError, DataValidationError,
                             MissmixError, ParseError)
+from missmix.mixture import FitConfig
 from oracles import parse_ratings_rows
 
 
@@ -504,6 +506,16 @@ def test_format_floats_reads_back_bit_for_bit(values):
     assert back.view(np.int64).tolist() == arr.view(np.int64).tolist()
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+@example([5e-324, -0.0, 0.1, 1.7976931348623157e308, -2.2250738585072014e-308])
+@example([0.0, 1 / 3])
+@example([])
+def test_format_floats_is_the_per_value_17_digit_format(values):
+    arr = np.array(values, dtype=np.float64)
+    assert format_floats(arr) == " ".join("%.17g" % x for x in arr)
+    assert format_floats(arr.reshape(1, -1)) == format_floats(arr)
+
+
 def _holders(pattern):
     src = Path(__file__).resolve().parents[1] / "src" / "missmix"
     return [p.name for p in sorted(src.glob("*.py"))
@@ -527,3 +539,17 @@ def test_shared_formulas_and_policies_have_one_home_each():
     assert _holders(r"def _check_dense_cells") == ["cli.py"]
     assert re.findall(r"np\.log2", inspect.getsource(analysis)) == ["np.log2"]
     assert "np.log2" in inspect.getsource(analysis.skl)
+    # fit settings and their defaults live in mixture.FitConfig alone; the
+    # fit flags of train and evaluate default to its fields
+    assert _holders(r"class \w*Config\b") == ["mixture.py"]
+    assert _holders(r"ProtocolConfig") == []
+    assert _holders(r"default=(2\.0|1000|1e-0?5)\b") == []
+    assert [f.name for f in dataclasses.fields(protocol.ModelSpec)] == [
+        "family", "config", "mu", "strength"]
+    defaults = {f.name: f.default for f in dataclasses.fields(FitConfig)}
+    for argv in (["train", "r.csv", "--model", "mm-none", "-K", "1", "--out", "m"],
+                 ["evaluate", "r.csv", "t.csv", "--out", "r"]):
+        parsed = vars(build_parser().parse_args(argv))
+        for dest, field in (("alpha", "alpha"), ("phi", "phi"),
+                            ("tol", "rel_tol"), ("max_iters", "max_iters")):
+            assert parsed[dest] == defaults[field], (argv[0], dest)

@@ -1,12 +1,15 @@
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from missmix.cptv import YAHOO_MU
 from missmix.data import RatingDataset, SplitPair
 from missmix.errors import ConfigurationError, DataValidationError
-from missmix.protocol import (ModelSpec, ProtocolConfig, REPORT_COLUMNS,
-                              format_cell, run_protocol, write_report)
+from missmix.mixture import FitConfig
+from missmix.protocol import (ModelSpec, REPORT_COLUMNS, format_cell,
+                              run_protocol, write_report)
 from missmix.synthetic import build_study_dataset, sample_ground_truth
 
 
@@ -21,28 +24,35 @@ def test_model_spec_validation():
     with pytest.raises(ConfigurationError):
         ModelSpec(family="nonsense")
     with pytest.raises(ConfigurationError):
-        ModelSpec(family="mm-cptv", n_components=2)
-    # mu, its prior and the smoothing are checked before any fit runs
+        ModelSpec(family="mm-cptv", config=FitConfig(2))
+    # mu and its prior are checked before any fit runs
     for bad in (dict(mu=[0.5, np.nan]),
                 dict(mu=[0.5, 2.0]),
                 dict(mu=[0.5, 0.5], strength=np.nan),
-                dict(mu=[0.5, 0.5], strength=1.5),
-                dict(mu=[0.5, 0.5], alpha=np.nan),
-                dict(mu=[0.5, 0.5], n_components=0)):
+                dict(mu=[0.5, 0.5], strength=1.5)):
         with pytest.raises(ConfigurationError):
-            ModelSpec(family="mm-cptv", **bad)
-    ModelSpec(family="mm-cptv", n_components=2, mu=np.full(5, 0.2))
-    ModelSpec(family="mm-cptv", n_components=2, mu=np.full(5, 0.2),
+            ModelSpec(family="mm-cptv", config=FitConfig(2), **bad)
+    ModelSpec(family="mm-cptv", config=FitConfig(2), mu=np.full(5, 0.2))
+    ModelSpec(family="mm-cptv", config=FitConfig(2), mu=np.full(5, 0.2),
               strength=100.0)
+
+
+def test_model_spec_has_a_config_exactly_when_it_is_fitted():
+    for family in ("mm-none", "mm-cptv"):
+        with pytest.raises(ConfigurationError, match="need a FitConfig"):
+            ModelSpec(family=family, mu=np.full(5, 0.2))
+    with pytest.raises(ConfigurationError, match="constant takes none"):
+        ModelSpec(family="constant", config=FitConfig(2))
+    ModelSpec(family="constant")
 
 
 def test_run_protocol_report_structure(small_split):
     split, truth = small_split
+    config = FitConfig(2, max_iters=40, rel_tol=1e-5)
     specs = [ModelSpec(family="constant"),
-             ModelSpec(family="mm-none", n_components=2),
-             ModelSpec(family="mm-cptv", n_components=2, mu=truth.mu)]
-    config = ProtocolConfig(max_iters=40, rel_tol=1e-5, seeds=(0, 1))
-    rows = run_protocol(split, specs, config)
+             ModelSpec(family="mm-none", config=config),
+             ModelSpec(family="mm-cptv", config=config, mu=truth.mu)]
+    rows = run_protocol(split, specs, (0, 1))
     assert len(rows) == 3 * (2 + 1)
     per_seed = [r for r in rows if r["agg"] == 0]
     aggs = [r for r in rows if r["agg"] == 1]
@@ -66,8 +76,7 @@ def test_run_protocol_report_structure(small_split):
 
 def test_constant_family_uses_train_median(small_split):
     split, _ = small_split
-    rows = run_protocol(split, [ModelSpec(family="constant")],
-                        ProtocolConfig(seeds=(0,)))
+    rows = run_protocol(split, [ModelSpec(family="constant")], (0,))
     counts = np.bincount(split.train.values, minlength=6)[1:]
     median = int(np.argmax(np.cumsum(counts) / counts.sum() >= 0.5)) + 1
     expect = np.abs(split.test.values - median).mean()
@@ -85,18 +94,36 @@ def test_run_protocol_rejects_overlapping_split():
 
 def test_run_protocol_rejects_bad_settings_before_fitting(small_split):
     split, _ = small_split
-    spec = ModelSpec(family="mm-none", n_components=2)
-    for bad in (dict(rel_tol=np.nan), dict(max_iters=0), dict(seeds=(0, -1))):
+    # the stopping settings are checked as the spec's config is built ...
+    for bad in (dict(rel_tol=np.nan), dict(max_iters=0)):
         with pytest.raises(ConfigurationError):
-            run_protocol(split, [spec], ProtocolConfig(**{"seeds": (0,), **bad}))
+            ModelSpec(family="mm-none", config=FitConfig(2, **bad))
+    # ... and every seed before the first fit, constant grids included
+    for spec in (ModelSpec(family="mm-none", config=FitConfig(2)),
+                 ModelSpec(family="constant")):
+        with mock.patch("missmix.protocol._fit_and_score") as fit:
+            with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+                run_protocol(split, [spec], (0, -1))
+        fit.assert_not_called()
+
+
+def test_run_protocol_replaces_the_seed_of_each_config(small_split):
+    split, truth = small_split
+    rows = [run_protocol(split, [ModelSpec(family=family, config=config,
+                                           mu=truth.mu)], (0,))
+            for family in ("mm-none", "mm-cptv")
+            for config in (FitConfig(2, seed=7, max_iters=30),
+                           FitConfig(2, max_iters=30))]
+    assert rows[0] == rows[1] and rows[2] == rows[3]
+    assert rows[0][0]["seed"] == 0
 
 
 def test_run_protocol_deterministic(small_split):
     split, truth = small_split
-    specs = [ModelSpec(family="mm-cptv", n_components=2, mu=truth.mu)]
-    config = ProtocolConfig(max_iters=30, seeds=(0, 1))
-    a = run_protocol(split, specs, config)
-    b = run_protocol(split, specs, config)
+    specs = [ModelSpec(family="mm-cptv", config=FitConfig(2, max_iters=30),
+                       mu=truth.mu)]
+    a = run_protocol(split, specs, (0, 1))
+    b = run_protocol(split, specs, (0, 1))
     assert a == b
 
 
