@@ -62,13 +62,6 @@ def _parse_int_list(text: str):
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_dims(text: str | None):
-    dims = None if text is None else tuple(_parse_int_list(text))
-    if dims is not None and len(dims) != 3:
-        raise ConfigurationError(f"--dims must be N,M,V, got {text!r}")
-    return dims
-
-
 def _check_dense_cells(command: str, n: int, m: int, v: int, k: int = 1) -> None:
     """ConfigurationError if ``command`` on N users, M items, V values and K
     components would allocate a dense table over DENSE_CELL_BUDGET cells.
@@ -91,15 +84,24 @@ def _check_dense_cells(command: str, n: int, m: int, v: int, k: int = 1) -> None
             f" of {cells} cells, over the budget of {DENSE_CELL_BUDGET}")
 
 
-def _load_joint(paths, dims) -> list[RatingDataset]:
-    """Load ratings files on ``dims``, or else on the largest inferred dims."""
+def _load(command: str, paths, dims_text: str | None, k: int = 1,
+          model=None) -> list[RatingDataset]:
+    """The ratings files at ``paths`` on the dims of ``--dims``, or else on the
+    largest dims inferred over them and ``model``'s items and values; checks
+    the dense tables ``command`` allocates with ``k`` components."""
+    dims = None if dims_text is None else tuple(_parse_int_list(dims_text))
+    if dims is not None and len(dims) != 3:
+        raise ConfigurationError(f"--dims must be N,M,V, got {dims_text!r}")
     loaded = [load_csv(path, dims=dims) for path in paths]
+    shapes = [(ds.n_users, ds.n_items, ds.n_values) for ds in loaded]
     if dims is None:
-        joint = [max(getattr(ds, dim) for ds in loaded)
-                 for dim in ("n_users", "n_items", "n_values")]
-        # Sorted, valid triples stay so at dimensions at least as large.
-        loaded = [RatingDataset(*joint, ds.users, ds.items, ds.values)
-                  for ds in loaded]
+        if model is not None:
+            shapes.append((0, model.params.n_items, model.params.n_values))
+        dims = tuple(map(max, zip(*shapes)))
+    # Sorted, valid triples stay so at dimensions at least as large.
+    loaded = [ds if shape == dims else RatingDataset(*dims, ds.users, ds.items, ds.values)
+              for ds, shape in zip(loaded, shapes)]
+    _check_dense_cells(command, *dims, k)
     return loaded
 
 
@@ -141,27 +143,28 @@ def _check_mu_flags(args, families) -> None:
         raise ConfigurationError("--mu and --mu-scale need an mm-cptv model")
 
 
-def _model_spec(args, family: str, n_components: int,
+def _fit_config(args, n_components: int, seed: int) -> FitConfig:
+    """The settings the train/evaluate fit flags give a fit of K components."""
+    return FitConfig(n_components, alpha=args.alpha, phi=args.phi,
+                     max_iters=args.max_iters, rel_tol=args.tol, seed=seed)
+
+
+def _model_spec(args, family: str, config: FitConfig,
                 n_values: int) -> ModelSpec:
     """The spec of one model the train/evaluate flags describe."""
     cptv = family == "mm-cptv"
     scale = 1.0 if args.mu_scale is None else args.mu_scale
     mu = (_parse_mu(args.mu, n_values) * scale
           if cptv and args.mu is not None else None)
-    config = FitConfig(n_components, alpha=args.alpha, phi=args.phi,
-                       max_iters=args.max_iters, rel_tol=args.tol,
-                       seed=getattr(args, "seed", FitConfig.seed))  # evaluate has --seeds
     return ModelSpec(family=family, config=config, mu=mu,
                      strength=args.strength if cptv else None)
 
 
 def _cmd_train(args) -> None:
-    data = load_csv(args.data, dims=_parse_dims(args.dims))
     _check_mu_flags(args, [args.model])
-    spec = _model_spec(args, args.model, args.components, data.n_values)
-    _check_dense_cells("train", data.n_users, data.n_items, data.n_values,
-                       args.components)
-    result = fit_spec(data, spec)
+    config = _fit_config(args, args.components, args.seed)
+    data, = _load("train", [args.data], args.dims, args.components)
+    result = fit_spec(data, _model_spec(args, args.model, config, data.n_values))
     modelio.save_model(args.out, result.params, cptv=result.cptv,
                        mu_mode=args.mu_mode)
     write_text(args.out + ".trace.csv", "iteration,log_posterior\n", *(
@@ -178,15 +181,14 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_predict(args) -> None:
-    data = load_csv(args.data, dims=_parse_dims(args.dims))
     model = modelio.load_model(args.model)
+    data, = _load("predict", [args.data], args.dims,
+                  model.params.n_components, model)
     if model.params.n_items < data.n_items or model.params.n_values != data.n_values:
         raise ConfigurationError(
             f"model covers {model.params.n_items} items and"
             f" {model.params.n_values} values; data has {data.n_items}"
             f" and {data.n_values}")
-    _check_dense_cells("predict", data.n_users, data.n_items, data.n_values,
-                       model.params.n_components)
     users, items = read_int_columns(args.pairs, 2)
     if len(users) == 0:
         raise DataValidationError("no pairs to predict")
@@ -201,20 +203,20 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    split = SplitPair(*_load_joint((args.train, args.test), _parse_dims(args.dims)))
     families = args.families.split(",")
     _check_mu_flags(args, families)
+    # run_protocol sets each fit's seed from --seeds
+    configs = [_fit_config(args, K, FitConfig.seed)
+               for K in _parse_int_list(args.components)]
+    seeds = _parse_int_list(args.seeds)
+    fitted = set(families) != {"constant"}
+    split = SplitPair(*_load("evaluate", (args.train, args.test), args.dims,
+                             max(c.n_components for c in configs) if fitted else 1))
     specs = []
     for family in families:
         specs += ([ModelSpec(family="constant")] if family == "constant" else
-                  [_model_spec(args, family, K, split.train.n_values)
-                   for K in _parse_int_list(args.components)])
-    _check_dense_cells("evaluate", split.train.n_users, split.train.n_items,
-                       split.train.n_values,
-                       max((s.config.n_components for s in specs if s.config),
-                           default=1))
-    seeds = _parse_int_list(args.seeds)
-    FitConfig(1, max_iters=args.max_iters, rel_tol=args.tol)  # constant-only grids too
+                  [_model_spec(args, family, c, split.train.n_values)
+                   for c in configs])
     rows = run_protocol(split, specs, seeds)
     write_report(args.out, rows)
     print(f"report {args.out} {len(rows)}")
@@ -222,8 +224,7 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_analyze(args) -> None:
     paths = (args.data,) if args.compare is None else (args.data, args.compare)
-    a, *compared = _load_joint(paths, _parse_dims(args.dims))
-    _check_dense_cells("analyze", a.n_users, a.n_items, a.n_values)
+    a, *compared = _load("analyze", paths, args.dims)
     lines = [f"# value_histogram {args.data}", "value,count"]
     lines += [f"{v},{c}" for v, c in enumerate(a.value_counts(), start=1)]
     for b in compared:
@@ -247,12 +248,9 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_estimate_mu(args) -> None:
-    train = load_csv(args.train, dims=_parse_dims(args.dims))
-    heldout = load_csv(args.heldout, dims=_parse_dims(args.dims))
-    _check_dense_cells("estimate-mu", train.n_users, train.n_items,
-                       train.n_values)
     if args.exposure <= 0:
         raise ConfigurationError(f"--exposure must be > 0, got {args.exposure}")
+    train, heldout = _load("estimate-mu", (args.train, args.heldout), args.dims)
     mu = estimate_mu_heldout(train, heldout, args.exposure)
     line = "mu " + format_floats(mu)
     if args.out is not None:

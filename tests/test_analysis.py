@@ -83,6 +83,9 @@ def test_skl_report_dimension_mismatch():
     b = RatingDataset.from_arrays(1, 3, 2, [0], [0], [1])
     with pytest.raises(EvaluationError):
         skl_report(a, b)
+    wide = RatingDataset.from_arrays(1, 2, 3, [0], [0], [1])
+    with pytest.raises(EvaluationError, match="share the value range"):
+        paired_difference_histogram(a, wide)
 
 
 def test_paired_difference_histogram():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from missmix import cli
 from missmix.cli import main
-from missmix.data import load_csv
+from missmix.data import load_csv, write_int_csv
 from missmix.mixture import MixtureParams
 from missmix.modelio import load_model, save_model
 from missmix.predict import (mae, posterior_z, predict_median,
@@ -100,8 +100,9 @@ def test_evaluate_of_constant_models_alone_writes_its_report(study, tmp_path):
                  "--out", str(report)]) == 0
     lines = report.read_text().splitlines()
     assert [l.split(",")[0] for l in lines[1:]] == ["constant"] * 3
-    # the stopping flags and the seeds are still checked
-    for flags in (["--tol", "nan"], ["--max-iters", "0"], ["--seeds", "0,-1"]):
+    # every fit flag and the seeds are still checked
+    for flags in (["--tol", "nan"], ["--max-iters", "0"], ["--seeds", "0,-1"],
+                  ["--alpha", "nan"], ["--phi", "0.5"], ["-K", "x"], ["-K", "0"]):
         assert main(["evaluate", study + ".train.csv", study + ".test.csv",
                      "--families", "constant", "--out", str(tmp_path / "r.csv"),
                      *flags]) == 3, flags
@@ -119,7 +120,7 @@ def test_analyze_compare_without_items_or_values_is_an_evaluation_error(
         assert err == "error: no items or no rating values to compare\n"
 
 
-def test_analyze_report(study, tmp_path):
+def test_analyze_report(study, tmp_path, capsys):
     out = str(tmp_path / "analysis.txt")
     rc = main(["analyze", study + ".train.csv", "--compare", study + ".test.csv",
                "--out", out])
@@ -129,6 +130,10 @@ def test_analyze_report(study, tmp_path):
     assert "# skl_bits" in text
     assert "median," in text
     assert "# paired_difference_histogram" in text
+    # without --out the same report goes to stdout
+    capsys.readouterr()
+    assert main(["analyze", study + ".train.csv", "--compare", study + ".test.csv"]) == 0
+    assert capsys.readouterr() == (text, "")
 
 
 def test_estimate_mu_output(study, capsys):
@@ -144,6 +149,87 @@ def test_estimate_mu_output(study, capsys):
     mu = np.array([float(t) for t in out.split()[1:]])
     assert mu.shape == (5,)
     assert ((mu > 0) & (mu < 1)).all()
+
+
+def test_estimate_mu_without_dims_covers_a_probe_that_misses_a_value(tmp_path, capsys):
+    # the self-selected ratings reach 5; the small random probe stops at 4
+    train, probe = tmp_path / "train.csv", tmp_path / "probe.csv"
+    train.write_text("user,item,rating\n" + "".join(
+        f"{u},{m},{1 + (u + m) % 5}\n" for u in range(6) for m in range(5)),
+        encoding="utf-8")
+    probe.write_text("user,item,rating\n" + "".join(
+        f"{u},{m},{1 + u * m % 4}\n" for u in range(6) for m in range(5, 8)),
+        encoding="utf-8")
+    lines = []
+    for dims in ([], ["--dims", "6,8,5"]):
+        assert main(["estimate-mu", str(train), str(probe), "--exposure", "100",
+                     *dims]) == 0, dims
+        out, err = capsys.readouterr()
+        assert out.startswith("mu ") and len(out.split()) == 6 and err == ""
+        lines.append(out)
+    assert lines[0] == lines[1]
+
+
+def test_predict_without_dims_covers_the_models_items_and_values(study, tmp_path):
+    model = str(tmp_path / "m.model")
+    assert main(["train", study + ".train.csv", "--model", "mm-cptv", "-K", "2",
+                 "--mu", "yahoo", "--max-iters", "5", "--out", model]) == 0
+    # conditioning ratings without the top value and the last items
+    train = load_csv(study + ".train.csv")
+    keep = (train.values < train.n_values) & (train.items < train.n_items - 3)
+    cond = tmp_path / "cond.csv"
+    write_int_csv(cond, "user,item,rating", train.users[keep], train.items[keep],
+                  train.values[keep])
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("user,item\n0,0\n1,22\n2,24\n", encoding="utf-8")
+    n_users = int(train.users[keep].max()) + 1
+    dims = f"{n_users},{train.n_items},{train.n_values}"
+    for name, flags in (("inferred.csv", []), ("explicit.csv", ["--dims", dims])):
+        assert main(["predict", str(cond), "--model", model, "--pairs", str(pairs),
+                     "--out", str(tmp_path / name), *flags]) == 0, flags
+    assert (tmp_path / "inferred.csv").read_bytes() == \
+        (tmp_path / "explicit.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def predict_inputs(study, tmp_path_factory):
+    """Uniform one-component models over the study's items and over three,
+    a header-only pairs file and one whose user is past the study's last."""
+    root = tmp_path_factory.mktemp("predict")
+    train = load_csv(study + ".train.csv")
+    V = train.n_values
+    for name, m in (("full", train.n_items), ("small", 3)):
+        save_model(root / f"{name}.model",
+                   MixtureParams(theta=np.ones(1), beta=np.full((V, m, 1), 1.0 / V)))
+    (root / "none.csv").write_text("user,item\n", encoding="utf-8")
+    (root / "user.csv").write_text(f"user,item\n{train.n_users},0\n", encoding="utf-8")
+    return str(root)
+
+
+_PREDICT = ["predict", "{study}.train.csv", "--out", "{out}/p.csv"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["train", "{study}.train.csv", "--model", "mm-cptv", "-K", "1", "--mu", "0.1,x",
+      "--out", "{out}/m.model"], 3,
+     "--mu must be a preset ['yahoo'] or comma-separated floats, got '0.1,x'"),
+    (["evaluate", "{study}.train.csv", "{study}.test.csv", "-K", "1,x",
+      "--out", "{out}/r.csv"], 3, "expected comma-separated integers, got '1,x'"),
+    (["analyze", "{study}.train.csv", "--dims", "1,2"], 3,
+     "--dims must be N,M,V, got '1,2'"),
+    (_PREDICT + ["--model", "{inputs}/small.model", "--pairs", "{study}.test.csv"], 3,
+     "model covers 3 items and 5 values; data has 25 and 5"),
+    (_PREDICT + ["--model", "{inputs}/full.model", "--pairs", "{inputs}/none.csv"], 2,
+     "no pairs to predict"),
+    (_PREDICT + ["--model", "{inputs}/full.model", "--pairs", "{inputs}/user.csv"], 2,
+     "pair user index out of range"),
+])
+def test_bad_input_exits_with_its_code_and_one_error_line(
+        study, predict_inputs, tmp_path, capsys, argv, code, message):
+    fill = dict(study=study, out=tmp_path, inputs=predict_inputs)
+    assert main([a.format(**fill) for a in argv]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_missing_file(tmp_path):

@@ -284,6 +284,9 @@ def test_estimate_mu_input_validation():
     with pytest.raises(ConfigurationError):
         # total exposure below observed count
         estimate_mu_heldout(train, probe, 0.5)
+    wide = RatingDataset.from_arrays(1, 2, 3, [0], [1], [3])
+    with pytest.raises(ConfigurationError, match="disagree on n_values"):
+        estimate_mu_heldout(train, wide, 2)
 
 
 def test_build_mu_prior_hand_case():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from missmix import analysis, protocol
+from missmix import analysis, cli, protocol
 from missmix.cli import build_parser
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
                           min_ratings_filter, read_int_columns, remap_users,
@@ -114,6 +114,8 @@ def test_validate_clean():
 def test_dataset_invariants_checked_at_construction():
     with pytest.raises(DataValidationError, match="dimensions must be >= 0"):
         RatingDataset.from_arrays(-1, 5, 5, [], [], [])
+    with pytest.raises(DataValidationError, match="differ in length"):
+        RatingDataset.from_arrays(2, 2, 5, [0, 1], [0], [1, 2])
     # pair keys are user * n_items + item, so N * M must fit in int64
     with pytest.raises(DataValidationError, match=r"overflow the int64 pair keys"):
         RatingDataset.from_arrays(2**32, 2**31, 5, [], [], [])
@@ -537,6 +539,16 @@ def test_shared_formulas_and_policies_have_one_home_each():
     # one bound on the dense tables a command allocates from its sizes
     assert _holders(r"DENSE_CELL_BUDGET") == ["cli.py"]
     assert _holders(r"def _check_dense_cells") == ["cli.py"]
+    # one input path in cli: a single loader reads every ratings file and runs
+    # the dense-table check, and one builder makes the FitConfig of the fit flags
+    cli_source = inspect.getsource(cli)
+    assert re.findall(r"\bload_csv\(", cli_source) == ["load_csv("]
+    assert "load_csv(" in inspect.getsource(cli._load)
+    assert re.findall(r"\bFitConfig\(", cli_source) == ["FitConfig("]
+    assert "FitConfig(" in inspect.getsource(cli._fit_config)
+    assert [name for name, f in vars(cli).items() if inspect.isfunction(f)
+            and re.search(r"(?<!def )_check_dense_cells\(", inspect.getsource(f))
+            ] == ["_load", "_cmd_generate"]
     assert re.findall(r"np\.log2", inspect.getsource(analysis)) == ["np.log2"]
     assert "np.log2" in inspect.getsource(analysis.skl)
     # fit settings and their defaults live in mixture.FitConfig alone; the

@@ -51,6 +51,18 @@ def test_init_params_shapes_and_simplexes():
     again = init_params(7, 4, cfg)
     assert np.array_equal(params.theta, again.theta)
     assert np.array_equal(params.beta, again.beta)
+    with pytest.raises(ConfigurationError, match="need n_items >= 1"):
+        init_params(0, 4, cfg)
+
+
+def test_map_updates_and_objective_need_smoothing():
+    # ground-truth parameters carry no smoothing to add
+    truth = MixtureParams(theta=np.ones(1), beta=np.full((2, 1, 1), 0.5))
+    data = RatingDataset.from_arrays(1, 1, 2, [0], [0], [1])
+    with pytest.raises(ConfigurationError, match="updates need smoothing"):
+        m_step_mar(truth, data, np.ones((1, 1)))
+    with pytest.raises(ConfigurationError, match="log posterior needs smoothing"):
+        log_posterior_mar(truth, data)
 
 
 def test_e_step_two_component_hand_case():

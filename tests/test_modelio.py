@@ -119,6 +119,7 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines() + ["mu_mode learn"], "mu_mode line present but kind"),
         (_base_lines() + ["xi1 nan", "mu_mode banana"], "unknown mu_mode"),
         (_cptv_lines() + ["mu_mode banana"], "unknown mu_mode 'banana'"),
+        (_cptv_lines()[:-1] + ["mu 0.5 0.5 0.5"], "mu must hold 2 values"),
     ]
     for i, (lines, match) in enumerate(cases):
         with pytest.raises(ParseError, match=match):

@@ -8,7 +8,7 @@ from missmix.cptv import YAHOO_MU
 from missmix.data import RatingDataset, SplitPair
 from missmix.errors import ConfigurationError, DataValidationError
 from missmix.mixture import FitConfig
-from missmix.protocol import (ModelSpec, REPORT_COLUMNS, format_cell,
+from missmix.protocol import (ModelSpec, REPORT_COLUMNS, fit_spec, format_cell,
                               run_protocol, write_report)
 from missmix.synthetic import build_study_dataset, sample_ground_truth
 
@@ -43,7 +43,10 @@ def test_model_spec_has_a_config_exactly_when_it_is_fitted():
             ModelSpec(family=family, mu=np.full(5, 0.2))
     with pytest.raises(ConfigurationError, match="constant takes none"):
         ModelSpec(family="constant", config=FitConfig(2))
-    ModelSpec(family="constant")
+    constant = ModelSpec(family="constant")
+    train = RatingDataset.from_arrays(1, 1, 2, [0], [0], [1])
+    with pytest.raises(ConfigurationError, match="constant model is not fitted"):
+        fit_spec(train, constant)
 
 
 def test_run_protocol_report_structure(small_split):
