@@ -26,7 +26,8 @@ from .errors import (IO_EXIT_CODE, ConfigurationError, DataValidationError,
                      MissmixError)
 from .mixture import FitConfig
 from .predict import posterior_z, predict_median, predictive_distribution
-from .protocol import ModelSpec, fit_spec, run_protocol, write_report
+from .protocol import (ModelSpec, check_distinct, check_seeds, fit_spec,
+                       run_protocol, write_report)
 from .synthetic import build_study_dataset, sample_ground_truth
 
 _MU_PRESETS = {"yahoo": YAHOO_MU}
@@ -38,20 +39,15 @@ _MU_PRESETS = {"yahoo": YAHOO_MU}
 DENSE_CELL_BUDGET = 2**28
 
 
-def _parse_mu(text: str, n_values: int) -> np.ndarray:
+def _parse_mu(text: str) -> np.ndarray:
     if text in _MU_PRESETS:
-        mu = _MU_PRESETS[text].copy()
-    else:
-        try:
-            mu = np.array([float(t) for t in text.split(",")])
-        except ValueError:
-            raise ConfigurationError(
-                f"--mu must be a preset {sorted(_MU_PRESETS)} or"
-                f" comma-separated floats, got {text!r}") from None
-    if mu.shape != (n_values,):
+        return _MU_PRESETS[text].copy()
+    try:
+        return np.array([float(t) for t in text.split(",")])
+    except ValueError:
         raise ConfigurationError(
-            f"--mu needs {n_values} entries, got {len(mu)}")
-    return mu
+            f"--mu must be a preset {sorted(_MU_PRESETS)} or"
+            f" comma-separated floats, got {text!r}") from None
 
 
 def _parse_int_list(text: str):
@@ -110,7 +106,7 @@ def _cmd_generate(args) -> None:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     _check_dense_cells("generate", args.users, args.items, args.values,
                        args.components)
-    mu = _parse_mu(args.mu, args.values) * args.mu_scale
+    mu = _parse_mu(args.mu) * args.mu_scale
     seed_truth, seed_study = np.random.SeedSequence(args.seed).spawn(2)
     truth = sample_ground_truth(args.users, args.items, args.values,
                                 args.components, mu, seed_truth,
@@ -128,9 +124,17 @@ def _cmd_generate(args) -> None:
     print(f"truth {args.out}.truth.model")
 
 
-def _check_mu_flags(args, families) -> None:
-    """--mu-mode learn and -S go together, and they, --mu and --mu-scale
-    only with an mm-cptv model."""
+def _fit_config(args, n_components: int, seed: int) -> FitConfig:
+    """The settings the train/evaluate fit flags give a fit of K components."""
+    return FitConfig(n_components, alpha=args.alpha, phi=args.phi,
+                     max_iters=args.max_iters, rel_tol=args.tol, seed=seed)
+
+
+def _model_specs(args, families, ks, seed: int) -> list[ModelSpec]:
+    """The checked specs of the train/evaluate flags, by family and then by K,
+    each fit with ``seed``; built before any ratings file is read."""
+    check_distinct("--families", families)
+    check_distinct("-K", ks)
     learn = args.mu_mode == "learn"
     if learn and args.strength is None:
         raise ConfigurationError("learn mode needs a prior strength")
@@ -138,33 +142,24 @@ def _check_mu_flags(args, families) -> None:
         raise ConfigurationError("a prior strength needs mu_mode 'learn', not 'fixed'")
     if learn and "mm-cptv" not in families:
         raise ConfigurationError("--mu-mode learn and -S need an mm-cptv model")
-    given = args.mu is not None or args.mu_scale is not None
-    if given and "mm-cptv" not in families:
+    if (args.mu is not None or args.mu_scale is not None) and "mm-cptv" not in families:
         raise ConfigurationError("--mu and --mu-scale need an mm-cptv model")
-
-
-def _fit_config(args, n_components: int, seed: int) -> FitConfig:
-    """The settings the train/evaluate fit flags give a fit of K components."""
-    return FitConfig(n_components, alpha=args.alpha, phi=args.phi,
-                     max_iters=args.max_iters, rel_tol=args.tol, seed=seed)
-
-
-def _model_spec(args, family: str, config: FitConfig,
-                n_values: int) -> ModelSpec:
-    """The spec of one model the train/evaluate flags describe."""
-    cptv = family == "mm-cptv"
-    scale = 1.0 if args.mu_scale is None else args.mu_scale
-    mu = (_parse_mu(args.mu, n_values) * scale
-          if cptv and args.mu is not None else None)
-    return ModelSpec(family=family, config=config, mu=mu,
-                     strength=args.strength if cptv else None)
+    mu = (None if args.mu is None else
+          _parse_mu(args.mu) * (1.0 if args.mu_scale is None else args.mu_scale))
+    configs = [_fit_config(args, k, seed) for k in ks]
+    specs = []
+    for family in families:
+        cptv = family == "mm-cptv"
+        specs += [ModelSpec(family=family, config=c, mu=mu if cptv else None,
+                            strength=args.strength if cptv else None)
+                  for c in ([None] if family == "constant" else configs)]
+    return specs
 
 
 def _cmd_train(args) -> None:
-    _check_mu_flags(args, [args.model])
-    config = _fit_config(args, args.components, args.seed)
+    spec, = _model_specs(args, [args.model], [args.components], args.seed)
     data, = _load("train", [args.data], args.dims, args.components)
-    result = fit_spec(data, _model_spec(args, args.model, config, data.n_values))
+    result = fit_spec(data, spec)
     modelio.save_model(args.out, result.params, cptv=result.cptv,
                        mu_mode=args.mu_mode)
     write_text(args.out + ".trace.csv", "iteration,log_posterior\n", *(
@@ -203,20 +198,13 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    families = args.families.split(",")
-    _check_mu_flags(args, families)
     # run_protocol sets each fit's seed from --seeds
-    configs = [_fit_config(args, K, FitConfig.seed)
-               for K in _parse_int_list(args.components)]
+    specs = _model_specs(args, args.families.split(","),
+                         _parse_int_list(args.components), FitConfig.seed)
     seeds = _parse_int_list(args.seeds)
-    fitted = set(families) != {"constant"}
-    split = SplitPair(*_load("evaluate", (args.train, args.test), args.dims,
-                             max(c.n_components for c in configs) if fitted else 1))
-    specs = []
-    for family in families:
-        specs += ([ModelSpec(family="constant")] if family == "constant" else
-                  [_model_spec(args, family, c, split.train.n_values)
-                   for c in configs])
+    check_seeds(seeds)
+    split = SplitPair(*_load("evaluate", (args.train, args.test), args.dims, max(
+        (s.config.n_components for s in specs if s.config is not None), default=1)))
     rows = run_protocol(split, specs, seeds)
     write_report(args.out, rows)
     print(f"report {args.out} {len(rows)}")

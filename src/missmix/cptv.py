@@ -16,6 +16,7 @@ on each mu[v] and both raise the same joint objective monotonically.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,13 @@ class CptvParams:
     @property
     def n_values(self) -> int:
         return self.mu.shape[0]
+
+
+def check_mu_length(mu, n_values: int) -> None:
+    """ConfigurationError unless ``mu`` has one entry per rating value."""
+    if np.shape(mu) != (n_values,):
+        raise ConfigurationError(f"mu must have one entry per rating value"
+                                 f" ({n_values}), got shape {np.shape(mu)}")
 
 
 def _hidden_cell_table(params: MixtureParams, cptv: CptvParams) -> np.ndarray:
@@ -204,13 +212,12 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
         With cptv, holding the prior's xi1/xi0 when mu was learned.
     """
     params = init_params(dataset.n_items, dataset.n_values, config)
+    check_mu_length(mu, dataset.n_values)
     learn = strength is not None
     xi1, xi0 = build_mu_prior(mu, strength) if learn else (None, None)
     if learn:
         mu = np.random.default_rng([config.seed, 1]).beta(xi1, xi0)
     cptv = CptvParams(mu=mu, xi1=xi1, xi0=xi0)
-    if cptv.n_values != dataset.n_values:
-        raise ConfigurationError(f"mu must have {dataset.n_values} entries")
 
     (params, cptv), q, trace, converged = _run_em(
         (params, cptv),
@@ -236,8 +243,6 @@ def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,
     per-value rate exceeding its probe frequency triggers a warning
     since the ratio is then no longer a probability.
     """
-    import warnings
-
     if heldout.n_values != train.n_values:
         raise ConfigurationError("train and heldout disagree on n_values")
     if heldout.n_obs == 0:

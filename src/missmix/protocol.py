@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cptv import CptvParams, build_mu_prior, fit_nmar
+from .cptv import CptvParams, build_mu_prior, check_mu_length, fit_nmar
 from .data import RatingDataset, SplitPair, format_floats, write_text
-from .errors import ConfigurationError, MissmixError
+from .errors import ConfigurationError, EstimationError, EvaluationError
 from .mixture import FitConfig, FitResult, fit_mar
 from .predict import (empirical_median_value, mae, predict_median,
                       predictive_distribution)
@@ -62,6 +62,20 @@ class ModelSpec:
                 build_mu_prior(self.mu, self.strength)
 
 
+def check_distinct(name: str, entries) -> None:
+    """ConfigurationError if an entry of the grid axis ``name`` repeats."""
+    if len(set(entries)) < len(entries):
+        raise ConfigurationError(
+            f"{name} must be distinct, got {','.join(map(str, entries))}")
+
+
+def check_seeds(seeds) -> None:
+    """ConfigurationError unless every seed is >= 0 and none repeats."""
+    for seed in seeds:
+        FitConfig(1, seed=seed)
+    check_distinct("seeds", seeds)
+
+
 def fit_spec(train: RatingDataset, spec: ModelSpec) -> FitResult:
     """Fit the mm-none or mm-cptv model ``spec`` describes to ``train``."""
     if spec.family == "constant":
@@ -80,10 +94,8 @@ def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int):
                 mae(np.full(test.n_obs, value), test.values), 0, True)
 
     result = fit_spec(train, replace(spec, config=replace(spec.config, seed=seed)))
-    train_pred = predict_median(predictive_distribution(
-        result.params, result.q, train.users, train.items))
-    test_pred = predict_median(predictive_distribution(
-        result.params, result.q, test.users, test.items))
+    train_pred, test_pred = (predict_median(predictive_distribution(
+        result.params, result.q, ds.users, ds.items)) for ds in (train, test))
     return (mae(train_pred, train.values), mae(test_pred, test.values),
             result.iterations, result.converged)
 
@@ -105,11 +117,17 @@ def run_protocol(split: SplitPair, specs, seeds):
 
     Returns a list of dict rows in REPORT_COLUMNS order: per-seed rows
     first for each model (agg 0), then its aggregate row (agg 1) with
-    across-seed means and standard errors. Bad settings raise up front;
-    a failed fit leaves its error cells empty, outside the aggregate.
+    across-seed means and standard errors. Bad or repeated seeds, an empty
+    side and a mu of the wrong length raise before any fit; a fit that
+    fails to estimate leaves its error cells empty, outside the aggregate.
     """
-    for seed in seeds:
-        FitConfig(1, seed=seed)
+    check_seeds(seeds)
+    for side in ("train", "test"):
+        if getattr(split, side).n_obs == 0:
+            raise EvaluationError(f"the {side} side of the split has no ratings")
+    for spec in specs:
+        if spec.mu is not None:
+            check_mu_length(spec.mu, split.train.n_values)
 
     rows = []
     for spec in specs:
@@ -117,17 +135,15 @@ def run_protocol(split: SplitPair, specs, seeds):
         for seed in seeds:
             row = _label_cells(spec)
             row.update(seed=seed, agg=0)
+            rows.append(row)
             try:
                 tr, te, iters, conv = _fit_and_score(split, spec, seed)
-            except MissmixError as exc:
-                warnings.warn(f"{spec.family} seed {seed} failed: {exc}",
-                              stacklevel=2)
-                rows.append(row)
+            except EstimationError as exc:
+                warnings.warn(f"{spec.family} seed {seed} failed: {exc}", stacklevel=2)
                 continue
             row.update(train_mae=tr, test_mae=te, iterations=iters,
                        converged=int(conv))
             per_seed.append((tr, te, iters, conv))
-            rows.append(row)
 
         agg = _label_cells(spec)
         agg["agg"] = 1

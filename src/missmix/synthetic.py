@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cptv import CptvParams
+from .cptv import CptvParams, check_mu_length
 from .data import RatingDataset, SplitPair, min_ratings_filter, remap_users
 from .errors import ConfigurationError, GenerationError
 from .mixture import MixtureParams
@@ -69,9 +69,7 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     if not 0 < concentration <= 1e300:  # larger ones overflow the Dirichlet draws
         raise ConfigurationError(f"need 0 < concentration <= 1e300, got {concentration}")
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (n_values,):
-        raise ConfigurationError(
-            f"mu must have one entry per rating value ({n_values}), got shape {mu.shape}")
+    check_mu_length(mu, n_values)
     CptvParams(mu)  # the same range check as a model's mu
 
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,16 +193,18 @@ def test_predict_without_dims_covers_the_models_items_and_values(study, tmp_path
 
 
 @pytest.fixture(scope="module")
-def predict_inputs(study, tmp_path_factory):
+def inputs(study, tmp_path_factory):
     """Uniform one-component models over the study's items and over three,
-    a header-only pairs file and one whose user is past the study's last."""
-    root = tmp_path_factory.mktemp("predict")
+    header-only pairs and ratings files, and a pairs file whose user is past
+    the study's last."""
+    root = tmp_path_factory.mktemp("inputs")
     train = load_csv(study + ".train.csv")
     V = train.n_values
     for name, m in (("full", train.n_items), ("small", 3)):
         save_model(root / f"{name}.model",
                    MixtureParams(theta=np.ones(1), beta=np.full((V, m, 1), 1.0 / V)))
     (root / "none.csv").write_text("user,item\n", encoding="utf-8")
+    (root / "empty.csv").write_text("user,item,rating\n", encoding="utf-8")
     (root / "user.csv").write_text(f"user,item\n{train.n_users},0\n", encoding="utf-8")
     return str(root)
 
@@ -223,12 +226,58 @@ _PREDICT = ["predict", "{study}.train.csv", "--out", "{out}/p.csv"]
      "no pairs to predict"),
     (_PREDICT + ["--model", "{inputs}/full.model", "--pairs", "{inputs}/user.csv"], 2,
      "pair user index out of range"),
+    # an empty ratings file, not --mu's length, is what stops this fit
+    (["train", "{inputs}/empty.csv", "--model", "mm-cptv", "-K", "1", "--mu", "yahoo",
+      "--out", "{out}/m.model"], 3,
+     "need n_items >= 1 and n_values >= 1, got 0, 0"),
 ])
 def test_bad_input_exits_with_its_code_and_one_error_line(
-        study, predict_inputs, tmp_path, capsys, argv, code, message):
-    fill = dict(study=study, out=tmp_path, inputs=predict_inputs)
+        study, inputs, tmp_path, capsys, argv, code, message):
+    fill = dict(study=study, out=tmp_path, inputs=inputs)
     assert main([a.format(**fill) for a in argv]) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# A valid evaluate grid after its two ratings files; each case adds the flags
+# that make it bad.
+_GRID = ["--families", "constant,mm-none", "-K", "1,2", "--seeds", "0,1",
+         "--max-iters", "3", "--out", "{out}/r.csv"]
+
+
+@pytest.mark.parametrize("train, test, flags, code, message", [
+    # a bad flag next to a missing train file is reported for the flag
+    ("{out}/nope.csv", "{study}.test.csv", ["--seeds", "0,-1"], 3,
+     "seed must be >= 0, got -1"),
+    ("{out}/nope.csv", "{study}.test.csv", ["--families", "mm-none,nonsense"], 3,
+     "family must be one of ('mm-none', 'mm-cptv', 'constant'), got 'nonsense'"),
+    ("{out}/nope.csv", "{study}.test.csv",
+     ["--families", "mm-cptv", "--mu", "0.5,0.5,nan,0.5,0.5"], 3,
+     "mu must be a 1-d vector of probabilities in [0, 1]"),
+    # repeated grid entries, which wrote the same rows twice
+    ("{out}/nope.csv", "{study}.test.csv", ["--seeds", "0,0"], 3,
+     "seeds must be distinct, got 0,0"),
+    ("{out}/nope.csv", "{study}.test.csv", ["--families", "constant,constant"], 3,
+     "--families must be distinct, got constant,constant"),
+    ("{out}/nope.csv", "{study}.test.csv", ["-K", "2,1,2"], 3,
+     "-K must be distinct, got 2,1,2"),
+    # an empty side, which wrote blank rows and warned
+    ("{study}.train.csv", "{inputs}/empty.csv", [], 5,
+     "the test side of the split has no ratings"),
+    ("{inputs}/empty.csv", "{study}.test.csv", [], 5,
+     "the train side of the split has no ratings"),
+], ids=["negative-seed", "unknown-family", "nan-mu", "repeated-seed", "repeated-family",
+        "repeated-K", "empty-test", "empty-train"])
+def test_evaluate_checks_its_inputs_before_reading_a_file_or_fitting(
+        study, inputs, tmp_path, capsys, train, test, flags, code, message):
+    fill = dict(study=study, out=tmp_path, inputs=inputs)
+    argv = [a.format(**fill) for a in ["evaluate", train, test, *_GRID, *flags]]
+    with mock.patch("missmix.protocol._fit_and_score") as fit, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert caught == [] and not fit.called
     assert list(tmp_path.iterdir()) == []
 
 

@@ -549,6 +549,21 @@ def test_shared_formulas_and_policies_have_one_home_each():
     assert [name for name, f in vars(cli).items() if inspect.isfunction(f)
             and re.search(r"(?<!def )_check_dense_cells\(", inspect.getsource(f))
             ] == ["_load", "_cmd_generate"]
+    # one step turns the train/evaluate flags into checked ModelSpecs, and
+    # both commands take it before they read a ratings file
+    assert _holders(r"_check_mu_flags|_model_spec\b") == []
+    assert [name for name, f in vars(cli).items() if inspect.isfunction(f)
+            and f.__module__ == cli.__name__ and "ModelSpec(" in inspect.getsource(f)
+            ] == ["_model_specs"]
+    for command in (cli._cmd_train, cli._cmd_evaluate):
+        source = inspect.getsource(command)
+        assert source.index("_model_specs(") < source.index("_load(")
+    assert list(inspect.signature(cli._parse_mu).parameters) == ["text"]
+    # one rule and one message each for mu's length and distinct grid entries
+    assert _holders(r"one entry per rating value") == ["cptv.py"]
+    assert _holders(r"check_mu_length\(") == ["cptv.py", "protocol.py", "synthetic.py"]
+    assert _holders(r"\} entries|must have \{") == []
+    assert _holders(r"must be distinct") == ["protocol.py"]
     assert re.findall(r"np\.log2", inspect.getsource(analysis)) == ["np.log2"]
     assert "np.log2" in inspect.getsource(analysis.skl)
     # fit settings and their defaults live in mixture.FitConfig alone; the

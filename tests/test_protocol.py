@@ -6,7 +6,8 @@ import pytest
 
 from missmix.cptv import YAHOO_MU
 from missmix.data import RatingDataset, SplitPair
-from missmix.errors import ConfigurationError, DataValidationError
+from missmix.errors import (ConfigurationError, DataValidationError,
+                            EvaluationError)
 from missmix.mixture import FitConfig
 from missmix.protocol import (ModelSpec, REPORT_COLUMNS, fit_spec, format_cell,
                               run_protocol, write_report)
@@ -96,17 +97,32 @@ def test_run_protocol_rejects_overlapping_split():
 
 
 def test_run_protocol_rejects_bad_settings_before_fitting(small_split):
-    split, _ = small_split
+    split, truth = small_split
     # the stopping settings are checked as the spec's config is built ...
     for bad in (dict(rel_tol=np.nan), dict(max_iters=0)):
         with pytest.raises(ConfigurationError):
             ModelSpec(family="mm-none", config=FitConfig(2, **bad))
-    # ... and every seed before the first fit, constant grids included
-    for spec in (ModelSpec(family="mm-none", config=FitConfig(2)),
-                 ModelSpec(family="constant")):
+    # ... and the seeds, each mu against the data's values and both sides of
+    # the split before the first fit, constant grids included
+    none = ModelSpec(family="mm-none", config=FitConfig(2))
+    constant = ModelSpec(family="constant")
+    cptv = ModelSpec(family="mm-cptv", config=FitConfig(2), mu=truth.mu[:4])
+    empty = RatingDataset.from_arrays(split.train.n_users, split.train.n_items,
+                                      split.train.n_values, [], [], [])
+    for case_split, spec, seeds, error, message in (
+            (split, none, (0, -1), ConfigurationError, "seed must be >= 0"),
+            (split, constant, (0, -1), ConfigurationError, "seed must be >= 0"),
+            (split, none, (0, 1, 0), ConfigurationError,
+             "seeds must be distinct, got 0,1,0"),
+            (split, cptv, (0,), ConfigurationError,
+             r"mu must have one entry per rating value \(5\), got shape \(4,\)"),
+            (SplitPair(empty, split.test), constant, (0,), EvaluationError,
+             "the train side of the split has no ratings"),
+            (SplitPair(split.train, empty), none, (0,), EvaluationError,
+             "the test side of the split has no ratings")):
         with mock.patch("missmix.protocol._fit_and_score") as fit:
-            with pytest.raises(ConfigurationError, match="seed must be >= 0"):
-                run_protocol(split, [spec], (0, -1))
+            with pytest.raises(error, match=message):
+                run_protocol(case_split, [constant, spec], seeds)
         fit.assert_not_called()
 
 
