@@ -26,8 +26,8 @@ from .analysis import smoothed_distribution
 from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
 from .mixture import (FitConfig, FitResult, MixtureParams, _gather,
-                      _log_dirichlet_prior, _map_update,
-                      _normalize_log_weights, _run_em, _scatter, init_params)
+                      _map_update, _normalize_log_weights, _objective_mar,
+                      _run_em, _scatter, init_params)
 
 # Observation probabilities are clamped inside the open unit interval so
 # their logs stay finite.
@@ -68,10 +68,6 @@ class CptvParams:
                 raise ConfigurationError("xi1/xi0 must match mu in shape")
             if not all(((1 < xi) & (xi < np.inf)).all() for xi in (self.xi1, self.xi0)):
                 raise ConfigurationError("prior counts must all be finite and > 1")
-
-    @property
-    def n_values(self) -> int:
-        return self.mu.shape[0]
 
 
 def check_mu_length(mu, n_values: int) -> None:
@@ -180,7 +176,7 @@ def _log_beta_prior(cptv: CptvParams) -> float:
 
 def _objective_nmar(params: MixtureParams, cptv: CptvParams,
                     log_z: np.ndarray) -> float:
-    return float(log_z.sum()) + _log_dirichlet_prior(params) + _log_beta_prior(cptv)
+    return _objective_mar(params, log_z) + _log_beta_prior(cptv)
 
 
 def log_posterior_nmar(params: MixtureParams, cptv: CptvParams,
@@ -211,7 +207,6 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
     FitResult
         With cptv, holding the prior's xi1/xi0 when mu was learned.
     """
-    params = init_params(dataset.n_items, dataset.n_values, config)
     check_mu_length(mu, dataset.n_values)
     learn = strength is not None
     xi1, xi0 = build_mu_prior(mu, strength) if learn else (None, None)
@@ -220,7 +215,7 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
     cptv = CptvParams(mu=mu, xi1=xi1, xi0=xi0)
 
     (params, cptv), q, trace, converged = _run_em(
-        (params, cptv),
+        (init_params(dataset.n_items, dataset.n_values, config), cptv),
         lambda s: _log_weights_nmar(*s, dataset),
         lambda s, q: m_step_nmar(*s, dataset, q, learn_mu=learn),
         lambda s, log_z: _objective_nmar(*s, log_z),

@@ -95,6 +95,11 @@ class RatingDataset:
         """Number of observations per user, shape (N,)."""
         return np.diff(self._row_ptr)
 
+    @cached_property
+    def _row_ptr(self) -> np.ndarray:
+        return np.searchsorted(self.users, np.arange(self.n_users + 1))
+
+    @cached_property
     def incidence(self) -> csr_array:
         """CSR one-hot operator A of shape (N, V*M), built once and cached.
 
@@ -103,14 +108,6 @@ class RatingDataset:
         rows over every user's observations, and ``A.T @ q`` sums
         per-user rows into (value, item) cells.
         """
-        return self._incidence
-
-    @cached_property
-    def _row_ptr(self) -> np.ndarray:
-        return np.searchsorted(self.users, np.arange(self.n_users + 1))
-
-    @cached_property
-    def _incidence(self) -> csr_array:
         cols = (self.values - 1) * self.n_items + self.items
         return csr_array((np.ones(self.n_obs), cols, self._row_ptr),
                          shape=(self.n_users, self.n_values * self.n_items))

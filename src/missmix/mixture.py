@@ -126,12 +126,12 @@ def _gather(dataset: RatingDataset, table: np.ndarray) -> np.ndarray:
     never observed and drop out.
     """
     V, M = dataset.n_values, dataset.n_items
-    return dataset.incidence() @ table[:, :M].reshape(V * M, -1)
+    return dataset.incidence @ table[:, :M].reshape(V * M, -1)
 
 
 def _scatter(dataset: RatingDataset, q: np.ndarray) -> np.ndarray:
     """Sum responsibility rows into (value, item) cells, shape (V, M, K)."""
-    return (dataset.incidence().T @ q).reshape(
+    return (dataset.incidence.T @ q).reshape(
         dataset.n_values, dataset.n_items, q.shape[1])
 
 
@@ -183,8 +183,9 @@ def _map_update(params: MixtureParams, q: np.ndarray,
     return MixtureParams(theta=theta, beta=beta, alpha=params.alpha, phi=params.phi)
 
 
-def _log_dirichlet_prior(params: MixtureParams) -> float:
-    """Log density of theta and every beta[:, m, z] under their smoothing."""
+def _objective_mar(params: MixtureParams, log_z: np.ndarray) -> float:
+    """The per-user log normalisers ``log_z`` summed, plus the log density
+    of theta and every beta[:, m, z] under their smoothing."""
     if params.alpha is None or params.phi is None:
         raise ConfigurationError("log posterior needs smoothing")
     K, V = params.n_components, params.n_values
@@ -195,18 +196,13 @@ def _log_dirichlet_prior(params: MixtureParams) -> float:
           + ((params.alpha - 1.0) * log_theta).sum())
     lp += (gammaln(V * params.phi) - V * gammaln(params.phi)
            + ((params.phi - 1.0) * log_beta).sum(axis=0)).sum()
-    return float(lp)
+    return float(log_z.sum()) + float(lp)
 
 
 def log_posterior_mar(params: MixtureParams, dataset: RatingDataset) -> float:
     """Log of (observed-data likelihood x smoothing priors), up to the
     normalising constant of the data."""
-    log_z = logsumexp(_log_weights_mar(params, dataset), axis=1)
-    return float(log_z.sum()) + _log_dirichlet_prior(params)
-
-
-def _relative_change(cur: float, prev: float) -> float:
-    return abs(cur - prev) / max(abs(cur), _TINY)
+    return _objective_mar(params, logsumexp(_log_weights_mar(params, dataset), axis=1))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -234,7 +230,8 @@ def _run_em(state, log_weights, m_step, objective, config: FitConfig):
         if not np.isfinite(trace[-1]):
             raise EstimationError(f"log posterior is {trace[-1]} after EM iteration"
                                   f" {len(trace)}; a smoothing or prior count is too large")
-        if len(trace) >= 2 and _relative_change(trace[-1], trace[-2]) < config.rel_tol:
+        if len(trace) >= 2 and (abs(trace[-1] - trace[-2]) / max(abs(trace[-1]), _TINY)
+                                < config.rel_tol):
             converged = True
             break
     return state, q, np.array(trace), converged
@@ -258,7 +255,7 @@ def fit_mar(dataset: RatingDataset, config: FitConfig) -> FitResult:
         init_params(dataset.n_items, dataset.n_values, config),
         lambda p: _log_weights_mar(p, dataset),
         lambda p, q: m_step_mar(p, dataset, q),
-        lambda p, log_z: float(log_z.sum()) + _log_dirichlet_prior(p),
+        _objective_mar,
         config)
     return FitResult(params=params, log_posterior_trace=trace,
                      converged=converged, iterations=len(trace), q=q)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cptv import CptvParams
+from .cptv import CptvParams, check_mu_length
 from .data import format_floats, read_text, write_text
 from .errors import ConfigurationError, ParseError
 from .mixture import MixtureParams
@@ -48,10 +48,8 @@ def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
              f"K {K}", f"M {M}", f"V {V}",
              "theta " + format_floats(params.theta),
              "beta " + format_floats(params.beta)]
-    if params.alpha is not None:
-        lines.append("alpha " + format_floats(params.alpha))
-    if params.phi is not None:
-        lines.append("phi " + format_floats(params.phi))
+    lines += [f"{key} " + format_floats(value) for key, value in
+              (("alpha", params.alpha), ("phi", params.phi)) if value is not None]
     if cptv is not None:
         lines.append("mu " + format_floats(cptv.mu))
         if mu_mode is not None:
@@ -146,13 +144,15 @@ def load_model(path) -> LoadedModel:
     if fields["kind"] == _KIND_CPTV:
         if "mu" not in fields:
             raise ParseError("kind mixture+cptv requires a mu line")
-        if fields["mu"].shape != (V,):
-            raise ParseError(f"mu must hold {V} values")
         try:
+            check_mu_length(fields["mu"], V)
             cptv = CptvParams(mu=fields["mu"], xi1=fields.get("xi1"),
                               xi0=fields.get("xi0"))
         except ConfigurationError as exc:
             raise ParseError(str(exc)) from None
+        mode = "fixed" if cptv.xi1 is None else "learn"
+        if fields.get("mu_mode", mode) != mode:
+            raise ParseError("mu_mode learn needs xi1 and xi0 lines; mu_mode fixed takes none")
     else:
         for key in ("mu", "xi1", "xi0", "mu_mode"):
             if key in fields:

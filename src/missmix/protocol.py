@@ -35,10 +35,10 @@ class ModelSpec:
 
     family "mm-none" ignores the response pattern, "mm-cptv" models it,
     and "constant" predicts the training median everywhere (no fit, so
-    ``config`` is None exactly for it). mm-cptv holds the observation
-    rates at ``mu`` when ``strength`` is None, and otherwise learns them
-    under a prior with mean ``mu`` and pseudo-count budget ``strength``
-    (`fit_nmar`). Every setting is checked before any fit runs.
+    ``config`` is None exactly for it). Only mm-cptv takes ``mu``: it holds
+    the observation rates there, or with a ``strength`` learns them under a
+    prior of that mean and pseudo-count budget (`fit_nmar`). Every setting
+    is checked before any fit runs.
     """
 
     family: str
@@ -53,13 +53,15 @@ class ModelSpec:
         if (self.config is None) != (self.family == "constant"):
             raise ConfigurationError(
                 "mm-none and mm-cptv need a FitConfig; constant takes none")
-        if self.family == "mm-cptv":
-            if self.mu is None:
-                raise ConfigurationError("mm-cptv needs a mu vector (--mu)")
-            if self.strength is None:
-                CptvParams(self.mu)
-            else:
-                build_mu_prior(self.mu, self.strength)
+        if self.family != "mm-cptv":
+            if self.mu is not None or self.strength is not None:
+                raise ConfigurationError(f"{self.family} takes no mu or strength")
+        elif self.mu is None:
+            raise ConfigurationError("mm-cptv needs a mu vector (--mu)")
+        elif self.strength is None:
+            CptvParams(self.mu)
+        else:
+            build_mu_prior(self.mu, self.strength)
 
 
 def check_distinct(name: str, entries) -> None:
@@ -76,10 +78,17 @@ def check_seeds(seeds) -> None:
     check_distinct("seeds", seeds)
 
 
+def _check_ratings(dataset: RatingDataset, name: str) -> None:
+    """EvaluationError if the ``name`` data has no ratings to fit or score."""
+    if dataset.n_obs == 0:
+        raise EvaluationError(f"the {name} data has no ratings")
+
+
 def fit_spec(train: RatingDataset, spec: ModelSpec) -> FitResult:
     """Fit the mm-none or mm-cptv model ``spec`` describes to ``train``."""
     if spec.family == "constant":
         raise ConfigurationError("the constant model is not fitted")
+    _check_ratings(train, "training")
     if spec.family == "mm-none":
         return fit_mar(train, spec.config)
     return fit_nmar(train, spec.config, spec.mu, spec.strength)
@@ -122,9 +131,8 @@ def run_protocol(split: SplitPair, specs, seeds):
     fails to estimate leaves its error cells empty, outside the aggregate.
     """
     check_seeds(seeds)
-    for side in ("train", "test"):
-        if getattr(split, side).n_obs == 0:
-            raise EvaluationError(f"the {side} side of the split has no ratings")
+    _check_ratings(split.train, "training")
+    _check_ratings(split.test, "test")
     for spec in specs:
         if spec.mu is not None:
             check_mu_length(spec.mu, split.train.n_values)

@@ -88,15 +88,13 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     return GroundTruth(params=params, mu=mu, z=z, complete=complete)
 
 
-def apply_cptv_missingness(truth: GroundTruth, seed, mu=None) -> RatingDataset:
+def apply_cptv_missingness(truth: GroundTruth, seed) -> RatingDataset:
     """Hide table entries value-dependently, returning the observed part.
 
-    Cell (i, m) with rating v stays observed with probability mu[v-1].
-    ``mu`` defaults to the truth's own vector.
+    Cell (i, m) with rating v stays observed with probability truth.mu[v-1].
     """
-    mu = truth.mu if mu is None else np.asarray(mu, dtype=float)
     rng = np.random.default_rng(seed)
-    keep = rng.random(truth.complete.shape) < mu[truth.complete - 1]
+    keep = rng.random(truth.complete.shape) < truth.mu[truth.complete - 1]
     users, items = np.nonzero(keep)
     return RatingDataset.from_arrays(
         truth.n_users, truth.n_items, truth.n_values,

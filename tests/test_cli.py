@@ -226,16 +226,37 @@ _PREDICT = ["predict", "{study}.train.csv", "--out", "{out}/p.csv"]
      "no pairs to predict"),
     (_PREDICT + ["--model", "{inputs}/full.model", "--pairs", "{inputs}/user.csv"], 2,
      "pair user index out of range"),
-    # an empty ratings file, not --mu's length, is what stops this fit
-    (["train", "{inputs}/empty.csv", "--model", "mm-cptv", "-K", "1", "--mu", "yahoo",
-      "--out", "{out}/m.model"], 3,
-     "need n_items >= 1 and n_values >= 1, got 0, 0"),
+    # no ratings to fit: one error for both commands, whether the empty file
+    # infers dims (0, 0, 0) or --dims gives it some; not --mu's length either
+    *[(argv + dims, 5, "the training data has no ratings") for argv in (
+        ["train", "{inputs}/empty.csv", "--model", "mm-cptv", "-K", "1", "--mu", "yahoo",
+         "--out", "{out}/m.model"],
+        ["train", "{inputs}/empty.csv", "--model", "mm-none", "-K", "1",
+         "--out", "{out}/m.model"],
+        ["evaluate", "{inputs}/empty.csv", "{inputs}/empty.csv", "--families", "mm-none",
+         "-K", "1", "--out", "{out}/r.csv"],
+    ) for dims in ([], ["--dims", "3,3,5"])],
 ])
 def test_bad_input_exits_with_its_code_and_one_error_line(
         study, inputs, tmp_path, capsys, argv, code, message):
     fill = dict(study=study, out=tmp_path, inputs=inputs)
     assert main([a.format(**fill) for a in argv]) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--per-user-test", "0"], "--per-user-test must be in 1..20, got 0"),
+    (["--per-user-test", "21"], "--per-user-test must be in 1..20, got 21"),
+    (["--min-train", "-1"], "--min-train must be >= 0, got -1"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_generate_checks_every_flag_before_it_samples(tmp_path, capsys, flags, message):
+    argv = ["generate", "--out", str(tmp_path / "g"), "-N", "30", "-M", "20", *flags]
+    with mock.patch("missmix.cli.sample_ground_truth") as sample:
+        assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not sample.called
     assert list(tmp_path.iterdir()) == []
 
 
@@ -263,9 +284,9 @@ _GRID = ["--families", "constant,mm-none", "-K", "1,2", "--seeds", "0,1",
      "-K must be distinct, got 2,1,2"),
     # an empty side, which wrote blank rows and warned
     ("{study}.train.csv", "{inputs}/empty.csv", [], 5,
-     "the test side of the split has no ratings"),
+     "the test data has no ratings"),
     ("{inputs}/empty.csv", "{study}.test.csv", [], 5,
-     "the train side of the split has no ratings"),
+     "the training data has no ratings"),
 ], ids=["negative-seed", "unknown-family", "nan-mu", "repeated-seed", "repeated-family",
         "repeated-K", "empty-test", "empty-train"])
 def test_evaluate_checks_its_inputs_before_reading_a_file_or_fitting(

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from missmix.cptv import (CptvParams, MU_EPS, YAHOO_MU, build_mu_prior,
-                          e_step_nmar, estimate_mu_heldout, fit_nmar,
+from missmix.cptv import (CptvParams, MU_EPS, YAHOO_MU, _expected_counts,
+                          build_mu_prior, e_step_nmar, estimate_mu_heldout, fit_nmar,
                           log_evidence_nmar, log_posterior_nmar, m_step_nmar,
                           missing_value_attribution)
 from missmix.data import RatingDataset
@@ -235,10 +237,24 @@ def test_attribution_sums_to_one_and_none_when_complete():
     assert attr.sum() == pytest.approx(1.0, abs=1e-12)
     assert (attr >= 0).all()
 
-    complete = apply_cptv_missingness(truth, seed=4, mu=np.ones(3))
+    complete = apply_cptv_missingness(dataclasses.replace(truth, mu=np.ones(3)), seed=4)
     assert complete.n_obs == 50 * 8
     r2 = fit_nmar(complete, cfg, np.full(3, 0.5))
     assert missing_value_attribution(r2.params, r2.cptv, complete, r2.q) is None
+
+
+def test_hidden_counts_are_never_negative_on_fully_observed_items():
+    # with every cell observed, q.sum(0) - observed.sum(0) is 0 only up to
+    # round-off and comes out negative for about half the (item, component)
+    # entries; the expected hidden counts must still be counts
+    truth = sample_ground_truth(300, 6, 5, 3, np.ones(5), seed=11)
+    full = apply_cptv_missingness(truth, seed=12)
+    assert full.n_obs == 300 * 6
+    for seed in range(40):
+        result = fit_nmar(full, FitConfig(n_components=3, seed=seed, max_iters=5),
+                          np.ones(5))
+        hidden = _expected_counts(result.params, result.cptv, full, result.q)[1]
+        assert (hidden >= 0).all(), seed
 
 
 def test_fully_observed_fixed_mu_matches_value_blind_fit():

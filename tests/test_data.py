@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from missmix import analysis, cli, protocol
+from missmix import analysis, cli, mixture, protocol
 from missmix.cli import build_parser
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
                           min_ratings_filter, read_int_columns, remap_users,
@@ -331,13 +332,13 @@ def test_datasets_cannot_change_after_their_checks():
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.n_values = 1
     # a replaced dataset builds its own operator, not the cached one of `a`
-    a.incidence()
+    a.incidence
     c = dataclasses.replace(a, values=np.array([4, 2]))
     fresh = RatingDataset.from_arrays(2, 2, 5, [0, 1], [0, 1], [4, 2])
-    assert c.incidence().indices.tolist() == fresh.incidence().indices.tolist() == [6, 3]
+    assert c.incidence.indices.tolist() == fresh.incidence.indices.tolist() == [6, 3]
     # the caches are not constructor arguments
     with pytest.raises(TypeError):
-        RatingDataset(2, 2, 5, a.users, a.items, a.values, _incidence=b.incidence())
+        RatingDataset(2, 2, 5, a.users, a.items, a.values, incidence=b.incidence)
 
 
 def test_arrays_are_frozen():
@@ -561,7 +562,18 @@ def test_shared_formulas_and_policies_have_one_home_each():
     assert list(inspect.signature(cli._parse_mu).parameters) == ["text"]
     # one rule and one message each for mu's length and distinct grid entries
     assert _holders(r"one entry per rating value") == ["cptv.py"]
-    assert _holders(r"check_mu_length\(") == ["cptv.py", "protocol.py", "synthetic.py"]
+    assert _holders(r"check_mu_length\(") == [
+        "cptv.py", "modelio.py", "protocol.py", "synthetic.py"]
+    assert _holders(r"mu must hold|--seed must be >= 0") == []
+    # one MAP objective: the evidence sum meets the Dirichlet priors in
+    # mixture._objective_mar, which the mm-cptv objective extends
+    assert _holders(r"float\(log_z\.sum\(\)\)") == ["mixture.py"]
+    assert inspect.getsource(mixture).count("float(log_z.sum())") == 1
+    assert "float(log_z.sum())" in inspect.getsource(mixture._objective_mar)
+    assert _holders(r"_log_dirichlet_prior") == []
+    # one name for the incidence operator: the cached property itself
+    assert isinstance(vars(RatingDataset)["incidence"], functools.cached_property)
+    assert _holders(r"_incidence\b") == []
     assert _holders(r"\} entries|must have \{") == []
     assert _holders(r"must be distinct") == ["protocol.py"]
     assert re.findall(r"np\.log2", inspect.getsource(analysis)) == ["np.log2"]

@@ -217,7 +217,7 @@ def test_incidence_forms_match_per_triple_loop():
                                rtol=1e-13)
     np.testing.assert_allclose(_scatter(ds, q), scatter, rtol=1e-13)
     assert np.array_equal(_scatter(ds, q)[:, 3], np.zeros((V, K)))
-    assert ds.incidence() is ds.incidence()
+    assert ds.incidence is ds.incidence
 
 
 def test_fit_is_deterministic():

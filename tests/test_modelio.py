@@ -82,6 +82,9 @@ def _cptv_lines():
 def test_load_rejects_malformed_files(tmp_path):
     ok = load_model(_write(tmp_path, _base_lines()))
     assert ok.params.beta.shape == (2, 1, 1)
+    for extra, mode in (([], None), (["mu_mode fixed"], "fixed"),
+                        (["mu_mode learn", "xi1 2 2", "xi0 2 2"], "learn")):
+        assert load_model(_write(tmp_path, _cptv_lines() + extra)).mu_mode == mode
 
     cases = [
         (_base_lines()[1:], "missing required key"),            # no version
@@ -119,7 +122,12 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines() + ["mu_mode learn"], "mu_mode line present but kind"),
         (_base_lines() + ["xi1 nan", "mu_mode banana"], "unknown mu_mode"),
         (_cptv_lines() + ["mu_mode banana"], "unknown mu_mode 'banana'"),
-        (_cptv_lines()[:-1] + ["mu 0.5 0.5 0.5"], "mu must hold 2 values"),
+        (_cptv_lines()[:-1] + ["mu 0.5 0.5 0.5"],
+         r"mu must have one entry per rating value \(2\), got shape \(3,\)"),
+        # mu_mode must say what the prior lines say
+        (_cptv_lines() + ["mu_mode learn"], "mu_mode learn needs xi1 and xi0"),
+        (_cptv_lines() + ["mu_mode fixed", "xi1 2 2", "xi0 2 2"],
+         "mu_mode fixed takes none"),
     ]
     for i, (lines, match) in enumerate(cases):
         with pytest.raises(ParseError, match=match):

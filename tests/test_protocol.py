@@ -36,6 +36,12 @@ def test_model_spec_validation():
     ModelSpec(family="mm-cptv", config=FitConfig(2), mu=np.full(5, 0.2))
     ModelSpec(family="mm-cptv", config=FitConfig(2), mu=np.full(5, 0.2),
               strength=100.0)
+    # no other family takes a mu or a strength, which it would ignore
+    for family, config in (("mm-none", FitConfig(2)), ("constant", None)):
+        for extra in (dict(mu=np.full(3, 0.2)), dict(strength=100.0),
+                      dict(mu=np.full(5, 0.2), strength=100.0)):
+            with pytest.raises(ConfigurationError, match=f"{family} takes no mu"):
+                ModelSpec(family=family, config=config, **extra)
 
 
 def test_model_spec_has_a_config_exactly_when_it_is_fitted():
@@ -117,9 +123,9 @@ def test_run_protocol_rejects_bad_settings_before_fitting(small_split):
             (split, cptv, (0,), ConfigurationError,
              r"mu must have one entry per rating value \(5\), got shape \(4,\)"),
             (SplitPair(empty, split.test), constant, (0,), EvaluationError,
-             "the train side of the split has no ratings"),
+             "the training data has no ratings"),
             (SplitPair(split.train, empty), none, (0,), EvaluationError,
-             "the test side of the split has no ratings")):
+             "the test data has no ratings")):
         with mock.patch("missmix.protocol._fit_and_score") as fit:
             with pytest.raises(error, match=message):
                 run_protocol(case_split, [constant, spec], seeds)
@@ -128,9 +134,8 @@ def test_run_protocol_rejects_bad_settings_before_fitting(small_split):
 
 def test_run_protocol_replaces_the_seed_of_each_config(small_split):
     split, truth = small_split
-    rows = [run_protocol(split, [ModelSpec(family=family, config=config,
-                                           mu=truth.mu)], (0,))
-            for family in ("mm-none", "mm-cptv")
+    rows = [run_protocol(split, [ModelSpec(family=family, config=config, mu=mu)], (0,))
+            for family, mu in (("mm-none", None), ("mm-cptv", truth.mu))
             for config in (FitConfig(2, seed=7, max_iters=30),
                            FitConfig(2, max_iters=30))]
     assert rows[0] == rows[1] and rows[2] == rows[3]
