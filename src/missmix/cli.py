@@ -33,7 +33,7 @@ from .synthetic import build_study_dataset, sample_ground_truth
 _MU_PRESETS = {"yahoo": YAHOO_MU}
 
 # The most cells a command may allocate for one dense table; 2**28 float64
-# cells are 2 GiB. The benchmark's largest table, wide-learn's 2000 x 5000 x 5
+# cells are 2 GiB. The benchmark's largest charge, wide-learn's 2000 x 5000 x 5
 # generate (50M cells), stays over five times inside it, while a size flag or
 # --dims off by orders of magnitude stops with one line.
 DENSE_CELL_BUDGET = 2**28
@@ -64,7 +64,7 @@ def _check_dense_cells(command: str, n: int, m: int, v: int, k: int = 1) -> None
 
     Fits and predict hold an N+1 row index, N x K responsibilities and a
     V x M x K rating table, analyze and estimate-mu a V x M count table,
-    and generate the N x M x V table of rating CDFs and a V x M x K one.
+    and generate an N x M table of CDF comparisons per value and a V x M x K one.
     Negative sizes are left to the checks that name them.
     """
     n, m, v, k = (max(x, 0) for x in (n, m, v, k))
@@ -184,6 +184,10 @@ def _cmd_predict(args) -> None:
     model = modelio.load_model(args.model)
     data, = _load("predict", [args.data], args.dims,
                   model.params.n_components, model)
+    if data.n_obs == 0 and args.dims is None:
+        raise DataValidationError(
+            f"{args.data} has no ratings to give the number of users;"
+            " pass --dims N,M,V to predict from the prior")
     if model.params.n_items < data.n_items or model.params.n_values != data.n_values:
         raise ConfigurationError(
             f"model covers {model.params.n_items} items and"

@@ -20,14 +20,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .analysis import smoothed_distribution
 from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
 from .mixture import (FitConfig, FitResult, MixtureParams, _gather,
-                      _map_update, _normalize_log_weights, _objective_mar,
-                      _run_em, _scatter, init_params)
+                      _logsumexp, _map_update, _normalize_log_weights,
+                      _objective_mar, _run_em, _scatter, init_params)
 
 # Observation probabilities are clamped inside the open unit interval so
 # their logs stay finite.
@@ -110,7 +109,7 @@ def log_evidence_nmar(params: MixtureParams, cptv: CptvParams,
                       dataset: RatingDataset) -> np.ndarray:
     """Per-user log probability of observed values and response pattern,
     shape (N,)."""
-    return logsumexp(_log_weights_nmar(params, cptv, dataset), axis=1)
+    return _logsumexp(_log_weights_nmar(params, cptv, dataset))
 
 
 def _expected_counts(params: MixtureParams, cptv: CptvParams,
@@ -168,6 +167,7 @@ def _log_beta_prior(cptv: CptvParams) -> float:
     """Log density of mu under its Beta prior; 0 when there is none."""
     if cptv.xi1 is None:
         return 0.0
+    from scipy.special import gammaln
     return float((gammaln(cptv.xi1 + cptv.xi0) - gammaln(cptv.xi1)
                   - gammaln(cptv.xi0)
                   + (cptv.xi1 - 1.0) * np.log(cptv.mu)
@@ -242,6 +242,8 @@ def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,
         raise ConfigurationError("train and heldout disagree on n_values")
     if heldout.n_obs == 0:
         raise EstimationError("heldout probe is empty")
+    if train.n_obs == 0:
+        raise EstimationError("self-selected training data is empty")
     exposure = np.asarray(exposure, dtype=float)
     if exposure.ndim == 0:
         total_exposure = float(exposure) * train.n_users

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import ConfigurationError, DataValidationError, ParseError
 
@@ -108,6 +107,7 @@ class RatingDataset:
         rows over every user's observations, and ``A.T @ q`` sums
         per-user rows into (value, item) cells.
         """
+        from scipy.sparse import csr_array
         cols = (self.values - 1) * self.n_items + self.items
         return csr_array((np.ones(self.n_obs), cols, self._row_ptr),
                          shape=(self.n_users, self.n_values * self.n_items))

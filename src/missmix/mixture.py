@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
@@ -148,8 +147,24 @@ def _log_weights_mar(params: MixtureParams,
     return log_theta + _gather(dataset, log_beta)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp(a, axis=1) for real ``a``, bit for bit: each
+    row's maxima leave the sum of exponentials and return as log(count)."""
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(a - a_max)
+        # Zeroing the maxima also clears the NaN an infinite maximum leaves
+        # (inf - inf), where scipy sums exp(a) directly to the same -inf or inf.
+        np.putmask(e, is_max, 0.0)
+        s = e.sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        return (np.log1p(s) + np.log(m) + a_max).ravel()
+
+
 def _normalize_log_weights(log_w: np.ndarray):
-    log_z = logsumexp(log_w, axis=1)
+    log_z = _logsumexp(log_w)
     q = np.exp(log_w - log_z[:, None])
     return q, log_z
 
@@ -188,6 +203,7 @@ def _objective_mar(params: MixtureParams, log_z: np.ndarray) -> float:
     of theta and every beta[:, m, z] under their smoothing."""
     if params.alpha is None or params.phi is None:
         raise ConfigurationError("log posterior needs smoothing")
+    from scipy.special import gammaln
     K, V = params.n_components, params.n_values
     with np.errstate(divide="ignore"):
         log_theta = np.log(params.theta)
@@ -202,7 +218,7 @@ def _objective_mar(params: MixtureParams, log_z: np.ndarray) -> float:
 def log_posterior_mar(params: MixtureParams, dataset: RatingDataset) -> float:
     """Log of (observed-data likelihood x smoothing priors), up to the
     normalising constant of the data."""
-    return _objective_mar(params, logsumexp(_log_weights_mar(params, dataset), axis=1))
+    return _objective_mar(params, _logsumexp(_log_weights_mar(params, dataset)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -78,11 +78,12 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     beta = np.ascontiguousarray(beta.transpose(2, 0, 1))
     z = rng.choice(n_components, size=n_users, p=theta)
 
-    # Invert each per-cell CDF at one uniform draw; u < 1 keeps the
-    # count of passed thresholds in 0..V-1.
+    # Invert each per-cell CDF at one uniform draw, one value at a time;
+    # u < 1 keeps the count of passed thresholds in 0..V-1.
     u = rng.random((n_users, n_items))
-    cdf_by_user = np.cumsum(beta, axis=0)[:, :, z]
-    complete = 1 + (cdf_by_user < u.T[None, :, :]).sum(axis=0).T.astype(np.int16)
+    complete = np.ones((n_users, n_items), np.int16)
+    for cdf in np.cumsum(beta, axis=0):
+        complete += cdf.T[z] < u
 
     params = MixtureParams(theta=theta, beta=beta, alpha=None, phi=None)
     return GroundTruth(params=params, mu=mu, z=z, complete=complete)

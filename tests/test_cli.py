@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -236,6 +240,9 @@ _PREDICT = ["predict", "{study}.train.csv", "--out", "{out}/p.csv"]
         ["evaluate", "{inputs}/empty.csv", "{inputs}/empty.csv", "--families", "mm-none",
          "-K", "1", "--out", "{out}/r.csv"],
     ) for dims in ([], ["--dims", "3,3,5"])],
+    # a self-selected file with no ratings, which printed mu clamped to 1e-12
+    (["estimate-mu", "{inputs}/empty.csv", "{study}.test.csv", "--exposure", "10"], 5,
+     "self-selected training data is empty"),
 ])
 def test_bad_input_exits_with_its_code_and_one_error_line(
         study, inputs, tmp_path, capsys, argv, code, message):
@@ -243,6 +250,59 @@ def test_bad_input_exits_with_its_code_and_one_error_line(
     assert main([a.format(**fill) for a in argv]) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_on_an_empty_ratings_file_needs_dims(study, inputs, tmp_path, capsys):
+    # the empty file gives no user count, which blamed the pairs file; with
+    # --dims every pair is predicted from the prior, the uniform model's median 3
+    empty, out = f"{inputs}/empty.csv", tmp_path / "p.csv"
+    argv = ["predict", empty, "--model", f"{inputs}/full.model",
+            "--pairs", study + ".test.csv", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {empty} has no ratings to give the"
+                                   " number of users; pass --dims N,M,V to predict"
+                                   " from the prior\n")
+    assert list(tmp_path.iterdir()) == []
+    train, test = load_csv(study + ".train.csv"), load_csv(study + ".test.csv")
+    assert main(argv + ["--dims", f"{train.n_users},{train.n_items},{train.n_values}"]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows == ["user,item,prediction"] + [
+        f"{u},{m},3" for u, m in zip(test.users, test.items)]
+
+
+_SCIPY_PROBE = """
+import sys
+from missmix.cli import main
+
+def loaded():
+    print("scipy:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+out = sys.argv[1]
+for argv in (["generate", "--out", out, "-N", "60", "-M", "12", "-K", "2",
+              "--per-user-test", "3", "--min-train", "3"],
+             ["analyze", out + ".train.csv", "--compare", out + ".test.csv",
+              "--out", out + ".analysis"],
+             ["estimate-mu", out + ".train.csv", out + ".test.csv", "--exposure", "9"]):
+    assert main(argv) == 0, argv
+loaded()
+assert main(["train", out + ".train.csv", "--model", "mm-none", "-K", "2",
+             "--max-iters", "3", "--out", out + ".model"]) == 0
+loaded()
+"""
+
+
+def test_generate_analyze_and_estimate_mu_never_import_scipy(tmp_path):
+    # scipy (sparse and special) is paid for by the commands that fit or predict
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "s")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = [line.split()[1:] for line in done.stdout.splitlines()
+                     if line.startswith("scipy:")]
+    assert before == []
+    assert "scipy.sparse" in after and "scipy.special" in after
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -574,6 +574,10 @@ def test_shared_formulas_and_policies_have_one_home_each():
     # one name for the incidence operator: the cached property itself
     assert isinstance(vars(RatingDataset)["incidence"], functools.cached_property)
     assert _holders(r"_incidence\b") == []
+    # one log-sum-exp, and scipy is imported only inside the functions that
+    # use it, so commands that never fit or predict do not load it
+    assert _holders(r"\blogsumexp\b|def _logsumexp") == ["mixture.py"]
+    assert _holders(r"(?m)^(from|import) scipy") == []
     assert _holders(r"\} entries|must have \{") == []
     assert _holders(r"must be distinct") == ["protocol.py"]
     assert re.findall(r"np\.log2", inspect.getsource(analysis)) == ["np.log2"]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from missmix.cptv import CptvParams, _log_weights_nmar, fit_nmar
 from missmix.data import RatingDataset
 from missmix.errors import ConfigurationError, DataValidationError, EstimationError
 from missmix.mixture import (FitConfig, MixtureParams, _log_weights_mar,
-                             _scatter, e_step_mar, fit_mar, init_params,
-                             log_posterior_mar, m_step_mar)
+                             _logsumexp, _scatter, e_step_mar, fit_mar,
+                             init_params, log_posterior_mar, m_step_mar)
 from oracles import log_posterior
 
 
@@ -227,3 +228,28 @@ def test_fit_is_deterministic():
     a, b = fit_mar(ds, cfg), fit_mar(ds, cfg)
     assert np.array_equal(a.params.theta, b.params.theta)
     assert np.array_equal(a.params.beta, b.params.beta)
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 10, 20])
+def test_logsumexp_matches_scipy_bit_for_bit(K):
+    rng = np.random.default_rng(K)
+    a = rng.normal(scale=30.0, size=(50000, K))
+    a[rng.random(a.shape) < 0.2] = -np.inf
+    a[:100] = -np.inf                                   # all -inf
+    a[100:200, -1] = np.inf
+    a[200:300, 0] = -np.inf
+    a[200:300, -1] = np.inf                             # +inf next to -inf
+    a[300:400, 0] = np.nan
+    a[400:500, -1] = np.nan
+    a[400:500, 0] = -np.inf                             # NaN next to -inf
+    a[500:600] = 3.0                                    # every entry tied
+    a[600:700] = np.round(a[600:700] / 30.0)            # ties among few values
+    a[700:800, 0] = a[700:800].max(axis=1)              # tied maxima
+    a[800:900] = 1e308                                  # sum overflows
+    a[900:1000, 0] = -1e308
+    a[900:1000, -1] = 1.7e308                           # shift overflows
+    with np.errstate(over="ignore"):
+        want = logsumexp(a, axis=1)
+    got = _logsumexp(a)
+    assert got.shape == want.shape == (50000,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
