@@ -4,8 +4,7 @@ from .analysis import skl, skl_report, smoothed_distribution
 from .cptv import (CptvParams, YAHOO_MU, build_mu_prior, e_step_nmar,
                    estimate_mu_heldout, fit_nmar, log_posterior_nmar,
                    m_step_nmar)
-from .data import (RatingDataset, SplitPair, load_csv, min_ratings_filter,
-                   save_csv)
+from .data import RatingDataset, SplitPair, load_csv, save_csv
 from .errors import (ConfigurationError, DataValidationError, EstimationError,
                      EvaluationError, GenerationError, MissmixError,
                      ParseError)
@@ -29,8 +28,7 @@ __all__ = [
     "build_study_dataset", "e_step_mar", "e_step_nmar", "estimate_mu_heldout",
     "fit_mar", "fit_nmar", "init_params", "load_csv", "load_model",
     "log_posterior_mar", "log_posterior_nmar", "m_step_mar", "m_step_nmar",
-    "mae", "min_ratings_filter", "posterior_z", "predict_median",
-    "predictive_distribution", "run_protocol", "sample_ground_truth",
-    "sample_mcar_test", "save_csv", "save_model", "skl", "skl_report",
-    "smoothed_distribution", "write_report",
+    "mae", "posterior_z", "predict_median", "predictive_distribution",
+    "run_protocol", "sample_ground_truth", "sample_mcar_test", "save_csv",
+    "save_model", "skl", "skl_report", "smoothed_distribution", "write_report",
 ]

@@ -33,8 +33,8 @@ from .synthetic import build_study_dataset, sample_ground_truth
 _MU_PRESETS = {"yahoo": YAHOO_MU}
 
 # The most cells a command may allocate for one dense table; 2**28 float64
-# cells are 2 GiB. The benchmark's largest charge, wide-learn's 2000 x 5000 x 5
-# generate (50M cells), stays over five times inside it, while a size flag or
+# cells are 2 GiB. The benchmark's largest charge, wide-learn's 2000 x 5000
+# generate (10M cells), stays over twenty times inside it, while a size flag or
 # --dims off by orders of magnitude stops with one line.
 DENSE_CELL_BUDGET = 2**28
 
@@ -64,12 +64,12 @@ def _check_dense_cells(command: str, n: int, m: int, v: int, k: int = 1) -> None
 
     Fits and predict hold an N+1 row index, N x K responsibilities and a
     V x M x K rating table, analyze and estimate-mu a V x M count table,
-    and generate an N x M table of CDF comparisons per value and a V x M x K one.
+    and generate an N x M rating table and a V x M x K one.
     Negative sizes are left to the checks that name them.
     """
     n, m, v, k = (max(x, 0) for x in (n, m, v, k))
     if command == "generate":
-        cells = max(n * m * v, v * m * k)
+        cells = max(n * m, v * m * k)
     elif command in ("analyze", "estimate-mu"):
         cells = v * m
     else:

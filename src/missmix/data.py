@@ -1,4 +1,4 @@
-"""Sparse rating data: construction, validation, CSV I/O, and filtering.
+"""Sparse rating data: construction, validation and CSV I/O.
 
 A dataset holds (user, item, value) triples with integer rating values in
 1..V. The response indicator structure is implicit: an entry is observed
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DataValidationError, ParseError
+from .errors import DataValidationError, ParseError
 
 
 @dataclass(frozen=True)
@@ -288,30 +288,3 @@ def save_csv(path, dataset: RatingDataset) -> None:
     """Write the dataset as CSV, rows sorted by (user, item), LF endings."""
     write_int_csv(path, "user,item,rating", dataset.users, dataset.items, dataset.values)
 
-
-def min_ratings_filter(dataset: RatingDataset, k: int):
-    """Keep only users with at least ``k`` observations.
-
-    Retained users are re-indexed densely in their original order.
-
-    Returns
-    -------
-    filtered : RatingDataset
-    kept_users : ndarray
-        Original index of each retained user; ``kept_users[new] == old``.
-    """
-    if k < 0:
-        raise ConfigurationError(f"min rating count must be >= 0, got {k}")
-    kept = np.flatnonzero(dataset.row_counts() >= k)
-    return remap_users(dataset, kept), kept
-
-
-def remap_users(dataset: RatingDataset, kept_users: np.ndarray) -> RatingDataset:
-    """Restrict a dataset to ``kept_users`` and apply the same dense re-map."""
-    remap = np.full(dataset.n_users, -1, dtype=np.int64)
-    remap[kept_users] = np.arange(len(kept_users))
-    keep_mask = remap[dataset.users] >= 0
-    return RatingDataset.from_arrays(
-        len(kept_users), dataset.n_items, dataset.n_values,
-        remap[dataset.users[keep_mask]], dataset.items[keep_mask],
-        dataset.values[keep_mask])

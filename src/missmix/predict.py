@@ -13,7 +13,7 @@ import numpy as np
 
 from .cptv import CptvParams, e_step_nmar
 from .data import RatingDataset
-from .errors import EvaluationError
+from .errors import EstimationError, EvaluationError
 from .mixture import MixtureParams, e_step_mar
 
 # Pairs per einsum call, so its V x pairs x K operand stays a few MB.
@@ -26,11 +26,15 @@ def posterior_z(params: MixtureParams, dataset: RatingDataset,
 
     With ``cptv`` the posterior conditions on the full response pattern
     (which cells are hidden carries information); without it, only on
-    the observed values.
+    the observed values. A user of zero probability raises EstimationError.
     """
-    if cptv is None:
-        return e_step_mar(params, dataset)
-    return e_step_nmar(params, cptv, dataset)
+    with np.errstate(invalid="ignore"):
+        q = e_step_mar(params, dataset) if cptv is None else e_step_nmar(params, cptv, dataset)
+    lost = np.flatnonzero(np.isnan(q).any(axis=1))
+    if len(lost):
+        raise EstimationError(f"user {lost[0]} has probability zero under every"
+                              " model component")
+    return q
 
 
 def predictive_distribution(params: MixtureParams, q: np.ndarray,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cptv import CptvParams, check_mu_length
-from .data import RatingDataset, SplitPair, min_ratings_filter, remap_users
+from .data import RatingDataset, SplitPair
 from .errors import ConfigurationError, GenerationError
 from .mixture import MixtureParams
 
@@ -89,17 +89,34 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     return GroundTruth(params=params, mu=mu, z=z, complete=complete)
 
 
+def _keep_mask(truth: GroundTruth, seed) -> np.ndarray:
+    """Cell (i, m) with rating v is kept with probability truth.mu[v-1]."""
+    rng = np.random.default_rng(seed)
+    return rng.random(truth.complete.shape) < truth.mu[truth.complete - 1]
+
+
+def _probe_mask(truth: GroundTruth, per_user: int, seed) -> np.ndarray:
+    """The ``per_user`` cells of each row with the smallest uniform keys."""
+    if not 0 < per_user <= truth.n_items:
+        raise ConfigurationError(f"per_user must be in 1..{truth.n_items}, got {per_user}")
+    order = np.argsort(np.random.default_rng(seed).random(truth.complete.shape), axis=1)
+    probe = np.zeros(truth.complete.shape, dtype=bool)
+    np.put_along_axis(probe, order[:, :per_user], True, axis=1)
+    return probe
+
+
+def _observed(complete: np.ndarray, mask: np.ndarray, n_values: int) -> RatingDataset:
+    """The cells of ``complete`` under ``mask``, on the table's N x M."""
+    return RatingDataset.from_arrays(*complete.shape, n_values, *np.nonzero(mask),
+                                     complete[mask])
+
+
 def apply_cptv_missingness(truth: GroundTruth, seed) -> RatingDataset:
     """Hide table entries value-dependently, returning the observed part.
 
     Cell (i, m) with rating v stays observed with probability truth.mu[v-1].
     """
-    rng = np.random.default_rng(seed)
-    keep = rng.random(truth.complete.shape) < truth.mu[truth.complete - 1]
-    users, items = np.nonzero(keep)
-    return RatingDataset.from_arrays(
-        truth.n_users, truth.n_items, truth.n_values,
-        users, items, truth.complete[keep])
+    return _observed(truth.complete, _keep_mask(truth, seed), truth.n_values)
 
 
 def sample_mcar_test(truth: GroundTruth, per_user: int, seed) -> RatingDataset:
@@ -108,17 +125,7 @@ def sample_mcar_test(truth: GroundTruth, per_user: int, seed) -> RatingDataset:
     Items are drawn without replacement within each user, so the
     selection frequency of every item is identical by symmetry.
     """
-    if not 0 < per_user <= truth.n_items:
-        raise ConfigurationError(
-            f"per_user must be in 1..{truth.n_items}, got {per_user}")
-    rng = np.random.default_rng(seed)
-    keys = rng.random((truth.n_users, truth.n_items))
-    idx = np.argsort(keys, axis=1)[:, :per_user]
-    users = np.repeat(np.arange(truth.n_users), per_user)
-    items = idx.ravel()
-    values = truth.complete[users, items]
-    return RatingDataset.from_arrays(
-        truth.n_users, truth.n_items, truth.n_values, users, items, values)
+    return _observed(truth.complete, _probe_mask(truth, per_user, seed), truth.n_values)
 
 
 def build_study_dataset(truth: GroundTruth, seed, per_user_test: int = 10,
@@ -129,7 +136,8 @@ def build_study_dataset(truth: GroundTruth, seed, per_user_test: int = 10,
     training data is the value-dependently observed remainder, with any
     probed cells removed so the two sets never share a pair. Users left
     with fewer than ``min_train`` training entries are dropped from both
-    sides and the survivors re-indexed densely.
+    sides and the survivors re-indexed densely. Both sides are N x M masks,
+    drawn as in ``apply_cptv_missingness`` and ``sample_mcar_test``.
 
     Returns
     -------
@@ -137,22 +145,16 @@ def build_study_dataset(truth: GroundTruth, seed, per_user_test: int = 10,
     kept_users : ndarray
         Original user index of each retained user.
     """
+    if min_train < 0:
+        raise ConfigurationError(f"min_train must be >= 0, got {min_train}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     seed_missing, seed_test = seed.spawn(2)
-    observed = apply_cptv_missingness(truth, seed_missing)
-    test = sample_mcar_test(truth, per_user_test, seed_test)
-
-    in_test = test.find(observed) >= 0
-    train = RatingDataset.from_arrays(
-        truth.n_users, truth.n_items, truth.n_values,
-        observed.users[~in_test], observed.items[~in_test],
-        observed.values[~in_test])
-
-    train, kept = min_ratings_filter(train, min_train)
+    probe = _probe_mask(truth, per_user_test, seed_test)
+    train = _keep_mask(truth, seed_missing) & ~probe
+    kept = np.flatnonzero(train.sum(axis=1) >= min_train)
     if len(kept) == 0:
-        raise GenerationError(
-            f"no users kept at least {min_train} training entries")
-    test = remap_users(test, kept)
-    return SplitPair(train=train, test=test), kept
-
+        raise GenerationError(f"no users kept at least {min_train} training entries")
+    complete = truth.complete[kept]
+    return SplitPair(train=_observed(complete, train[kept], truth.n_values),
+                     test=_observed(complete, probe[kept], truth.n_values)), kept

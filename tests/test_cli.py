@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from missmix import cli
 from missmix.cli import main
+from missmix.cptv import CptvParams
 from missmix.data import load_csv, write_int_csv
 from missmix.mixture import MixtureParams
 from missmix.modelio import load_model, save_model
@@ -199,8 +200,8 @@ def test_predict_without_dims_covers_the_models_items_and_values(study, tmp_path
 @pytest.fixture(scope="module")
 def inputs(study, tmp_path_factory):
     """Uniform one-component models over the study's items and over three,
-    header-only pairs and ratings files, and a pairs file whose user is past
-    the study's last."""
+    header-only pairs and ratings files, a pairs file whose user is past
+    the study's last, and a rating two models give probability zero."""
     root = tmp_path_factory.mktemp("inputs")
     train = load_csv(study + ".train.csv")
     V = train.n_values
@@ -210,6 +211,12 @@ def inputs(study, tmp_path_factory):
     (root / "none.csv").write_text("user,item\n", encoding="utf-8")
     (root / "empty.csv").write_text("user,item,rating\n", encoding="utf-8")
     (root / "user.csv").write_text(f"user,item\n{train.n_users},0\n", encoding="utf-8")
+    # item 0 never takes value 2 under the one component, so a user who rated
+    # it 2 has no posterior
+    zero = MixtureParams(theta=np.ones(1), beta=np.array([1, 0.5, 0, 0.5]).reshape(2, 2, 1))
+    save_model(root / "zero.model", zero)
+    save_model(root / "zero_cptv.model", zero, cptv=CptvParams(mu=np.array([0.5, 0.5])))
+    (root / "zero.csv").write_text("user,item,rating\n0,0,2\n", encoding="utf-8")
     return str(root)
 
 
@@ -243,6 +250,12 @@ _PREDICT = ["predict", "{study}.train.csv", "--out", "{out}/p.csv"]
     # a self-selected file with no ratings, which printed mu clamped to 1e-12
     (["estimate-mu", "{inputs}/empty.csv", "{study}.test.csv", "--exposure", "10"], 5,
      "self-selected training data is empty"),
+    # a rating both models give probability zero, whose NaN posterior
+    # predicted 1 with exit 0 and a RuntimeWarning
+    *[(["predict", "{inputs}/zero.csv", "--model", f"{{inputs}}/{name}.model",
+        "--pairs", "{inputs}/zero.csv", "--out", "{out}/p.csv"], 5,
+       "user 0 has probability zero under every model component")
+      for name in ("zero", "zero_cptv")],
 ])
 def test_bad_input_exits_with_its_code_and_one_error_line(
         study, inputs, tmp_path, capsys, argv, code, message):
@@ -567,6 +580,15 @@ def test_size_flags_stop_before_any_table_is_allocated(study, tmp_path, capsys,
     assert "needs a dense table of 251 cells" in capsys.readouterr().err
     monkeypatch.setattr(cli, "DENSE_CELL_BUDGET", 251)
     assert main(train + ["-K", "1", "--dims", "250,25,5"]) == 0
+    # generate holds an N x M table (600 cells here) and a V x M x K one (500),
+    # not the N x M x V (3000) it was charged for before
+    generate = ["generate", "--out", str(tmp_path / "g"), "-N", "30", "-M", "20",
+                "-V", "5", "--min-train", "0"]
+    monkeypatch.setattr(cli, "DENSE_CELL_BUDGET", 599)
+    assert main(generate) == 3
+    assert "needs a dense table of 600 cells" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "DENSE_CELL_BUDGET", 600)
+    assert main(generate) == 0
 
 
 def test_predict_rejects_invalid_model(study, tmp_path):

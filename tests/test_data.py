@@ -10,13 +10,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from missmix import analysis, cli, mixture, protocol
+from missmix import analysis, cli, mixture, protocol, synthetic
 from missmix.cli import build_parser
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
-                          min_ratings_filter, read_int_columns, remap_users,
-                          save_csv, write_int_csv)
-from missmix.errors import (ConfigurationError, DataValidationError,
-                            MissmixError, ParseError)
+                          read_int_columns, save_csv, write_int_csv)
+from missmix.errors import DataValidationError, MissmixError, ParseError
 from missmix.mixture import FitConfig
 from oracles import parse_ratings_rows
 
@@ -210,35 +208,6 @@ def test_from_arrays_gives_a_valid_dataset_or_a_data_error(args):
     assert (np.diff(ds.pair_keys()) > 0).all()
     assert sorted(triples) == list(zip(ds.users.tolist(), ds.items.tolist(),
                                        ds.values.tolist()))
-
-
-def test_min_ratings_filter_counts():
-    users = np.concatenate([np.zeros(12, int), np.full(3, 1), np.full(10, 2)])
-    items = np.concatenate([np.arange(12), np.arange(3), np.arange(10)])
-    values = np.ones(25, int)
-    ds = RatingDataset.from_arrays(3, 12, 5, users, items, values)
-    filtered, kept = min_ratings_filter(ds, 10)
-    assert kept.tolist() == [0, 2]
-    assert filtered.n_users == 2
-    assert filtered.row_counts().tolist() == [12, 10]
-    # user 2 re-indexed to 1, item ids untouched
-    items1, _ = filtered.row(1)
-    assert items1.tolist() == list(range(10))
-
-
-def test_min_ratings_filter_rejects_negative():
-    ds = RatingDataset.from_arrays(1, 1, 5, [0], [0], [1])
-    with pytest.raises(ConfigurationError):
-        min_ratings_filter(ds, -1)
-
-
-def test_remap_users_keeps_selected_rows():
-    ds = RatingDataset.from_arrays(3, 2, 5, [0, 1, 2], [0, 0, 1], [1, 2, 3])
-    out = remap_users(ds, np.array([2, 0]))
-    assert out.n_users == 2
-    # kept order defines the new indices
-    assert out.users.tolist() == [0, 1]
-    assert out.values.tolist() == [3, 1]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -578,6 +547,13 @@ def test_shared_formulas_and_policies_have_one_home_each():
     # use it, so commands that never fit or predict do not load it
     assert _holders(r"\blogsumexp\b|def _logsumexp") == ["mixture.py"]
     assert _holders(r"(?m)^(from|import) scipy") == []
+    # the study split is drawn as N x M masks: one dataset build, in
+    # synthetic._observed, and no pair-key join, user filter or user re-map
+    assert _holders(r"min_ratings_filter|remap_users") == []
+    synthetic_source = inspect.getsource(synthetic)
+    assert re.findall(r"\bfrom_arrays\(", synthetic_source) == ["from_arrays("]
+    assert "from_arrays(" in inspect.getsource(synthetic._observed)
+    assert not re.search(r"\bfind\(", synthetic_source)
     assert _holders(r"\} entries|must have \{") == []
     assert _holders(r"must be distinct") == ["protocol.py"]
     assert re.findall(r"np\.log2", inspect.getsource(analysis)) == ["np.log2"]

@@ -131,6 +131,40 @@ def test_build_study_dataset_can_drop_everyone():
         build_study_dataset(truth, seed=15, per_user_test=2, min_train=5)
 
 
+def _triples(ds):
+    return list(zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist()))
+
+
+@pytest.mark.parametrize("min_train", [0, 9])
+def test_build_study_dataset_is_the_missingness_minus_the_probe(min_train):
+    # under the seeds it spawns, train is the value-dependent draw less the
+    # probe, and users short of min_train leave both sides, which re-index
+    truth = sample_ground_truth(300, 20, 5, 3, np.array(
+        [0.3, 0.2, 0.4, 0.6, 0.9]), seed=17)
+    split, kept = build_study_dataset(truth, seed=18, per_user_test=4,
+                                      min_train=min_train)
+    seed_missing, seed_test = np.random.SeedSequence(18).spawn(2)
+    probe = _triples(sample_mcar_test(truth, 4, seed_test))
+    probed = {(u, m) for u, m, _ in probe}
+    train = [t for t in _triples(apply_cptv_missingness(truth, seed_missing))
+             if t[:2] not in probed]
+    counts = np.bincount([u for u, _, _ in train], minlength=300)
+    expected = [u for u in range(300) if counts[u] >= min_train]
+    assert kept.tolist() == expected
+    assert len(expected) == 300 if min_train == 0 else 0 < len(expected) < 300
+    new = {u: i for i, u in enumerate(expected)}
+    assert split.train.n_users == split.test.n_users == len(expected)
+    assert _triples(split.train) == [(new[u], m, x) for u, m, x in train if u in new]
+    assert _triples(split.test) == [(new[u], m, x) for u, m, x in probe if u in new]
+
+
+def test_build_study_dataset_checks_min_train_first():
+    truth = sample_ground_truth(20, 5, 2, 1, np.array([0.5, 0.5]), seed=19)
+    # before the probe is drawn, so before its own size check
+    with pytest.raises(ConfigurationError, match=r"^min_train must be >= 0, got -1$"):
+        build_study_dataset(truth, seed=20, per_user_test=0, min_train=-1)
+
+
 def test_oracle_limit_guard():
     truth = sample_ground_truth(1, 30, 3, 1, np.full(3, 0.5), seed=16)
     assert 3 ** 30 > ORACLE_ASSIGNMENT_LIMIT
