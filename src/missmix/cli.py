@@ -20,8 +20,9 @@ import numpy as np
 from . import analysis, modelio
 from .cptv import (CptvParams, YAHOO_MU, estimate_mu_heldout,
                    missing_value_attribution)
-from .data import (RatingDataset, SplitPair, format_floats, load_csv,
-                   read_int_columns, save_csv, write_int_csv, write_text)
+from .data import (RatingDataset, SplitPair, check_ranges, format_floats,
+                   load_csv, read_int_columns, save_csv, write_int_csv,
+                   write_text)
 from .errors import (IO_EXIT_CODE, ConfigurationError, DataValidationError,
                      MissmixError)
 from .mixture import FitConfig
@@ -84,20 +85,25 @@ def _load(command: str, paths, dims_text: str | None, k: int = 1,
           model=None) -> list[RatingDataset]:
     """The ratings files at ``paths`` on the dims of ``--dims``, or else on the
     largest dims inferred over them and ``model``'s items and values; checks
-    the dense tables ``command`` allocates with ``k`` components."""
+    the dense tables ``command`` allocates with ``k`` components, before any
+    file is read when ``--dims`` gives the dims."""
     dims = None if dims_text is None else tuple(_parse_int_list(dims_text))
-    if dims is not None and len(dims) != 3:
-        raise ConfigurationError(f"--dims must be N,M,V, got {dims_text!r}")
+    if dims is not None:
+        if len(dims) != 3:
+            raise ConfigurationError(f"--dims must be N,M,V, got {dims_text!r}")
+        # an empty dataset applies the rules every dims must meet
+        RatingDataset.from_arrays(*dims, [], [], [])
+        _check_dense_cells(command, *dims, k)
     loaded = [load_csv(path, dims=dims) for path in paths]
-    shapes = [(ds.n_users, ds.n_items, ds.n_values) for ds in loaded]
     if dims is None:
+        shapes = [(ds.n_users, ds.n_items, ds.n_values) for ds in loaded]
         if model is not None:
             shapes.append((0, model.params.n_items, model.params.n_values))
         dims = tuple(map(max, zip(*shapes)))
-    # Sorted, valid triples stay so at dimensions at least as large.
-    loaded = [ds if shape == dims else RatingDataset(*dims, ds.users, ds.items, ds.values)
-              for ds, shape in zip(loaded, shapes)]
-    _check_dense_cells(command, *dims, k)
+        # Sorted, valid triples stay so at dimensions at least as large.
+        loaded = [ds if shape == dims else RatingDataset(*dims, ds.users, ds.items, ds.values)
+                  for ds, shape in zip(loaded, shapes)]
+        _check_dense_cells(command, *dims, k)
     return loaded
 
 
@@ -196,10 +202,8 @@ def _cmd_predict(args) -> None:
     users, items = read_int_columns(args.pairs, 2)
     if len(users) == 0:
         raise DataValidationError("no pairs to predict")
-    if (users >= data.n_users).any():
-        raise DataValidationError("pair user index out of range")
-    if (items >= model.params.n_items).any():
-        raise DataValidationError("pair item index out of range")
+    check_ranges((data.n_users, model.params.n_items, data.n_values), users, items,
+                 prefix="pair ")
     q = posterior_z(model.params, data, cptv=model.cptv)
     pred = predict_median(predictive_distribution(model.params, q, users, items))
     write_int_csv(args.out, "user,item,prediction", users, items, pred)

@@ -3,7 +3,7 @@
 A dataset holds (user, item, value) triples with integer rating values in
 1..V. The response indicator structure is implicit: an entry is observed
 iff its pair is present. Triples are kept sorted by (user, item) so that
-per-user rows come back in item order, and the arrays are frozen after
+each user's entries come in item order, and the arrays are frozen after
 construction so datasets can be shared freely.
 
 Model code reaches the triples through one sparse operator: the N x V*M
@@ -68,9 +68,7 @@ class RatingDataset:
         if self.n_users * self.n_items >= 2**63:
             raise DataValidationError(f"dimensions {dims} overflow the int64 pair"
                                       " keys (N * M >= 2**63); pass smaller --dims")
-        problems = _range_violations(self)
-        if problems:
-            raise DataValidationError("; ".join(problems))
+        check_ranges(dims, self.users, self.items, self.values)
         # Keys of in-range pairs increase strictly iff pairs are sorted and unique.
         steps = np.diff(self.pair_keys())
         if (steps <= 0).any():
@@ -85,19 +83,6 @@ class RatingDataset:
     def n_obs(self) -> int:
         return len(self.values)
 
-    def row(self, user: int):
-        """Observed (items, values) of one user, sorted by item index."""
-        a, b = self._row_ptr[user], self._row_ptr[user + 1]
-        return self.items[a:b], self.values[a:b]
-
-    def row_counts(self) -> np.ndarray:
-        """Number of observations per user, shape (N,)."""
-        return np.diff(self._row_ptr)
-
-    @cached_property
-    def _row_ptr(self) -> np.ndarray:
-        return np.searchsorted(self.users, np.arange(self.n_users + 1))
-
     @cached_property
     def incidence(self) -> csr_array:
         """CSR one-hot operator A of shape (N, V*M), built once and cached.
@@ -109,7 +94,8 @@ class RatingDataset:
         """
         from scipy.sparse import csr_array
         cols = (self.values - 1) * self.n_items + self.items
-        return csr_array((np.ones(self.n_obs), cols, self._row_ptr),
+        row_ptr = np.searchsorted(self.users, np.arange(self.n_users + 1))
+        return csr_array((np.ones(self.n_obs), cols, row_ptr),
                          shape=(self.n_users, self.n_values * self.n_items))
 
     def value_counts(self) -> np.ndarray:
@@ -157,22 +143,24 @@ class SplitPair:
 _RANGE_EXAMPLES = 3
 
 
-def _range_violations(dataset: RatingDataset) -> list[str]:
-    """One message for each of the first _RANGE_EXAMPLES users, items or
-    ratings outside the dimensions, then the count of the rest."""
-    out = []
-    bad_u = (dataset.users < 0) | (dataset.users >= dataset.n_users)
-    bad_m = (dataset.items < 0) | (dataset.items >= dataset.n_items)
-    bad_v = (dataset.values < 1) | (dataset.values > dataset.n_values)
-    for i in np.flatnonzero(bad_u)[:_RANGE_EXAMPLES]:
-        out.append(f"user index {dataset.users[i]} out of range [0, {dataset.n_users})")
-    for i in np.flatnonzero(bad_m)[:_RANGE_EXAMPLES]:
-        out.append(f"item index {dataset.items[i]} out of range [0, {dataset.n_items})")
-    for i in np.flatnonzero(bad_v)[:_RANGE_EXAMPLES]:
-        out.append(f"rating {dataset.values[i]} out of range [1, {dataset.n_values}]"
-                   f" at (user={dataset.users[i]}, item={dataset.items[i]})")
-    rest = int(bad_u.sum() + bad_m.sum() + bad_v.sum()) - _RANGE_EXAMPLES
-    return out[:_RANGE_EXAMPLES] + ([f"and {rest} more"] if rest > 0 else [])
+def check_ranges(dims, users, items, values=None, prefix: str = "") -> None:
+    """DataValidationError if a user or item, or a rating when ``values`` is
+    given, lies outside ``dims`` (N, M, V). The message names the first
+    _RANGE_EXAMPLES such entries, each led by ``prefix``, then counts the rest."""
+    n_users, n_items, n_values = dims
+    bad = [((users < 0) | (users >= n_users),
+            lambda i: f"{prefix}user index {users[i]} out of range [0, {n_users})"),
+           ((items < 0) | (items >= n_items),
+            lambda i: f"{prefix}item index {items[i]} out of range [0, {n_items})")]
+    if values is not None:
+        bad.append(((values < 1) | (values > n_values),
+                    lambda i: f"rating {values[i]} out of range [1, {n_values}]"
+                              f" at (user={users[i]}, item={items[i]})"))
+    out = [name(i) for mask, name in bad for i in np.flatnonzero(mask)[:_RANGE_EXAMPLES]]
+    rest = sum(int(mask.sum()) for mask, _ in bad) - _RANGE_EXAMPLES
+    if out:
+        raise DataValidationError("; ".join(
+            out[:_RANGE_EXAMPLES] + ([f"and {rest} more"] if rest > 0 else [])))
 
 
 def read_text(path) -> str:

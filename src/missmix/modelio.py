@@ -23,6 +23,11 @@ FORMAT_VERSION = 2
 # Largest distance from 1 accepted for the sum of a stored distribution.
 _SIMPLEX_TOL = 1e-9
 
+# Every key a model file may hold, in the order `save_model` writes them,
+# and the type of its tokens; each of _SCALAR_KEYS takes one token.
+_KEYS = {"format_version": int, "kind": str, "K": int, "M": int, "V": int,
+         "theta": float, "beta": float, "alpha": float, "phi": float,
+         "mu": float, "mu_mode": str, "xi1": float, "xi0": float, "z": int}
 _SCALAR_KEYS = ("format_version", "K", "M", "V", "kind", "mu_mode")
 _KIND_PLAIN = "mixture"
 _KIND_CPTV = "mixture+cptv"
@@ -41,39 +46,39 @@ class LoadedModel:
 def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
                mu_mode: str | None = None, z=None) -> None:
     """Write parameters (and optional observation model) to ``path``."""
-    K, M, V = params.n_components, params.n_items, params.n_values
-    lines = ["# rating mixture model",
-             f"format_version {FORMAT_VERSION}",
-             f"kind {_KIND_CPTV if cptv is not None else _KIND_PLAIN}",
-             f"K {K}", f"M {M}", f"V {V}",
-             "theta " + format_floats(params.theta),
-             "beta " + format_floats(params.beta)]
-    lines += [f"{key} " + format_floats(value) for key, value in
-              (("alpha", params.alpha), ("phi", params.phi)) if value is not None]
+    values = {"format_version": FORMAT_VERSION,
+              "kind": _KIND_PLAIN if cptv is None else _KIND_CPTV,
+              "K": params.n_components, "M": params.n_items, "V": params.n_values,
+              "theta": params.theta, "beta": params.beta,
+              "alpha": params.alpha, "phi": params.phi, "z": z}
     if cptv is not None:
-        lines.append("mu " + format_floats(cptv.mu))
-        if mu_mode is not None:
-            lines.append(f"mu_mode {mu_mode}")
-        if cptv.xi1 is not None:
-            lines.append("xi1 " + format_floats(cptv.xi1))
-            lines.append("xi0 " + format_floats(cptv.xi0))
-    if z is not None:
-        lines.append("z " + " ".join(str(int(v)) for v in np.asarray(z).ravel()))
-    write_text(path, "\n".join(lines) + "\n")
+        values.update(mu=cptv.mu, mu_mode=mu_mode, xi1=cptv.xi1, xi0=cptv.xi0)
+    write_text(path, "# rating mixture model\n", *(
+        f"{key} {_tokens(kind, value)}\n"
+        for key, kind in _KEYS.items() if (value := values.get(key)) is not None))
 
 
-def _parse_floats(rest, line_no):
+def _tokens(kind, value) -> str:
+    """The tokens of a line of type ``kind`` that holds ``value``."""
+    return (format_floats(value) if kind is float else
+            " ".join(map(str, np.ravel(np.asarray(value, dtype=kind)).tolist())))
+
+
+def _parse(key, rest, line_no):
+    """The value on a ``key`` line of tokens ``rest``: the one token of a
+    scalar key, else an array of the key's type."""
+    kind = _KEYS[key]
+    if key in _SCALAR_KEYS and len(rest) != 1:
+        raise ParseError(f"{key} takes one token", line=line_no)
+    if kind is str:
+        return rest[0]
     try:
-        return np.array([float(t) for t in rest])
-    except ValueError:
-        raise ParseError("malformed float", line=line_no) from None
-
-
-def _parse_ints(rest, line_no):
-    try:
-        return np.array([int(t) for t in rest], dtype=np.int64)
+        values = np.array([kind(t) for t in rest],
+                          dtype=np.int64 if kind is int else float)
     except (ValueError, OverflowError):
-        raise ParseError("malformed integer", line=line_no) from None
+        raise ParseError("malformed " + ("integer" if kind is int else "float"),
+                         line=line_no) from None
+    return int(values[0]) if key in _SCALAR_KEYS else values
 
 
 def _smoothing(fields, key, v1_size):
@@ -98,18 +103,9 @@ def load_model(path) -> LoadedModel:
         key, *rest = line.split()
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", line=line_no)
-        if key in _SCALAR_KEYS and len(rest) != 1:
-            raise ParseError(f"{key} takes one token", line=line_no)
-        if key in ("format_version", "K", "M", "V"):
-            fields[key] = int(_parse_ints(rest, line_no)[0])
-        elif key in ("theta", "beta", "alpha", "phi", "mu", "xi1", "xi0"):
-            fields[key] = _parse_floats(rest, line_no)
-        elif key == "z":
-            fields[key] = _parse_ints(rest, line_no)
-        elif key in ("kind", "mu_mode"):
-            fields[key] = rest[0]
-        else:
+        if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line=line_no)
+        fields[key] = _parse(key, rest, line_no)
 
     for required in ("format_version", "kind", "K", "M", "V", "theta", "beta"):
         if required not in fields:

@@ -26,6 +26,8 @@ REPORT_COLUMNS = ["model", "K", "mu_mode", "S", "seed", "train_mae",
                   "test_mae", "train_mae_se", "test_mae_se", "iterations",
                   "converged", "agg"]
 
+# The score cells of a report row, in the order `_fit_and_score` returns them.
+_SCORES = ("train_mae", "test_mae", "iterations", "converged")
 _FAMILIES = ("mm-none", "mm-cptv", "constant")
 
 
@@ -95,30 +97,18 @@ def fit_spec(train: RatingDataset, spec: ModelSpec) -> FitResult:
 
 
 def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int):
-    """Returns (train_mae, test_mae, iterations, converged)."""
+    """The _SCORES of ``spec`` fit with ``seed``, in their order."""
     train, test = split.train, split.test
     if spec.family == "constant":
         value = empirical_median_value(train)
         return (mae(np.full(train.n_obs, value), train.values),
-                mae(np.full(test.n_obs, value), test.values), 0, True)
+                mae(np.full(test.n_obs, value), test.values), 0, 1)
 
     result = fit_spec(train, replace(spec, config=replace(spec.config, seed=seed)))
     train_pred, test_pred = (predict_median(predictive_distribution(
         result.params, result.q, ds.users, ds.items)) for ds in (train, test))
     return (mae(train_pred, train.values), mae(test_pred, test.values),
-            result.iterations, result.converged)
-
-
-def _label_cells(spec: ModelSpec) -> dict:
-    """A report row with only the cells that name the model filled in."""
-    row = {c: "" for c in REPORT_COLUMNS}
-    row["model"] = spec.family
-    if spec.family != "constant":
-        row["K"] = spec.config.n_components
-    if spec.family == "mm-cptv":
-        row["mu_mode"] = "fixed" if spec.strength is None else "learn"
-        row["S"] = "" if spec.strength is None else spec.strength
-    return row
+            result.iterations, int(result.converged))
 
 
 def run_protocol(split: SplitPair, specs, seeds):
@@ -139,30 +129,33 @@ def run_protocol(split: SplitPair, specs, seeds):
 
     rows = []
     for spec in specs:
-        per_seed = []
+        labels = dict.fromkeys(REPORT_COLUMNS, "")
+        labels["model"] = spec.family
+        if spec.config is not None:
+            labels["K"] = spec.config.n_components
+        if spec.family == "mm-cptv":
+            labels.update(mu_mode="fixed" if spec.strength is None else "learn",
+                          S="" if spec.strength is None else spec.strength)
+        scores = []
         for seed in seeds:
-            row = _label_cells(spec)
-            row.update(seed=seed, agg=0)
+            row = dict(labels, seed=seed, agg=0)
             rows.append(row)
             try:
-                tr, te, iters, conv = _fit_and_score(split, spec, seed)
+                score = _fit_and_score(split, spec, seed)
             except EstimationError as exc:
                 warnings.warn(f"{spec.family} seed {seed} failed: {exc}", stacklevel=2)
                 continue
-            row.update(train_mae=tr, test_mae=te, iterations=iters,
-                       converged=int(conv))
-            per_seed.append((tr, te, iters, conv))
+            row.update(zip(_SCORES, score))
+            scores.append(score)
 
-        agg = _label_cells(spec)
-        agg["agg"] = 1
-        if per_seed:
-            for col, name in enumerate(("train_mae", "test_mae")):
-                maes = np.array([p[col] for p in per_seed])
-                agg[name] = maes.mean()
-                if len(maes) > 1:
-                    agg[name + "_se"] = maes.std(ddof=1) / np.sqrt(len(maes))
-            agg["iterations"] = float(np.mean([p[2] for p in per_seed]))
-            agg["converged"] = float(np.mean([float(p[3]) for p in per_seed]))
+        agg = dict(labels, agg=1)
+        if scores:
+            # Column-major, so each column sums in the order of a 1-D mean.
+            scores = np.array(scores, dtype=float, order="F")
+            agg.update(zip(_SCORES, scores.mean(axis=0)))
+            if len(scores) > 1:
+                agg.update(zip((f"{name}_se" for name in _SCORES[:2]),
+                               scores[:, :2].std(axis=0, ddof=1) / np.sqrt(len(scores))))
         rows.append(agg)
     return rows
 

@@ -21,6 +21,17 @@ class OracleLimitError(MissmixError):
     """A brute-force oracle was asked to enumerate too large a space."""
 
 
+def user_rows(dataset):
+    """Each user's observed (items, values), sorted by item, picked out of
+    the (user, item, value) triples one user at a time."""
+    rows = []
+    for user in range(dataset.n_users):
+        mine = dataset.users == user
+        order = np.argsort(dataset.items[mine], kind="stable")
+        rows.append((dataset.items[mine][order], dataset.values[mine][order]))
+    return rows
+
+
 def compute_gamma(params, cptv, dataset):
     """Dense per-cell evidence table, shape (N, M, K).
 

@@ -19,7 +19,7 @@ from missmix.cli import main
 from missmix.cptv import log_evidence_nmar, missing_value_attribution
 from missmix.mixture import FitConfig
 from missmix.protocol import ModelSpec, run_protocol
-from oracles import brute_force_user_evidence
+from oracles import brute_force_user_evidence, user_rows
 
 
 def _report(capsys, num, name, ok, detail):
@@ -89,8 +89,7 @@ def test_02_evidence_matches_enumeration_oracle(capsys):
         ds = mx.apply_cptv_missingness(truth, seed=int(rng.integers(1 << 31)))
         cptv = mx.CptvParams(mu=mu)
         fast = np.exp(log_evidence_nmar(truth.params, cptv, ds))
-        for i in range(ds.n_users):
-            items, values = ds.row(i)
+        for i, (items, values) in enumerate(user_rows(ds)):
             oracle = brute_force_user_evidence(truth.params, mu, items,
                                                values)
             worst = max(worst, abs(fast[i] - oracle) / oracle)

@@ -201,7 +201,8 @@ def test_predict_without_dims_covers_the_models_items_and_values(study, tmp_path
 def inputs(study, tmp_path_factory):
     """Uniform one-component models over the study's items and over three,
     header-only pairs and ratings files, a pairs file whose user is past
-    the study's last, and a rating two models give probability zero."""
+    the study's last, one with four items past the study's last, and a
+    rating two models give probability zero."""
     root = tmp_path_factory.mktemp("inputs")
     train = load_csv(study + ".train.csv")
     V = train.n_values
@@ -211,6 +212,8 @@ def inputs(study, tmp_path_factory):
     (root / "none.csv").write_text("user,item\n", encoding="utf-8")
     (root / "empty.csv").write_text("user,item,rating\n", encoding="utf-8")
     (root / "user.csv").write_text(f"user,item\n{train.n_users},0\n", encoding="utf-8")
+    (root / "items.csv").write_text("user,item\n" + "".join(
+        f"{u},{train.n_items + u}\n" for u in range(4)), encoding="utf-8")
     # item 0 never takes value 2 under the one component, so a user who rated
     # it 2 has no posterior
     zero = MixtureParams(theta=np.ones(1), beta=np.array([1, 0.5, 0, 0.5]).reshape(2, 2, 1))
@@ -236,7 +239,7 @@ _PREDICT = ["predict", "{study}.train.csv", "--out", "{out}/p.csv"]
     (_PREDICT + ["--model", "{inputs}/full.model", "--pairs", "{inputs}/none.csv"], 2,
      "no pairs to predict"),
     (_PREDICT + ["--model", "{inputs}/full.model", "--pairs", "{inputs}/user.csv"], 2,
-     "pair user index out of range"),
+     "pair user index 217 out of range [0, 217)"),
     # no ratings to fit: one error for both commands, whether the empty file
     # infers dims (0, 0, 0) or --dims gives it some; not --mu's length either
     *[(argv + dims, 5, "the training data has no ratings") for argv in (
@@ -256,6 +259,26 @@ _PREDICT = ["predict", "{study}.train.csv", "--out", "{out}/p.csv"]
         "--pairs", "{inputs}/zero.csv", "--out", "{out}/p.csv"], 5,
        "user 0 has probability zero under every model component")
       for name in ("zero", "zero_cptv")],
+    # pair ids follow the range-error rule of ratings files: the first three
+    # entries, then the count of the rest
+    (_PREDICT + ["--model", "{inputs}/full.model", "--pairs", "{inputs}/items.csv"], 2,
+     "pair item index 25 out of range [0, 25); pair item index 26 out of range [0, 25);"
+     " pair item index 27 out of range [0, 25); and 1 more"),
+    # --dims is checked before any file is read, so a missing ratings file,
+    # which exited 4, leaves the exit code to the dims
+    (["analyze", "{out}/nope.csv", "--dims", "100000000,100000000,5"], 3,
+     "analyze on (N, M, V, K) = (100000000, 100000000, 5, 1) needs a dense table"
+     " of 500000000 cells, over the budget of 268435456"),
+    (["analyze", "{out}/nope.csv", "--dims=-1,5,5"], 2,
+     "dimensions must be >= 0, got (-1, 5, 5)"),
+    (["train", "{out}/nope.csv", "--model", "mm-none", "-K", "1",
+      "--dims", "1844674407370955163,11,4", "--out", "{out}/m.model"], 2,
+     "dimensions (1844674407370955163, 11, 4) overflow the int64 pair keys"
+     " (N * M >= 2**63); pass smaller --dims"),
+    (["predict", "{out}/nope.csv", "--model", "{inputs}/full.model", "--pairs",
+      "{out}/nope.csv", "--dims", "1000000000,25,5", "--out", "{out}/p.csv"], 3,
+     "predict on (N, M, V, K) = (1000000000, 25, 5, 1) needs a dense table"
+     " of 1000000001 cells, over the budget of 268435456"),
 ])
 def test_bad_input_exits_with_its_code_and_one_error_line(
         study, inputs, tmp_path, capsys, argv, code, message):

@@ -16,7 +16,7 @@ from missmix.mixture import (FitConfig, MixtureParams, e_step_mar, fit_mar,
                              init_params, m_step_mar)
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 from oracles import (brute_force_user_evidence, compute_gamma,
-                     expected_complete_objective, log_posterior)
+                     expected_complete_objective, log_posterior, user_rows)
 
 
 def _params_for(theta, beta):
@@ -130,8 +130,7 @@ def test_log_evidence_matches_enumeration_oracle():
     for _ in range(30):
         params, mu, ds = _random_nmar_case(rng)
         fast = np.exp(log_evidence_nmar(params, CptvParams(mu=mu), ds))
-        for i in range(ds.n_users):
-            items, values = ds.row(i)
+        for i, (items, values) in enumerate(user_rows(ds)):
             oracle = brute_force_user_evidence(params, mu, items, values)
             assert abs(fast[i] - oracle) <= 1e-12 * oracle
 

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from missmix import analysis, cli, mixture, protocol, synthetic
+from missmix import analysis, cli, mixture, modelio, protocol, synthetic
 from missmix.cli import build_parser
+from missmix.cptv import CptvParams
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
                           read_int_columns, save_csv, write_int_csv)
 from missmix.errors import DataValidationError, MissmixError, ParseError
 from missmix.mixture import FitConfig
-from oracles import parse_ratings_rows
+from oracles import parse_ratings_rows, user_rows
 
 
 def _write(tmp_path, text, name="r.csv"):
@@ -30,7 +31,7 @@ def test_load_csv_basic(tmp_path):
     ds = load_csv(path)
     assert (ds.n_users, ds.n_items, ds.n_values) == (2, 2, 5)
     assert ds.n_obs == 3
-    items, values = ds.row(0)
+    items, values = user_rows(ds)[0]
     assert items.tolist() == [0, 1]
     assert values.tolist() == [5, 3]
 
@@ -40,7 +41,7 @@ def test_load_csv_explicit_dims(tmp_path):
     ds = load_csv(path, dims=(4, 7, 5))
     assert (ds.n_users, ds.n_items, ds.n_values) == (4, 7, 5)
     assert ds.n_obs == 0
-    assert ds.row_counts().tolist() == [0, 0, 0, 0]
+    assert [len(items) for items, _ in user_rows(ds)] == [0, 0, 0, 0]
 
 
 def test_load_csv_unsorted_rows_are_sorted(tmp_path):
@@ -499,7 +500,7 @@ def test_float_format_lives_in_data_only():
     assert _holders("%.17g") == ["data.py"]
 
 
-def test_shared_formulas_and_policies_have_one_home_each():
+def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     # the pair-key encoding and the file writer live in data, the
     # divergence in analysis.skl, and exit codes on the error classes
     assert _holders(r"pair_keys\(") == ["data.py"]
@@ -514,6 +515,9 @@ def test_shared_formulas_and_policies_have_one_home_each():
     cli_source = inspect.getsource(cli)
     assert re.findall(r"\bload_csv\(", cli_source) == ["load_csv("]
     assert "load_csv(" in inspect.getsource(cli._load)
+    # given dims are checked before the first read
+    load_source = inspect.getsource(cli._load)
+    assert load_source.index("_check_dense_cells(") < load_source.index("load_csv(")
     assert re.findall(r"\bFitConfig\(", cli_source) == ["FitConfig("]
     assert "FitConfig(" in inspect.getsource(cli._fit_config)
     assert [name for name, f in vars(cli).items() if inspect.isfunction(f)
@@ -572,3 +576,16 @@ def test_shared_formulas_and_policies_have_one_home_each():
         for dest, field in (("alpha", "alpha"), ("phi", "phi"),
                             ("tol", "rel_tol"), ("max_iters", "max_iters")):
             assert parsed[dest] == defaults[field], (argv[0], dest)
+    # one table per output format: the model file's keys and their token
+    # types in modelio._KEYS, the report's score cells in protocol._SCORES;
+    # and one range-error rule, for ratings and pairs files alike
+    assert _holders(r"_parse_floats|_parse_ints|_label_cells|def row\(|row_counts") == []
+    params = mixture.MixtureParams(theta=np.ones(1), beta=np.full((2, 1, 1), 0.5),
+                                   alpha=2.0, phi=2.0)
+    cptv = CptvParams(mu=np.full(2, 0.5), xi1=np.full(2, 2.0), xi0=np.full(2, 2.0))
+    modelio.save_model(tmp_path / "m.model", params, cptv=cptv, mu_mode="learn", z=[0])
+    assert [line.split()[0] for line in (tmp_path / "m.model").read_text().splitlines()
+            if not line.startswith("#")] == list(modelio._KEYS)
+    assert [line.split(" = ")[0] for line in inspect.getsource(protocol).splitlines()
+            if '"train_mae"' in line] == ["REPORT_COLUMNS", "_SCORES"]
+    assert _holders(r"out of range") == ["data.py"]

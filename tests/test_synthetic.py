@@ -6,7 +6,7 @@ from missmix.errors import ConfigurationError, GenerationError
 from missmix.synthetic import (apply_cptv_missingness, build_study_dataset,
                                sample_ground_truth, sample_mcar_test)
 from oracles import (ORACLE_ASSIGNMENT_LIMIT, OracleLimitError,
-                     brute_force_user_evidence)
+                     brute_force_user_evidence, user_rows)
 
 
 def test_ground_truth_shapes_and_ranges():
@@ -86,10 +86,11 @@ def test_mcar_probe_is_value_blind():
     truth = sample_ground_truth(500, 30, 3, 2, np.array([0.1, 0.5, 0.9]), seed=8)
     probe = sample_mcar_test(truth, 6, seed=9)
     assert probe.n_obs == 500 * 6
-    assert probe.row_counts().tolist() == [6] * 500
+    rows = user_rows(probe)
+    assert [len(items) for items, _ in rows] == [6] * 500
     # no duplicate items inside a row and values copied from the table
     for i in (0, 250, 499):
-        items, values = probe.row(i)
+        items, values = rows[i]
         assert len(set(items.tolist())) == 6
         assert (truth.complete[i, items] == values).all()
     # item selection is uniform: chi-squared on item counts
@@ -106,8 +107,8 @@ def test_build_study_dataset_postconditions():
     split, kept = build_study_dataset(truth, seed=11, per_user_test=5,
                                       min_train=8)
     assert not np.isin(split.train.pair_keys(), split.test.pair_keys()).any()
-    assert (split.train.row_counts() >= 8).all()
-    assert split.test.row_counts().tolist() == [5] * split.test.n_users
+    assert all(len(items) >= 8 for items, _ in user_rows(split.train))
+    assert [len(items) for items, _ in user_rows(split.test)] == [5] * split.test.n_users
     assert split.train.n_users == len(kept)
     # values trace back to the complete table through the kept mapping
     orig = kept[split.test.users]
