@@ -3,9 +3,8 @@
 One key per line, arrays flattened in C order and written with 17
 significant digits so every float64 round-trips exactly. Lines starting
 with '#' and blank lines are ignored. The 'kind' key says whether an
-observation-probability block is present. Format 2 stores the smoothing
-as one 'alpha' and one 'phi' value; format 1 files, which repeated them K
-and V*M*K times, load if the repeats agree.
+observation-probability block is present. The smoothing is stored as one
+'alpha' and one 'phi' value. Only files of FORMAT_VERSION load.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from .cptv import CptvParams, check_mu_length
 from .data import format_floats, read_text, write_text
 from .errors import ConfigurationError, ParseError
-from .mixture import MixtureParams
+from .mixture import FitConfig, MixtureParams
 
 FORMAT_VERSION = 2
 # Largest distance from 1 accepted for the sum of a stored distribution.
@@ -28,7 +27,7 @@ _SIMPLEX_TOL = 1e-9
 _KEYS = {"format_version": int, "kind": str, "K": int, "M": int, "V": int,
          "theta": float, "beta": float, "alpha": float, "phi": float,
          "mu": float, "mu_mode": str, "xi1": float, "xi0": float, "z": int}
-_SCALAR_KEYS = ("format_version", "K", "M", "V", "kind", "mu_mode")
+_SCALAR_KEYS = ("format_version", "K", "M", "V", "kind", "alpha", "phi", "mu_mode")
 _KIND_PLAIN = "mixture"
 _KIND_CPTV = "mixture+cptv"
 
@@ -78,19 +77,7 @@ def _parse(key, rest, line_no):
     except (ValueError, OverflowError):
         raise ParseError("malformed " + ("integer" if kind is int else "float"),
                          line=line_no) from None
-    return int(values[0]) if key in _SCALAR_KEYS else values
-
-
-def _smoothing(fields, key, v1_size):
-    """The value on smoothing line ``key`` (repeated ``v1_size`` times in
-    format 1), or None if the line is absent."""
-    values = fields.get(key)
-    size = v1_size if fields["format_version"] == 1 else 1
-    if values is not None and (values.size != size or np.unique(values).size != 1
-                               or not 1 < values[0] < np.inf):
-        raise ParseError(f"{key} must be one finite value > 1" + (
-            f", repeated {size} times in format 1" if size > 1 else ""))
-    return None if values is None else float(values[0])
+    return values[0].item() if key in _SCALAR_KEYS else values
 
 
 def load_model(path) -> LoadedModel:
@@ -110,7 +97,7 @@ def load_model(path) -> LoadedModel:
     for required in ("format_version", "kind", "K", "M", "V", "theta", "beta"):
         if required not in fields:
             raise ParseError(f"missing required key {required!r}")
-    if fields["format_version"] not in (1, FORMAT_VERSION):
+    if fields["format_version"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {fields['format_version']}")
     if fields["kind"] not in (_KIND_PLAIN, _KIND_CPTV):
         raise ParseError(f"unknown kind {fields['kind']!r}")
@@ -132,9 +119,13 @@ def load_model(path) -> LoadedModel:
            np.abs(beta.sum(axis=0) - 1.0).max(initial=0.0)) > _SIMPLEX_TOL:
         raise ParseError("theta and each beta[:, m, z] must sum to 1"
                          f" within {_SIMPLEX_TOL:g}")
+    try:  # FitConfig's rule on the smoothing; an absent line takes its default
+        FitConfig(K, alpha=fields.get("alpha", FitConfig.alpha),
+                  phi=fields.get("phi", FitConfig.phi))
+    except ConfigurationError as exc:
+        raise ParseError(str(exc)) from None
     params = MixtureParams(theta=fields["theta"], beta=beta,
-                           alpha=_smoothing(fields, "alpha", K),
-                           phi=_smoothing(fields, "phi", V * M * K))
+                           alpha=fields.get("alpha"), phi=fields.get("phi"))
 
     cptv = None
     if fields["kind"] == _KIND_CPTV:

@@ -143,7 +143,8 @@ def run_protocol(split: SplitPair, specs, seeds):
             try:
                 score = _fit_and_score(split, spec, seed)
             except EstimationError as exc:
-                warnings.warn(f"{spec.family} seed {seed} failed: {exc}", stacklevel=2)
+                warnings.warn(f"{spec.family} K={spec.config.n_components} seed {seed}"
+                              f" failed: {exc}", stacklevel=2)
                 continue
             row.update(zip(_SCORES, score))
             scores.append(score)

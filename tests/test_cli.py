@@ -1,7 +1,8 @@
 import os
+import re
+import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -143,13 +144,8 @@ def test_analyze_report(study, tmp_path, capsys):
 
 
 def test_estimate_mu_output(study, capsys):
-    import warnings
-
-    with warnings.catch_warnings():
-        # small probes can push a ratio past 1; the estimator then clamps
-        warnings.simplefilter("ignore", UserWarning)
-        rc = main(["estimate-mu", study + ".train.csv", study + ".test.csv",
-                   "--exposure", "21"])
+    rc = main(["estimate-mu", study + ".train.csv", study + ".test.csv",
+               "--exposure", "21"])
     assert rc == 0
     out = capsys.readouterr().out
     mu = np.array([float(t) for t in out.split()[1:]])
@@ -389,12 +385,10 @@ def test_evaluate_checks_its_inputs_before_reading_a_file_or_fitting(
         study, inputs, tmp_path, capsys, train, test, flags, code, message):
     fill = dict(study=study, out=tmp_path, inputs=inputs)
     argv = [a.format(**fill) for a in ["evaluate", train, test, *_GRID, *flags]]
-    with mock.patch("missmix.protocol._fit_and_score") as fit, \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with mock.patch("missmix.protocol._fit_and_score") as fit:
         assert main(argv) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert caught == [] and not fit.called
+    assert not fit.called
     assert list(tmp_path.iterdir()) == []
 
 
@@ -711,13 +705,63 @@ def test_a_non_finite_objective_is_an_estimation_error(study, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     # evaluate counts such a fit as failed: blank cells, the constant row intact
     report = tmp_path / "r.csv"
-    with pytest.warns(UserWarning, match="mm-none seed 0 failed: log posterior is nan"):
-        assert main(["evaluate", study + ".train.csv", study + ".test.csv",
-                     "--families", "mm-none,constant", "-K", "1", "--seeds", "0",
-                     "--alpha", "1e308", "--out", str(report)]) == 0
+    assert main(["evaluate", study + ".train.csv", study + ".test.csv",
+                 "--families", "mm-none,constant", "-K", "1", "--seeds", "0",
+                 "--alpha", "1e308", "--out", str(report)]) == 0
+    assert capsys.readouterr() == (f"report {report} 4\n", (
+        "warning: mm-none K=1 seed 0 failed: log posterior is nan after EM"
+        " iteration 1; a smoothing or prior count is too large\n"))
     rows = report.read_text(encoding="utf-8").splitlines()
     assert rows[1:3] == ["mm-none,1,,,0,,,,,,,0", "mm-none,1,,,,,,,,,,1"]
     assert rows[3].startswith("constant,,,,0,0.")
+
+
+_SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _run_cli(src, argv, cwd):
+    """``missmix argv`` run in ``cwd`` by a fresh process on the package under
+    ``src``, with every warning filter set to raise."""
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "missmix.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_a_failed_grid_fit_is_one_warning_line_even_under_warnings_as_errors(
+        study, tmp_path):
+    done = _run_cli(_SRC, ["evaluate", study + ".train.csv", study + ".test.csv",
+                           "--families", "mm-none", "-K", "1,2", "--seeds", "0",
+                           "--alpha", "1e308", "--out", "r.csv"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "".join(
+        f"warning: mm-none K={k} seed 0 failed: log posterior is nan after EM"
+        " iteration 1; a smoothing or prior count is too large\n" for k in (1, 2))
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "mm-none,1,,,0,,,,,,,0", "mm-none,1,,,,,,,,,,1",
+        "mm-none,2,,,0,,,,,,,0", "mm-none,2,,,,,,,,,,1"]
+
+
+def test_a_clamped_estimate_is_one_warning_line_that_names_no_source_file(
+        study, tmp_path):
+    shutil.copytree(_SRC / "missmix", tmp_path / "src" / "missmix",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    argv = ["estimate-mu", study + ".train.csv", study + ".test.csv", "--exposure", "20"]
+    here, copy = (_run_cli(src, argv, tmp_path) for src in (_SRC, tmp_path / "src"))
+    assert here.returncode == copy.returncode == 0, here.stderr
+    assert re.fullmatch(r"warning: estimated observation probability for value \d"
+                        r" is [0-9.]+ > 1; clamping\n", here.stderr)
+    assert copy.stderr == here.stderr and copy.stdout == here.stdout
+
+
+def test_predict_refuses_a_model_file_of_another_format_version(study, tmp_path, capsys):
+    model = tmp_path / "v1.model"
+    model.write_text(Path(study + ".truth.model").read_text(encoding="utf-8").replace(
+        "format_version 2\n", "format_version 1\n"), encoding="utf-8")
+    assert main(["predict", study + ".train.csv", "--model", str(model),
+                 "--pairs", study + ".test.csv", "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr() == ("", "error: unsupported format_version 1\n")
+    assert list(tmp_path.iterdir()) == [model]
 
 
 def test_a_stray_large_id_does_not_size_an_allocation(tmp_path, capsys):
@@ -787,10 +831,7 @@ def test_bad_numeric_flags_exit_3_or_5_never_1(study, tmp_path_factory, case):
     (command, flag), value = case
     out = tmp_path_factory.mktemp("flags")
     argv = [a.format(study=study, out=out) for a in _COMMANDS[command]]
-    with warnings.catch_warnings():
-        # failed grid fits and clamped rate estimates warn; nothing else may
-        warnings.simplefilter("ignore", UserWarning)
-        rc = main(argv + [f"{flag}={value}"])
+    rc = main(argv + [f"{flag}={value}"])
     if not float(value) >= 0 or not float(value) < float("inf"):
         assert rc == 3
     else:

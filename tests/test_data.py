@@ -589,3 +589,20 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     assert [line.split(" = ")[0] for line in inspect.getsource(protocol).splitlines()
             if '"train_mae"' in line] == ["REPORT_COLUMNS", "_SCORES"]
     assert _holders(r"out of range") == ["data.py"]
+    # one model-file format: load_model accepts FORMAT_VERSION alone, and the
+    # smoothing lines are checked by FitConfig's rule
+    assert _holders(r"\b_smoothing\b|v1_size|format 1") == []
+    assert _holders(r"must be one finite value") == []
+    text = (tmp_path / "m.model").read_text(encoding="utf-8")
+    for version in range(modelio.FORMAT_VERSION + 2):
+        (tmp_path / "v.model").write_text(text.replace(
+            f"format_version {modelio.FORMAT_VERSION}\n", f"format_version {version}\n"),
+            encoding="utf-8")
+        if version == modelio.FORMAT_VERSION:
+            modelio.load_model(tmp_path / "v.model")
+        else:
+            with pytest.raises(ParseError, match=f"unsupported format_version {version}"):
+                modelio.load_model(tmp_path / "v.model")
+    # one line shape on stderr: cli.main alone turns warnings into lines
+    assert _holders(r"showwarning|catch_warnings") == ["cli.py"]
+    assert "showwarning" in inspect.getsource(cli.main)

@@ -6,7 +6,6 @@ from missmix.cptv import CptvParams, fit_nmar
 from missmix.errors import MissmixError, ParseError
 from missmix.mixture import FitConfig, MixtureParams, fit_mar
 from missmix.modelio import load_model, save_model
-from missmix.predict import posterior_z
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 
 
@@ -64,7 +63,7 @@ def test_save_is_byte_stable(tmp_path, fitted):
 
 
 def _base_lines():
-    return ["format_version 1", "kind mixture", "K 1", "M 1", "V 2",
+    return ["format_version 2", "kind mixture", "K 1", "M 1", "V 2",
             "theta 1", "beta 0.25 0.75"]
 
 
@@ -75,7 +74,7 @@ def _write(tmp_path, lines, name="m.model"):
 
 
 def _cptv_lines():
-    return ["format_version 1", "kind mixture+cptv"] + _base_lines()[2:] + [
+    return ["format_version 2", "kind mixture+cptv"] + _base_lines()[2:] + [
         "mu 0.5 0.5"]
 
 
@@ -90,25 +89,23 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines()[1:], "missing required key"),            # no version
         (_base_lines() + ["kind mixture"], "duplicate"),
         (["format_version 3"] + _base_lines()[1:], "format_version"),
+        (["format_version 1"] + _base_lines()[1:], "unsupported format_version 1"),
         (_base_lines()[:6] + ["beta 0.25"], "must hold 2"),
         (_base_lines() + ["what 1"], "unknown key"),
         (_base_lines()[:6] + ["beta 0.25 zebra"], "malformed float"),
         (_base_lines() + ["z 0 x"], "malformed integer"),
         (_base_lines() + ["mu 0.5 0.5"], "kind is plain"),
-        (["format_version 1", "kind mixture+cptv"] + _base_lines()[2:],
-         "requires a mu"),
+        (_cptv_lines()[:-1], "requires a mu"),
         (_base_lines()[:6] + ["beta nan 0.75"], "probabilities"),
         (_base_lines()[:6] + ["beta -3 9"], "probabilities"),
         (_base_lines()[:5] + ["theta 0.5", "beta 0.25 0.75"], "sum to 1"),
         (_base_lines()[:6] + ["beta 0.25 0.5"], "sum to 1"),
-        (["format_version 1", "kind mixture+cptv"] + _base_lines()[2:]
-         + ["mu nan 0.5"], "probabilities"),
-        (_base_lines() + ["alpha 1"], "finite value > 1"),
-        (_base_lines() + ["alpha nan"], "finite value > 1"),
-        (_base_lines() + ["phi inf inf"], "finite value > 1"),
-        (_base_lines() + ["phi 2 3"], "repeated 2 times"),             # v1
-        (["format_version 2"] + _base_lines()[1:] + ["phi 2 2"],
-         "one finite value"),
+        (_cptv_lines()[:-1] + ["mu nan 0.5"], "probabilities"),
+        (_base_lines() + ["alpha 1"], "alpha and phi must be finite and > 1"),
+        (_base_lines() + ["alpha nan"], "alpha and phi must be finite and > 1"),
+        (_base_lines() + ["phi inf"], "alpha and phi must be finite and > 1"),
+        (_base_lines() + ["phi inf inf"], "phi takes one token"),
+        (_base_lines() + ["phi 2 2"], "phi takes one token"),
         (_cptv_lines() + ["xi1 nan nan", "xi0 2 2"], "prior counts"),
         (_cptv_lines() + ["xi1 0.5 2", "xi0 2 2"], "prior counts"),
         (_cptv_lines() + ["xi1 2 2 2", "xi0 2 2"], "match mu in shape"),
@@ -132,25 +129,6 @@ def test_load_rejects_malformed_files(tmp_path):
     for i, (lines, match) in enumerate(cases):
         with pytest.raises(ParseError, match=match):
             load_model(_write(tmp_path, lines, name=f"bad{i}.model"))
-
-
-def test_format_1_smoothing_loads_as_scalars(tmp_path, fitted):
-    _, _, aware = fitted
-    v2 = tmp_path / "v2.model"
-    save_model(v2, aware.params, cptv=aware.cptv, mu_mode="learn")
-    # the same model as format 1 wrote it: smoothing repeated K and V*M*K times
-    lines = v2.read_text(encoding="utf-8").splitlines()
-    lines[lines.index("format_version 2")] = "format_version 1"
-    lines[lines.index("alpha 2")] = "alpha" + " 2" * aware.params.n_components
-    lines[lines.index("phi 2")] = "phi" + " 2" * aware.params.beta.size
-    v1 = _write(tmp_path, lines, name="v1.model")
-    old, new = load_model(v1), load_model(v2)
-    assert old.params.alpha == new.params.alpha == 2.0
-    assert old.params.phi == new.params.phi == 2.0
-    truth, _, _ = fitted
-    ds = apply_cptv_missingness(truth, seed=32)
-    assert np.array_equal(posterior_z(old.params, ds, cptv=old.cptv),
-                          posterior_z(new.params, ds, cptv=new.cptv))
 
 
 _TOKENS = st.one_of(

@@ -12,10 +12,6 @@ study. It prints one JSON object that gives, for each command, its
 arguments, its exit code and the sha256 of its standard output, its
 standard error and each file it writes. Two trees with equal digests
 write the same bytes on this loop.
-
-A Python warning on standard error starts with the file and line that
-raised it, which name the tree and not its output; the digest of
-standard error is taken with that location cut down to the module name.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ import hashlib
 import importlib.util
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -57,20 +52,16 @@ def _sha256(data: bytes) -> str:
 
 
 def run_command(argv, cwd: Path, src: Path, outputs) -> tuple[dict, str]:
-    """Run ``missmix argv`` in ``cwd`` on the package under ``src``; returns
-    its digest record (a file it should write but did not hashes to None)
-    and its standard output."""
+    """Run ``missmix argv`` in ``cwd`` on the package under ``src``: its digest
+    record (an output it did not write hashes to None) and its standard output."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "missmix.cli", *argv],
                           cwd=cwd, env=env, capture_output=True)
-    # "<src>/missmix/cli.py:255: UserWarning: ..." -> "missmix/cli.py: UserWarning: ..."
-    stderr = re.sub(rb"^" + re.escape(bytes(src)) + rb"/(\S+\.py):\d+:", rb"\1:",
-                    proc.stderr, flags=re.M)
     files = {name: _sha256((cwd / name).read_bytes()) if (cwd / name).exists()
              else None for name in outputs}
     return ({"argv": list(argv), "rc": proc.returncode,
-             "stdout": _sha256(proc.stdout), "stderr": _sha256(stderr),
+             "stdout": _sha256(proc.stdout), "stderr": _sha256(proc.stderr),
              "files": files}, proc.stdout.decode("utf-8", "replace"))
 
 
