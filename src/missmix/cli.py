@@ -30,7 +30,7 @@ from .mixture import FitConfig
 from .predict import posterior_z, predict_median, predictive_distribution
 from .protocol import (ModelSpec, check_distinct, check_seeds, fit_spec,
                        run_protocol, write_report)
-from .synthetic import build_study_dataset, sample_ground_truth
+from .synthetic import build_study_dataset, check_split_sizes, sample_ground_truth
 
 _MU_PRESETS = {"yahoo": YAHOO_MU}
 
@@ -110,12 +110,7 @@ def _load(command: str, paths, dims_text: str | None, k: int = 1,
 
 def _cmd_generate(args) -> None:
     check_seeds([args.seed])
-    # an -M below 1 is left to the dimension check of sample_ground_truth
-    if args.per_user_test < 1 or args.per_user_test > args.items >= 1:
-        raise ConfigurationError(
-            f"--per-user-test must be in 1..{args.items}, got {args.per_user_test}")
-    if args.min_train < 0:
-        raise ConfigurationError(f"--min-train must be >= 0, got {args.min_train}")
+    check_split_sizes(args.items, args.per_user_test, args.min_train)
     _check_dense_cells("generate", args.users, args.items, args.values,
                        args.components)
     mu = _parse_mu(args.mu) * args.mu_scale

@@ -231,8 +231,8 @@ def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,
     The probe (``heldout``) samples cells without regard to their
     values, so its value frequencies estimate the underlying rating
     distribution; the self-selected ``train`` counts, divided by the
-    number of cells each user could have contributed (``exposure``,
-    scalar or per-user), estimate the joint rate of holding-and-showing
+    number of cells each user could have contributed (``exposure``, the
+    same for every user), estimate the joint rate of holding-and-showing
     each value. Their ratio estimates mu. Frequencies from the probe are
     add-one smoothed, and the result is clamped inside (0, 1); a
     per-value rate exceeding its probe frequency triggers a warning
@@ -244,14 +244,7 @@ def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,
         raise EstimationError("heldout probe is empty")
     if train.n_obs == 0:
         raise EstimationError("self-selected training data is empty")
-    exposure = np.asarray(exposure, dtype=float)
-    if exposure.ndim == 0:
-        total_exposure = float(exposure) * train.n_users
-    elif exposure.shape == (train.n_users,):
-        total_exposure = float(exposure.sum())
-    else:
-        raise ConfigurationError(
-            "exposure must be a scalar or one count per user")
+    total_exposure = float(exposure) * train.n_users
     if total_exposure < train.n_obs:
         raise ConfigurationError(
             f"total exposure {total_exposure:g} is below the number of"

@@ -10,6 +10,9 @@ Model code reaches the triples through one sparse operator: the N x V*M
 incidence matrix of `RatingDataset.incidence`. Multiplying it with a
 (value, item)-indexed table gathers per-user sums; its transpose scatters
 per-user rows back into (value, item) cells.
+
+Ratings files are parsed by numpy's ``loadtxt`` where it reads them as
+``int()`` does, and by a line loop that names the line of any error.
 """
 
 from __future__ import annotations
@@ -172,41 +175,30 @@ def read_text(path) -> str:
             raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
-def _plain_width(text: str) -> int:
-    """The row width of ``text`` if it is a plain ratings file, else 0."""
-    head = text.find("\n") + 1
-    if not (head < len(text) and text.endswith("\n") and text.isascii()
-            and text[:head - 1].isprintable()):
-        return 0
-    body = np.frombuffer(text.encode(), np.uint8, offset=head)
-    ends = np.flatnonzero((body < ord("0")) | (body > ord("9")))
-    seps = body[ends]
-    width = int(np.argmax(seps == ord("\n"))) + 1
-    if not 2 <= width <= 3 or len(seps) % width or (
-            seps.reshape(-1, width) != list(b",,"[:width - 1] + b"\n")).any():
-        return 0
-    lengths = np.diff(ends, prepend=-1) - 1
-    return width if 1 <= lengths.min() and lengths.max() <= 18 else 0
-
-
 def read_int_columns(path, n: int) -> tuple[np.ndarray, ...]:
     """The first ``n`` (2 or 3) fields of each rating CSV row, as int64 arrays.
 
     A header line, then ``user,item[,rating]`` rows of ``n`` to 3 integer
     fields; blank lines are skipped and fields past the n-th are not read.
     ParseError names the line of a row of the wrong width, a non-integer
-    field, a negative user or item, or an integer outside int64. A plain file
-    (a printable ASCII header, then LF-ended rows of the same n to 3 fields
-    of 1 to 18 ASCII digits, so inside int64) is parsed in one numpy pass;
-    any other goes through the line loop, the one source of errors.
+    field, a negative user or item, or an integer outside int64. A file the
+    guard below admits is read by np.loadtxt, whose result stands if it has
+    n to 3 columns and no negative id; any other file or result goes through
+    the line loop, the one source of errors.
     """
     text = read_text(path)
-    width = _plain_width(text)
-    if width >= n:
-        # A blank separator matches any run of whitespace, LF included.
-        body = text[text.index("\n") + 1:].replace(",", " ")
-        flat = np.fromstring(body, dtype=np.int64, sep=" ")
-        return tuple(flat.reshape(-1, width)[:, :n].T)
+    # loadtxt reads a non-ASCII letter as a digit, strips \x1c-\x1f (which
+    # int() refuses), reads \x0b \x0c \x1c-\x1e as blanks where splitlines
+    # breaks the line, and warns on a file with no data line.
+    if (text.isascii() and text.partition("\n")[2].strip()
+            and not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x1f")):
+        try:
+            rows = np.loadtxt(path, np.int64, delimiter=",", comments=None,
+                              skiprows=1, ndmin=2, encoding="utf-8")
+            if n <= rows.shape[1] <= 3 and (rows[:, :2] >= 0).all():
+                return tuple(rows[:, :n].T)
+        except ValueError:
+            pass
     lines = text.splitlines()
     if not lines:
         raise ParseError("missing header line", line=1)

@@ -78,15 +78,25 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     beta = np.ascontiguousarray(beta.transpose(2, 0, 1))
     z = rng.choice(n_components, size=n_users, p=theta)
 
-    # Invert each per-cell CDF at one uniform draw, one value at a time;
-    # u < 1 keeps the count of passed thresholds in 0..V-1.
+    # Invert each per-cell CDF at one uniform draw: a rating is 1 plus the
+    # number of the first V-1 thresholds that u passes, so it stays in 1..V
+    # even where rounding leaves the last CDF value below u.
     u = rng.random((n_users, n_items))
     complete = np.ones((n_users, n_items), np.int16)
-    for cdf in np.cumsum(beta, axis=0):
+    for cdf in np.cumsum(beta, axis=0)[:-1]:
         complete += cdf.T[z] < u
 
     params = MixtureParams(theta=theta, beta=beta, alpha=None, phi=None)
     return GroundTruth(params=params, mu=mu, z=z, complete=complete)
+
+
+def check_split_sizes(n_items: int, per_user_test: int, min_train: int = 0) -> None:
+    """ConfigurationError unless ``min_train`` >= 0 and ``per_user_test`` is in
+    1..n_items; an n_items below 1 is left to sample_ground_truth's rule."""
+    if min_train < 0:
+        raise ConfigurationError(f"min_train must be >= 0, got {min_train}")
+    if per_user_test < 1 or per_user_test > n_items >= 1:
+        raise ConfigurationError(f"per_user_test must be in 1..{n_items}, got {per_user_test}")
 
 
 def _keep_mask(truth: GroundTruth, seed) -> np.ndarray:
@@ -97,8 +107,6 @@ def _keep_mask(truth: GroundTruth, seed) -> np.ndarray:
 
 def _probe_mask(truth: GroundTruth, per_user: int, seed) -> np.ndarray:
     """The ``per_user`` cells of each row with the smallest uniform keys."""
-    if not 0 < per_user <= truth.n_items:
-        raise ConfigurationError(f"per_user must be in 1..{truth.n_items}, got {per_user}")
     order = np.argsort(np.random.default_rng(seed).random(truth.complete.shape), axis=1)
     probe = np.zeros(truth.complete.shape, dtype=bool)
     np.put_along_axis(probe, order[:, :per_user], True, axis=1)
@@ -125,6 +133,7 @@ def sample_mcar_test(truth: GroundTruth, per_user: int, seed) -> RatingDataset:
     Items are drawn without replacement within each user, so the
     selection frequency of every item is identical by symmetry.
     """
+    check_split_sizes(truth.n_items, per_user)
     return _observed(truth.complete, _probe_mask(truth, per_user, seed), truth.n_values)
 
 
@@ -145,8 +154,7 @@ def build_study_dataset(truth: GroundTruth, seed, per_user_test: int = 10,
     kept_users : ndarray
         Original user index of each retained user.
     """
-    if min_train < 0:
-        raise ConfigurationError(f"min_train must be >= 0, got {min_train}")
+    check_split_sizes(truth.n_items, per_user_test, min_train)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     seed_missing, seed_test = seed.spawn(2)

@@ -4,4 +4,8 @@ from hypothesis import settings
 # database, so the suite stays deterministic.
 settings.register_profile("missmix", derandomize=True, deadline=None,
                           max_examples=200, database=None)
+# A long random run on demand, e.g. of the reader properties:
+#   pytest --hypothesis-profile=long tests/test_data.py -k oracle
+settings.register_profile("long", derandomize=False, deadline=None,
+                          max_examples=20_000, database=None)
 settings.load_profile("missmix")

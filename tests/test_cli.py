@@ -338,9 +338,9 @@ def test_generate_analyze_and_estimate_mu_never_import_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--per-user-test", "0"], "--per-user-test must be in 1..20, got 0"),
-    (["--per-user-test", "21"], "--per-user-test must be in 1..20, got 21"),
-    (["--min-train", "-1"], "--min-train must be >= 0, got -1"),
+    (["--per-user-test", "0"], "per_user_test must be in 1..20, got 0"),
+    (["--per-user-test", "21"], "per_user_test must be in 1..20, got 21"),
+    (["--min-train", "-1"], "min_train must be >= 0, got -1"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_generate_checks_every_flag_before_it_samples(tmp_path, capsys, flags, message):

@@ -274,9 +274,6 @@ def test_estimate_mu_hand_case():
                                       [1, 1, 1, 2])
     mu = estimate_mu_heldout(train, probe, 3)
     np.testing.assert_allclose(mu, [0.5, 0.5], atol=1e-15)
-    # per-user exposure array, same total
-    mu2 = estimate_mu_heldout(train, probe, np.array([4, 2]))
-    np.testing.assert_allclose(mu2, mu, atol=1e-15)
 
 
 def test_estimate_mu_warns_and_clamps_above_one():
@@ -294,8 +291,6 @@ def test_estimate_mu_input_validation():
     empty = RatingDataset.from_arrays(1, 2, 2, [], [], [])
     with pytest.raises(EstimationError):
         estimate_mu_heldout(train, empty, 2)
-    with pytest.raises(ConfigurationError):
-        estimate_mu_heldout(train, probe, np.array([1, 2, 3]))
     with pytest.raises(ConfigurationError):
         # total exposure below observed count
         estimate_mu_heldout(train, probe, 0.5)

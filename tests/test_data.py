@@ -390,10 +390,11 @@ def _expect_oracle_reading(path, raw, n):
 
 
 # Single bytes a mutation writes into a plain file: each separator, a sign,
-# a space, a digit, a letter, a byte that is not UTF-8 and two that split
-# lines for str.splitlines but not for the fast path.
+# a space, a digit, a letter, a byte that is not UTF-8, two that split
+# lines for str.splitlines but not for loadtxt, and one that loadtxt strips
+# but int() refuses.
 _MUTANT_BYTES = [b"", b"\n", b"\r", b",", b"-", b"+", b" ", b"0", b"x", b"\xff",
-                 b"\x0b", b"\x1e"]
+                 b"\x0b", b"\x1e", b"\x1f"]
 
 
 @st.composite
@@ -432,12 +433,15 @@ def _plain_files(draw):
 @example((b"h\n1,2\n3,4,5\n", 0))               # mixed widths
 @example((b"h\n1,,3\n", 0))                     # an empty field
 @example((b"h\x0bx\n1,2,3\n", 0))                # a header str.splitlines splits
+@example(("h\n\u01fe1,2,3\n".encode(), 0))       # a letter loadtxt reads as a digit
+@example((b"h\n\x1f1,2,3\n", 0))                # a byte loadtxt strips, int() refuses
+@example((b"h\n1,2\x0c,3\n", 0))                # a line break loadtxt reads as a blank
 def test_plain_files_take_the_fast_path_and_read_as_the_oracle(tmp_path_factory, case):
     raw, width = case
     path = _write_bytes(tmp_path_factory, raw)
     for n in (2, 3):
-        # the fast path's one numpy call runs, and returns before the loop
-        with mock.patch.object(np, "fromstring", wraps=np.fromstring) as fast:
+        # a plain file reaches the one np.loadtxt call
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as fast:
             _expect_oracle_reading(path, raw, n)
         if width >= n:
             assert fast.called
@@ -606,3 +610,10 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     # one line shape on stderr: cli.main alone turns warnings into lines
     assert _holders(r"showwarning|catch_warnings") == ["cli.py"]
     assert "showwarning" in inspect.getsource(cli.main)
+    # one home for generate's split sizes, which the CLI checks before a draw
+    assert _holders(r"min_train must|must be in 1\.\.") == ["synthetic.py"]
+    generate = inspect.getsource(cli._cmd_generate)
+    assert generate.index("check_split_sizes(") < generate.index("sample_ground_truth(")
+    # one CSV parser in front of the line loop: numpy's loadtxt, in data
+    assert _holders(r"_plain_width|fromstring") == []
+    assert _holders(r"loadtxt\(") == ["data.py"]
