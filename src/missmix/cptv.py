@@ -26,7 +26,7 @@ from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
 from .mixture import (FitConfig, FitResult, MixtureParams, _gather,
                       _logsumexp, _map_update, _normalize_log_weights,
-                      _objective_mar, _run_em, _scatter, init_params)
+                      _objective_mar, _run_em, _scatter, _scipy, init_params)
 
 # Observation probabilities are clamped inside the open unit interval so
 # their logs stay finite.
@@ -167,7 +167,7 @@ def _log_beta_prior(cptv: CptvParams) -> float:
     """Log density of mu under its Beta prior; 0 when there is none."""
     if cptv.xi1 is None:
         return 0.0
-    from scipy.special import gammaln
+    gammaln = _scipy("special", "_special_ufuncs").gammaln
     return float((gammaln(cptv.xi1 + cptv.xi0) - gammaln(cptv.xi1)
                   - gammaln(cptv.xi0)
                   + (cptv.xi1 - 1.0) * np.log(cptv.mu)
@@ -244,6 +244,8 @@ def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,
         raise EstimationError("heldout probe is empty")
     if train.n_obs == 0:
         raise EstimationError("self-selected training data is empty")
+    if not 0 < float(exposure) < np.inf:
+        raise ConfigurationError(f"exposure must be finite and > 0, got {exposure}")
     total_exposure = float(exposure) * train.n_users
     if total_exposure < train.n_obs:
         raise ConfigurationError(

@@ -6,10 +6,10 @@ iff its pair is present. Triples are kept sorted by (user, item) so that
 each user's entries come in item order, and the arrays are frozen after
 construction so datasets can be shared freely.
 
-Model code reaches the triples through one sparse operator: the N x V*M
-incidence matrix of `RatingDataset.incidence`. Multiplying it with a
-(value, item)-indexed table gathers per-user sums; its transpose scatters
-per-user rows back into (value, item) cells.
+Model code reaches the triples through one sparse operator: the CSR
+arrays of the N x V*M incidence matrix, `RatingDataset.incidence`. scipy's
+compiled kernels multiply them with a (value, item)-indexed table to gather
+per-user sums, and with per-user rows to scatter them into (value, item) cells.
 
 Ratings files are parsed by numpy's ``loadtxt`` where it reads them as
 ``int()`` does, and by a line loop that names the line of any error.
@@ -87,19 +87,18 @@ class RatingDataset:
         return len(self.values)
 
     @cached_property
-    def incidence(self) -> csr_array:
-        """CSR one-hot operator A of shape (N, V*M), built once and cached.
+    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR arrays (indptr, indices, data) of the N x V*M one-hot operator A.
 
-        A[i, (x-1)*M + m] = 1 for each observed (i, m, x), with each row's
-        entries in item order. ``A @ table.reshape(V*M, K)`` sums table
-        rows over every user's observations, and ``A.T @ q`` sums
-        per-user rows into (value, item) cells.
+        A[i, (x-1)*M + m] = 1 for each observed (i, m, x), in item order
+        within each row; built once and cached. On these arrays scipy's
+        ``csr_matvecs`` kernel sums table rows over every user's observations
+        (A @ table), and ``csc_matvecs`` sums per-user rows into (value, item)
+        cells (A.T @ q).
         """
-        from scipy.sparse import csr_array
         cols = (self.values - 1) * self.n_items + self.items
         row_ptr = np.searchsorted(self.users, np.arange(self.n_users + 1))
-        return csr_array((np.ones(self.n_obs), cols, row_ptr),
-                         shape=(self.n_users, self.n_values * self.n_items))
+        return row_ptr, cols, np.ones(self.n_obs)
 
     def value_counts(self) -> np.ndarray:
         """Count of each rating value 1..V, shape (V,)."""
@@ -233,9 +232,11 @@ def write_text(path, *parts: str) -> None:
 
 def write_int_csv(path, header: str, *columns) -> None:
     """Write a header line, then one comma-joined row per index of ``columns``."""
-    flat = np.column_stack(columns).ravel().tolist()
+    table = np.column_stack(columns)
     row = ",".join(["%d"] * len(columns)) + "\n"
-    write_text(path, header + "\n", row * (len(flat) // len(columns)) % tuple(flat))
+    blocks = np.split(table, range(2**16, len(table), 2**16))  # few Python ints at once
+    write_text(path, header + "\n",
+               *(row * len(block) % tuple(block.ravel().tolist()) for block in blocks))
 
 
 def format_floats(values) -> str:

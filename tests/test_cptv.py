@@ -294,6 +294,9 @@ def test_estimate_mu_input_validation():
     with pytest.raises(ConfigurationError):
         # total exposure below observed count
         estimate_mu_heldout(train, probe, 0.5)
+    for exposure in (float("nan"), float("inf"), 0, -3.0):
+        with pytest.raises(ConfigurationError, match="exposure must be finite and > 0"):
+            estimate_mu_heldout(train, probe, exposure)
     wide = RatingDataset.from_arrays(1, 2, 3, [0], [1], [3])
     with pytest.raises(ConfigurationError, match="disagree on n_values"):
         estimate_mu_heldout(train, wide, 2)

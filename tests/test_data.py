@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import inspect
+import itertools
 import re
 from pathlib import Path
 from unittest import mock
@@ -305,7 +306,7 @@ def test_datasets_cannot_change_after_their_checks():
     a.incidence
     c = dataclasses.replace(a, values=np.array([4, 2]))
     fresh = RatingDataset.from_arrays(2, 2, 5, [0, 1], [0, 1], [4, 2])
-    assert c.incidence.indices.tolist() == fresh.incidence.indices.tolist() == [6, 3]
+    assert c.incidence[1].tolist() == fresh.incidence[1].tolist() == [6, 3]
     # the caches are not constructor arguments
     with pytest.raises(TypeError):
         RatingDataset(2, 2, 5, a.users, a.items, a.values, incidence=b.incidence)
@@ -329,15 +330,27 @@ _ANY_CSV = st.binary(max_size=48) | st.builds(
     st.lists(st.sampled_from(_CSV_PIECES), max_size=40).map(b"".join))
 
 
-def _write_bytes(tmp_path_factory, raw):
-    path = tmp_path_factory.mktemp("csv") / "r.csv"
+_EXAMPLES = itertools.count()
+
+
+def _example_path(tmp_path_factory, test):
+    """A new file name in the one directory named ``test``. A directory per
+    example would slow each later one: pytest numbers a new directory by
+    scanning the base temp dir."""
+    folder = tmp_path_factory.getbasetemp() / test
+    folder.mkdir(exist_ok=True)
+    return folder / f"{next(_EXAMPLES)}.csv"
+
+
+def _write_bytes(tmp_path_factory, test, raw):
+    path = _example_path(tmp_path_factory, test)
     path.write_bytes(raw)
     return path
 
 
 @given(_ANY_CSV)
 def test_readers_give_a_value_or_a_missmix_error(tmp_path_factory, raw):
-    path = _write_bytes(tmp_path_factory, raw)
+    path = _write_bytes(tmp_path_factory, "readers", raw)
     # explicit dims keep every allocation small
     for read in (lambda: load_csv(path, dims=(8, 8, 5)),
                  lambda: read_int_columns(path, 2)):
@@ -353,7 +366,7 @@ def test_readers_give_a_value_or_a_missmix_error(tmp_path_factory, raw):
 @example(b"h\n0,0,1\n\n1,2,-99999999999999999999\n")
 @example(b"h\n0,0,1\n9223372036854775808,1,2\n")
 def test_ratings_reader_matches_the_line_by_line_oracle(tmp_path_factory, raw):
-    path = _write_bytes(tmp_path_factory, raw)
+    path = _write_bytes(tmp_path_factory, "oracle", raw)
     try:
         rows = parse_ratings_rows(raw)
     except ParseError as exc:
@@ -438,7 +451,7 @@ def _plain_files(draw):
 @example((b"h\n1,2\x0c,3\n", 0))                # a line break loadtxt reads as a blank
 def test_plain_files_take_the_fast_path_and_read_as_the_oracle(tmp_path_factory, case):
     raw, width = case
-    path = _write_bytes(tmp_path_factory, raw)
+    path = _write_bytes(tmp_path_factory, "plain", raw)
     for n in (2, 3):
         # a plain file reaches the one np.loadtxt call
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as fast:
@@ -453,10 +466,20 @@ def test_plain_files_take_the_fast_path_and_read_as_the_oracle(tmp_path_factory,
 def test_write_int_csv_writes_what_the_per_row_format_wrote(tmp_path_factory, case):
     k, rows = case
     columns = np.array(rows, dtype=np.int64).reshape(-1, k).T
-    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    path = _example_path(tmp_path_factory, "write")
     write_int_csv(path, "a,b,c", *columns)
     row = ",".join(["{}"] * k) + "\n"
     expected = "a,b,c\n" + "".join(map(row.format, *(c.tolist() for c in columns)))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_write_int_csv_crosses_its_row_blocks_as_the_per_row_format(tmp_path):
+    # 2**16 rows are formatted at a time; 2**17 + 3 rows make three blocks
+    rows = np.random.default_rng(3).integers(-2**63, 2**63 - 1, size=(2**17 + 3, 2),
+                                             dtype=np.int64, endpoint=True)
+    path = tmp_path / "w.csv"
+    write_int_csv(path, "a,b", *rows.T)
+    expected = "a,b\n" + "".join("{},{}\n".format(*row) for row in rows.tolist())
     assert path.read_bytes() == expected.encode()
 
 
@@ -467,7 +490,7 @@ def test_save_csv_then_load_csv_round_trips(tmp_path_factory, data):
         st.tuples(*[st.integers(0, n - 1) for n in dims[:2]], st.integers(1, dims[2])),
         max_size=10, unique_by=lambda c: c[:2])) if min(dims) > 0 else []
     ds = _from_triples(dims, cells)
-    path = tmp_path_factory.mktemp("csv") / "r.csv"
+    path = _example_path(tmp_path_factory, "round_trip")
     save_csv(path, ds)
     back = load_csv(path, dims=dims)
     assert (back.n_users, back.n_items, back.n_values) == dims

@@ -1,12 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.sparse import csr_array
+from scipy.special import gammaln, logsumexp
 
-from missmix.cptv import CptvParams, _log_weights_nmar, fit_nmar
+from missmix import mixture
+from missmix.cptv import YAHOO_MU, CptvParams, _log_weights_nmar, fit_nmar
 from missmix.data import RatingDataset
 from missmix.errors import ConfigurationError, DataValidationError, EstimationError
 from missmix.mixture import (FitConfig, MixtureParams, _log_weights_mar,
-                             _logsumexp, _scatter, e_step_mar, fit_mar,
+                             _gather, _logsumexp, _scatter, e_step_mar, fit_mar,
                              init_params, log_posterior_mar, m_step_mar)
 from oracles import log_posterior
 
@@ -219,6 +223,75 @@ def test_incidence_forms_match_per_triple_loop():
     np.testing.assert_allclose(_scatter(ds, q), scatter, rtol=1e-13)
     assert np.array_equal(_scatter(ds, q)[:, 3], np.zeros((V, K)))
     assert ds.incidence is ds.incidence
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_loaded_kernels_match_scipy_sparse_bit_for_bit(K):
+    # user 2 has no ratings and item 3 is never rated; K=1 is the operand
+    # scipy hands to its single-vector kernels csr_matvec and csc_matvec
+    N, M, V = 4, 5, 3
+    ds = RatingDataset.from_arrays(N, M, V, [0, 0, 0, 1, 1, 3, 3, 3],
+                                   [0, 2, 4, 1, 2, 0, 1, 4], [3, 1, 2, 2, 2, 1, 3, 3])
+    # the operator as a csr_array, built from int64 arrays as scipy is given them
+    cols = (ds.values - 1) * M + ds.items
+    A = csr_array((np.ones(ds.n_obs), cols, np.searchsorted(ds.users, np.arange(N + 1))),
+                  shape=(N, V * M))
+    assert [a.dtype for a in ds.incidence] == [A.indptr.dtype, A.indices.dtype, A.data.dtype]
+    rng = np.random.default_rng(K)
+    table, q = rng.normal(size=(V, M + 2, K)), rng.normal(size=(N, K))
+    assert _gather(ds, table).tobytes() == (A @ table[:, :M].reshape(V * M, K)).tobytes()
+    assert _scatter(ds, q).tobytes() == (A.T @ q).tobytes()
+    with pytest.raises(ValueError):
+        _scatter(ds, q[:-1])
+
+
+def test_loaded_gammaln_is_scipy_special_gammaln():
+    loaded = mixture._scipy("special", "_special_ufuncs").gammaln
+    x = np.array([1e-300, 0.5, 1.0, 2.0, 3.7, 171.5, 1e300, 0.0, -1.5, np.inf, np.nan])
+    assert loaded(x).tobytes() == gammaln(x).tobytes()
+    for scalar in (2.0, 20.0, 200.0, 0.25):
+        assert loaded(scalar) == gammaln(scalar)
+
+
+@pytest.fixture
+def fresh_kernels():
+    """Drop the cached scipy modules before and after the test."""
+    mixture._scipy.cache_clear()
+    yield
+    mixture._scipy.cache_clear()
+
+
+def test_kernels_load_by_file_without_scipy_sparse_or_special(monkeypatch, fresh_kernels):
+    # with both packages and both modules unimportable only the load by file works
+    for name in ("scipy.sparse", "scipy.special",
+                 "scipy.sparse._sparsetools", "scipy.special._special_ufuncs"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert callable(mixture._scipy("sparse", "_sparsetools").csc_matvecs)
+    assert mixture._scipy("special", "_special_ufuncs").gammaln(3.0) == gammaln(3.0)
+
+
+def test_forced_import_fallback_gives_the_same_fit_bytes(monkeypatch, fresh_kernels):
+    ds = _random_dataset(np.random.default_rng(5), 30, 8, 5)
+    cfg = FitConfig(n_components=2, seed=1, max_iters=20)
+
+    def fit_bytes():
+        fits = fit_mar(ds, cfg), fit_nmar(ds, cfg, YAHOO_MU, strength=200.0)
+        return [a.tobytes() for fit in fits for a in (
+            fit.params.theta, fit.params.beta, fit.log_posterior_trace, fit.q)] + [
+            fits[1].cptv.mu.tobytes()]
+
+    by_file = fit_bytes()
+    looked_up = []
+
+    class NoPath:
+        @staticmethod
+        def find_spec(name, path=None):
+            looked_up.append(name)
+
+    monkeypatch.setattr(mixture, "PathFinder", NoPath)
+    mixture._scipy.cache_clear()
+    assert fit_bytes() == by_file
+    assert looked_up == ["scipy", "scipy"]
 
 
 def test_fit_is_deterministic():
