@@ -169,7 +169,7 @@ def _cmd_train(args) -> None:
     result = fit_spec(data, spec)
     modelio.save_model(args.out, result.params, cptv=result.cptv,
                        mu_mode=args.mu_mode)
-    write_text(args.out + ".trace.csv", "iteration,log_posterior\n", *(
+    write_text(args.out + ".trace.csv", "iteration,log_posterior\n", (
         f"{i},{format_floats(lp)}\n"
         for i, lp in enumerate(result.log_posterior_trace, start=1)))
     print(f"model {args.out}")
@@ -190,17 +190,12 @@ def _cmd_predict(args) -> None:
         raise DataValidationError(
             f"{args.data} has no ratings to give the number of users;"
             " pass --dims N,M,V to predict from the prior")
-    if model.params.n_items < data.n_items or model.params.n_values != data.n_values:
-        raise ConfigurationError(
-            f"model covers {model.params.n_items} items and"
-            f" {model.params.n_values} values; data has {data.n_items}"
-            f" and {data.n_values}")
+    q = posterior_z(model.params, data, cptv=model.cptv)
     users, items = read_int_columns(args.pairs, 2)
     if len(users) == 0:
         raise DataValidationError("no pairs to predict")
     check_ranges((data.n_users, model.params.n_items, data.n_values), users, items,
                  prefix="pair ")
-    q = posterior_z(model.params, data, cptv=model.cptv)
     pred = predict_median(predictive_distribution(model.params, q, users, items))
     write_int_csv(args.out, "user,item,prediction", users, items, pred)
     print(f"predictions {args.out} {len(pred)}")

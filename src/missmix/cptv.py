@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import smoothed_distribution
-from .data import RatingDataset
+from .data import RatingDataset, _scipy
 from .errors import ConfigurationError, EstimationError
-from .mixture import (FitConfig, FitResult, MixtureParams, _gather,
-                      _logsumexp, _map_update, _normalize_log_weights,
-                      _objective_mar, _run_em, _scatter, _scipy, init_params)
+from .mixture import (FitConfig, FitResult, MixtureParams, _logsumexp,
+                      _map_update, _normalize_log_weights, _objective_mar,
+                      _run_em, init_params)
 
 # Observation probabilities are clamped inside the open unit interval so
 # their logs stay finite.
@@ -95,7 +95,7 @@ def _log_weights_nmar(params: MixtureParams, cptv: CptvParams,
         log_gamma0 = np.log(_hidden_cell_table(params, cptv))
     base = log_theta + log_gamma0.sum(axis=0)
     adj = np.log(cptv.mu)[:, None, None] + log_beta - log_gamma0
-    return base + _gather(dataset, adj)
+    return base + dataset.gather(adj)
 
 
 def e_step_nmar(params: MixtureParams, cptv: CptvParams,
@@ -122,7 +122,7 @@ def _expected_counts(params: MixtureParams, cptv: CptvParams,
     """
     gamma0 = _hidden_cell_table(params, cptv)
     w = (1.0 - cptv.mu)[:, None, None] * params.beta / gamma0
-    observed = _scatter(dataset, q)
+    observed = dataset.scatter(q)
     hidden_q = np.maximum(q.sum(axis=0) - observed.sum(axis=0), 0.0)
     return observed, w * hidden_q
 

@@ -6,10 +6,11 @@ iff its pair is present. Triples are kept sorted by (user, item) so that
 each user's entries come in item order, and the arrays are frozen after
 construction so datasets can be shared freely.
 
-Model code reaches the triples through one sparse operator: the CSR
-arrays of the N x V*M incidence matrix, `RatingDataset.incidence`. scipy's
-compiled kernels multiply them with a (value, item)-indexed table to gather
-per-user sums, and with per-user rows to scatter them into (value, item) cells.
+Model code reaches the triples through one sparse operator A, the N x V*M
+incidence matrix of users and (value, item) cells, held by the dataset:
+`RatingDataset.gather` multiplies a (value, item)-indexed table by it to sum
+each user's observed cells, and `RatingDataset.scatter` sums per-user rows
+back into those cells. scipy's compiled kernels, loaded by `_scipy`, do both.
 
 Ratings files are parsed by numpy's ``loadtxt`` where it reads them as
 ``int()`` does, and by a line loop that names the line of any error.
@@ -17,12 +18,31 @@ Ratings files are parsed by numpy's ``loadtxt`` where it reads them as
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .errors import DataValidationError, ParseError
+from .errors import ConfigurationError, DataValidationError, ParseError
+
+
+@cache
+def _scipy(package: str, name: str):
+    """Compiled module scipy.<package>.<name>, loaded by file: the import through
+    scipy.<package> would run about 0.15 s of Python layers missmix never calls."""
+    try:
+        top = PathFinder.find_spec("scipy").submodule_search_locations[0]
+        spec = PathFinder.find_spec(f"scipy.{package}.{name}", [f"{top}/{package}"])
+        module = spec.loader.create_module(spec)
+        spec.loader.exec_module(module)
+        return module
+    except (AttributeError, ImportError, TypeError):  # no spec, file or loader: import
+        try:
+            return importlib.import_module(f"scipy.{package}.{name}")
+        except ImportError:  # a scipy without the module: gammaln from scipy.special
+            return importlib.import_module(f"scipy.{package}")
 
 
 @dataclass(frozen=True)
@@ -87,18 +107,38 @@ class RatingDataset:
         return len(self.values)
 
     @cached_property
-    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR arrays (indptr, indices, data) of the N x V*M one-hot operator A.
-
-        A[i, (x-1)*M + m] = 1 for each observed (i, m, x), in item order
-        within each row; built once and cached. On these arrays scipy's
-        ``csr_matvecs`` kernel sums table rows over every user's observations
-        (A @ table), and ``csc_matvecs`` sums per-user rows into (value, item)
-        cells (A.T @ q).
-        """
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only CSR arrays (indptr, indices, data) of the operator A, built
+        once: A[i, (x-1)*M + m] = 1 for each observed (i, m, x), in item order
+        within each row."""
         cols = (self.values - 1) * self.n_items + self.items
         row_ptr = np.searchsorted(self.users, np.arange(self.n_users + 1))
-        return row_ptr, cols, np.ones(self.n_obs)
+        csr = row_ptr, cols, np.ones(self.n_obs)
+        for arr in csr:
+            arr.flags.writeable = False
+        return csr
+
+    def gather(self, table: np.ndarray) -> np.ndarray:
+        """A @ table: per-user sums of table[x-1, m, :] over observed (m, x), shape
+        (N, K). ``table`` is (V, M', K) with M' >= M, else ConfigurationError;
+        items past M are never observed and drop out."""
+        V, M = self.n_values, self.n_items
+        if table.shape[0] != V or table.shape[1] < M:
+            raise ConfigurationError(
+                f"model covers {table.shape[1]} items and {table.shape[0]} values;"
+                f" data has {M} and {V}")
+        x = table[:, :M].reshape(V * M, -1)
+        y = np.zeros((self.n_users, x.shape[1]))
+        _scipy("sparse", "_sparsetools").csr_matvecs(len(y), *x.shape, *self._csr, x, y)
+        return y
+
+    def scatter(self, q: np.ndarray) -> np.ndarray:
+        """A.T @ q: per-user rows summed into (value, item) cells, shape (V, M, K);
+        ``q`` has N rows."""
+        V, M, x = self.n_values, self.n_items, q.reshape(self.n_users, q.shape[1])
+        y = np.zeros((V, M, x.shape[1]))
+        _scipy("sparse", "_sparsetools").csc_matvecs(V * M, *x.shape, *self._csr, x, y)
+        return y
 
     def value_counts(self) -> np.ndarray:
         """Count of each rating value 1..V, shape (V,)."""
@@ -224,19 +264,22 @@ def read_int_columns(path, n: int) -> tuple[np.ndarray, ...]:
         raise ParseError(f"integer out of int64 range in {line!r}", line=ln) from None
 
 
-def write_text(path, *parts: str) -> None:
-    """Write ``parts`` to ``path`` as UTF-8 with LF line ends, replacing it."""
+def write_text(path, head: str, lines=()) -> None:
+    """Write ``head``, then each string of the iterable ``lines`` as it comes, to
+    ``path`` as UTF-8 with LF line ends, replacing it."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(parts)
+        fh.write(head)
+        fh.writelines(lines)
 
 
 def write_int_csv(path, header: str, *columns) -> None:
     """Write a header line, then one comma-joined row per index of ``columns``."""
-    table = np.column_stack(columns)
     row = ",".join(["%d"] * len(columns)) + "\n"
-    blocks = np.split(table, range(2**16, len(table), 2**16))  # few Python ints at once
+    # 2**16 rows at a time, so few Python ints and no whole-file copy exist at once
+    blocks = (np.column_stack([c[start:start + 2**16] for c in columns])
+              for start in range(0, len(columns[0]), 2**16))
     write_text(path, header + "\n",
-               *(row * len(block) % tuple(block.ravel().tolist()) for block in blocks))
+               (row * len(block) % tuple(block.ravel().tolist()) for block in blocks))
 
 
 def format_floats(values) -> str:

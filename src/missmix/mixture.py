@@ -11,14 +11,11 @@ of (likelihood x priors).
 
 from __future__ import annotations
 
-import functools
-import importlib
 from dataclasses import dataclass
-from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .data import RatingDataset
+from .data import RatingDataset, _scipy
 from .errors import ConfigurationError, EstimationError
 
 # Relative convergence test uses max(|L|, _TINY) to survive L == 0.
@@ -121,40 +118,6 @@ def init_params(n_items: int, n_values: int, config: FitConfig) -> MixtureParams
                          phi=float(config.phi))
 
 
-@functools.cache
-def _scipy(package: str, name: str):
-    """Compiled module scipy.<package>.<name>, loaded by file: the import through
-    scipy.<package> would run about 0.15 s of Python layers missmix never calls."""
-    try:
-        top = PathFinder.find_spec("scipy").submodule_search_locations[0]
-        spec = PathFinder.find_spec(f"scipy.{package}.{name}", [f"{top}/{package}"])
-        module = spec.loader.create_module(spec)
-        spec.loader.exec_module(module)
-        return module
-    except (AttributeError, ImportError, TypeError):  # no spec, file or loader: import
-        return importlib.import_module(f"scipy.{package}.{name}")
-
-
-def _gather(dataset: RatingDataset, table: np.ndarray) -> np.ndarray:
-    """Per-user sums of table[x-1, m, :] over observed (m, x), shape (N, K).
-
-    ``table`` may cover more items than the dataset; the extra ones are
-    never observed and drop out.
-    """
-    x = table[:, :dataset.n_items].reshape(dataset.n_values * dataset.n_items, -1)
-    y = np.zeros((dataset.n_users, x.shape[1]))
-    _scipy("sparse", "_sparsetools").csr_matvecs(len(y), *x.shape, *dataset.incidence, x, y)
-    return y
-
-
-def _scatter(dataset: RatingDataset, q: np.ndarray) -> np.ndarray:
-    """Sum responsibility rows into (value, item) cells, shape (V, M, K); q has N rows."""
-    V, M, x = dataset.n_values, dataset.n_items, q.reshape(dataset.n_users, q.shape[1])
-    y = np.zeros((V, M, x.shape[1]))
-    _scipy("sparse", "_sparsetools").csc_matvecs(V * M, *x.shape, *dataset.incidence, x, y)
-    return y
-
-
 def _log_weights_mar(params: MixtureParams,
                      dataset: RatingDataset) -> np.ndarray:
     """Unnormalised per-user log component weights, shape (N, K).
@@ -165,7 +128,7 @@ def _log_weights_mar(params: MixtureParams,
     with np.errstate(divide="ignore"):
         log_theta = np.log(params.theta)
         log_beta = np.log(params.beta)
-    return log_theta + _gather(dataset, log_beta)
+    return log_theta + dataset.gather(log_beta)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -203,7 +166,7 @@ def m_step_mar(params: MixtureParams, dataset: RatingDataset,
     Both simplex constraints are met exactly because each denominator is
     computed as the sum of its own numerators.
     """
-    return _map_update(params, q, _scatter(dataset, q))
+    return _map_update(params, q, dataset.scatter(q))
 
 
 def _map_update(params: MixtureParams, q: np.ndarray,

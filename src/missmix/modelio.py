@@ -52,7 +52,7 @@ def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
               "alpha": params.alpha, "phi": params.phi, "z": z}
     if cptv is not None:
         values.update(mu=cptv.mu, mu_mode=mu_mode, xi1=cptv.xi1, xi0=cptv.xi0)
-    write_text(path, "# rating mixture model\n", *(
+    write_text(path, "# rating mixture model\n", (
         f"{key} {_tokens(kind, value)}\n"
         for key, kind in _KEYS.items() if (value := values.get(key)) is not None))
 
@@ -72,8 +72,7 @@ def _parse(key, rest, line_no):
     if kind is str:
         return rest[0]
     try:
-        values = np.array([kind(t) for t in rest],
-                          dtype=np.int64 if kind is int else float)
+        values = np.array(rest, dtype=np.int64 if kind is int else float)
     except (ValueError, OverflowError):
         raise ParseError("malformed " + ("integer" if kind is int else "float"),
                          line=line_no) from None

@@ -26,7 +26,8 @@ def posterior_z(params: MixtureParams, dataset: RatingDataset,
 
     With ``cptv`` the posterior conditions on the full response pattern
     (which cells are hidden carries information); without it, only on
-    the observed values. A user of zero probability raises EstimationError.
+    the observed values. A user of zero probability raises EstimationError,
+    a model that does not cover the data's items and values ConfigurationError.
     """
     with np.errstate(invalid="ignore"):
         q = e_step_mar(params, dataset) if cptv is None else e_step_nmar(params, cptv, dataset)

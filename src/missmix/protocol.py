@@ -174,6 +174,6 @@ def format_cell(value) -> str:
 
 def write_report(path, rows) -> None:
     """Write protocol rows as a CSV file."""
-    write_text(path, ",".join(REPORT_COLUMNS) + "\n", *(
+    write_text(path, ",".join(REPORT_COLUMNS) + "\n", (
         ",".join(format_cell(row.get(c, "")) for c in REPORT_COLUMNS) + "\n"
         for row in rows))

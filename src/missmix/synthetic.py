@@ -42,10 +42,6 @@ class GroundTruth:
     complete: np.ndarray
 
     @property
-    def n_users(self) -> int:
-        return self.complete.shape[0]
-
-    @property
     def n_items(self) -> int:
         return self.complete.shape[1]
 

@@ -184,7 +184,7 @@ def test_06_probe_selection_ignores_values(capsys):
                                    seed=61)
     probe = mx.sample_mcar_test(truth, 10, seed=62)
     assert probe.n_obs == 100000
-    mask = np.zeros((truth.n_users, truth.n_items), dtype=bool)
+    mask = np.zeros(truth.complete.shape, dtype=bool)
     mask[probe.users, probe.items] = True
     included = np.bincount(truth.complete[mask] - 1, minlength=3)
     excluded = np.bincount(truth.complete[~mask] - 1, minlength=3)

@@ -303,19 +303,28 @@ def test_datasets_cannot_change_after_their_checks():
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.n_values = 1
     # a replaced dataset builds its own operator, not the cached one of `a`
-    a.incidence
+    a._csr
     c = dataclasses.replace(a, values=np.array([4, 2]))
     fresh = RatingDataset.from_arrays(2, 2, 5, [0, 1], [0, 1], [4, 2])
-    assert c.incidence[1].tolist() == fresh.incidence[1].tolist() == [6, 3]
+    assert c._csr[1].tolist() == fresh._csr[1].tolist() == [6, 3]
     # the caches are not constructor arguments
     with pytest.raises(TypeError):
-        RatingDataset(2, 2, 5, a.users, a.items, a.values, incidence=b.incidence)
+        RatingDataset(2, 2, 5, a.users, a.items, a.values, _csr=b._csr)
 
 
 def test_arrays_are_frozen():
     ds = RatingDataset.from_arrays(1, 1, 5, [0], [0], [1])
     with pytest.raises(ValueError):
         ds.values[0] = 2
+
+
+def test_cached_operator_arrays_are_frozen():
+    # a write into the column indices made gather read past its table
+    ds = RatingDataset.from_arrays(2, 3, 2, [0, 1, 1], [2, 0, 1], [1, 2, 2])
+    for arr in ds._csr:
+        with pytest.raises(ValueError):
+            arr[0] = 99
+    assert [a.tolist() for a in ds._csr] == [[0, 1, 3], [2, 3, 4], [1.0] * 3]
 
 
 # Pieces of ratings files, biased toward the grammar's edges: signs,
@@ -571,9 +580,15 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     assert inspect.getsource(mixture).count("float(log_z.sum())") == 1
     assert "float(log_z.sum())" in inspect.getsource(mixture._objective_mar)
     assert _holders(r"_log_dirichlet_prior") == []
-    # one name for the incidence operator: the cached property itself
-    assert isinstance(vars(RatingDataset)["incidence"], functools.cached_property)
-    assert _holders(r"_incidence\b") == []
+    # one sparse operator, owned by the dataset: its cached CSR arrays, the
+    # scipy kernels that multiply them, their loader and the rule that a
+    # table covers the data all live in data, behind gather and scatter
+    assert isinstance(vars(RatingDataset)["_csr"], functools.cached_property)
+    assert not hasattr(RatingDataset, "incidence")
+    assert _holders(r"\.incidence\b|\b_gather\b|\b_scatter\b") == []
+    assert _holders(r"csr_matvecs|csc_matvecs") == ["data.py"]
+    assert _holders(r"def _scipy\b") == ["data.py"]
+    assert _holders(r"model covers") == ["data.py"]
     # one log-sum-exp, and scipy is imported only inside the functions that
     # use it, so commands that never fit or predict do not load it
     assert _holders(r"\blogsumexp\b|def _logsumexp") == ["mixture.py"]

@@ -2,16 +2,19 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.sparse import csr_array
 from scipy.special import gammaln, logsumexp
 
-from missmix import mixture
-from missmix.cptv import YAHOO_MU, CptvParams, _log_weights_nmar, fit_nmar
+from missmix import data
+from missmix.cptv import (YAHOO_MU, CptvParams, _log_weights_nmar, e_step_nmar,
+                          fit_nmar, log_posterior_nmar)
 from missmix.data import RatingDataset
 from missmix.errors import ConfigurationError, DataValidationError, EstimationError
 from missmix.mixture import (FitConfig, MixtureParams, _log_weights_mar,
-                             _gather, _logsumexp, _scatter, e_step_mar, fit_mar,
-                             init_params, log_posterior_mar, m_step_mar)
+                             _logsumexp, e_step_mar, fit_mar, init_params,
+                             log_posterior_mar, m_step_mar)
+from missmix.predict import posterior_z
 from oracles import log_posterior
 
 
@@ -220,9 +223,9 @@ def test_incidence_forms_match_per_triple_loop():
     np.testing.assert_allclose(_log_weights_mar(params, ds), mar, rtol=1e-13)
     np.testing.assert_allclose(_log_weights_nmar(params, cptv, ds), nmar,
                                rtol=1e-13)
-    np.testing.assert_allclose(_scatter(ds, q), scatter, rtol=1e-13)
-    assert np.array_equal(_scatter(ds, q)[:, 3], np.zeros((V, K)))
-    assert ds.incidence is ds.incidence
+    np.testing.assert_allclose(ds.scatter(q), scatter, rtol=1e-13)
+    assert np.array_equal(ds.scatter(q)[:, 3], np.zeros((V, K)))
+    assert ds._csr is ds._csr
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -236,17 +239,34 @@ def test_loaded_kernels_match_scipy_sparse_bit_for_bit(K):
     cols = (ds.values - 1) * M + ds.items
     A = csr_array((np.ones(ds.n_obs), cols, np.searchsorted(ds.users, np.arange(N + 1))),
                   shape=(N, V * M))
-    assert [a.dtype for a in ds.incidence] == [A.indptr.dtype, A.indices.dtype, A.data.dtype]
+    assert [a.dtype for a in ds._csr] == [A.indptr.dtype, A.indices.dtype, A.data.dtype]
     rng = np.random.default_rng(K)
     table, q = rng.normal(size=(V, M + 2, K)), rng.normal(size=(N, K))
-    assert _gather(ds, table).tobytes() == (A @ table[:, :M].reshape(V * M, K)).tobytes()
-    assert _scatter(ds, q).tobytes() == (A.T @ q).tobytes()
+    assert ds.gather(table).tobytes() == (A @ table[:, :M].reshape(V * M, K)).tobytes()
+    assert ds.scatter(q).tobytes() == (A.T @ q).tobytes()
     with pytest.raises(ValueError):
-        _scatter(ds, q[:-1])
+        ds.scatter(q[:-1])
+
+
+@pytest.mark.parametrize("n_items, n_values", [(2, 5), (10, 4), (10, 6)])
+def test_a_model_that_does_not_cover_the_data_is_refused(n_items, n_values):
+    # a 2-item model on 10-item data gave every user the same posterior row
+    # and a positive log posterior, without an error
+    ds = _random_dataset(np.random.default_rng(0), 20, 10, 5)
+    params = init_params(n_items, n_values, FitConfig(5, seed=0))
+    cptv = CptvParams(mu=np.full(n_values, 0.5))
+    calls = [lambda: posterior_z(params, ds), lambda: posterior_z(params, ds, cptv),
+             lambda: e_step_mar(params, ds), lambda: e_step_nmar(params, cptv, ds),
+             lambda: log_posterior_mar(params, ds),
+             lambda: log_posterior_nmar(params, cptv, ds)]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=f"model covers {n_items} items and"
+                                                     f" {n_values} values; data has 10 and 5"):
+            call()
 
 
 def test_loaded_gammaln_is_scipy_special_gammaln():
-    loaded = mixture._scipy("special", "_special_ufuncs").gammaln
+    loaded = data._scipy("special", "_special_ufuncs").gammaln
     x = np.array([1e-300, 0.5, 1.0, 2.0, 3.7, 171.5, 1e300, 0.0, -1.5, np.inf, np.nan])
     assert loaded(x).tobytes() == gammaln(x).tobytes()
     for scalar in (2.0, 20.0, 200.0, 0.25):
@@ -256,9 +276,9 @@ def test_loaded_gammaln_is_scipy_special_gammaln():
 @pytest.fixture
 def fresh_kernels():
     """Drop the cached scipy modules before and after the test."""
-    mixture._scipy.cache_clear()
+    data._scipy.cache_clear()
     yield
-    mixture._scipy.cache_clear()
+    data._scipy.cache_clear()
 
 
 def test_kernels_load_by_file_without_scipy_sparse_or_special(monkeypatch, fresh_kernels):
@@ -266,8 +286,8 @@ def test_kernels_load_by_file_without_scipy_sparse_or_special(monkeypatch, fresh
     for name in ("scipy.sparse", "scipy.special",
                  "scipy.sparse._sparsetools", "scipy.special._special_ufuncs"):
         monkeypatch.setitem(sys.modules, name, None)
-    assert callable(mixture._scipy("sparse", "_sparsetools").csc_matvecs)
-    assert mixture._scipy("special", "_special_ufuncs").gammaln(3.0) == gammaln(3.0)
+    assert callable(data._scipy("sparse", "_sparsetools").csc_matvecs)
+    assert data._scipy("special", "_special_ufuncs").gammaln(3.0) == gammaln(3.0)
 
 
 def test_forced_import_fallback_gives_the_same_fit_bytes(monkeypatch, fresh_kernels):
@@ -288,10 +308,15 @@ def test_forced_import_fallback_gives_the_same_fit_bytes(monkeypatch, fresh_kern
         def find_spec(name, path=None):
             looked_up.append(name)
 
-    monkeypatch.setattr(mixture, "PathFinder", NoPath)
-    mixture._scipy.cache_clear()
+    monkeypatch.setattr(data, "PathFinder", NoPath)
+    data._scipy.cache_clear()
     assert fit_bytes() == by_file
     assert looked_up == ["scipy", "scipy"]
+    # a scipy without the private gammaln module falls back to scipy.special
+    monkeypatch.setitem(sys.modules, "scipy.special._special_ufuncs", None)
+    data._scipy.cache_clear()
+    assert data._scipy("special", "_special_ufuncs") is scipy.special
+    assert fit_bytes() == by_file
 
 
 def test_fit_is_deterministic():

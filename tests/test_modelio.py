@@ -91,6 +91,7 @@ def test_load_rejects_malformed_files(tmp_path):
         (["format_version 3"] + _base_lines()[1:], "format_version"),
         (["format_version 1"] + _base_lines()[1:], "unsupported format_version 1"),
         (_base_lines()[:6] + ["beta 0.25"], "must hold 2"),
+        (_base_lines()[:5] + ["theta 0.5 0.5", "beta 0.25 0.75"], "theta must hold 1 values"),
         (_base_lines() + ["what 1"], "unknown key"),
         (_base_lines()[:6] + ["beta 0.25 zebra"], "malformed float"),
         (_base_lines() + ["z 0 x"], "malformed integer"),
