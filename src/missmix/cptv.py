@@ -5,10 +5,12 @@ mu[v-1] that an entry holding v is actually observed. Fitting then has
 to explain both the observed values and the observation pattern itself:
 a user's evidence multiplies, over every item, either
 mu[x] * beta[x, m, z] (entry observed with value x) or
-sum_v (1 - mu[v]) * beta[v, m, z] (entry hidden). EM updates below keep
-everything in log domain per user and reduce the per-hidden-cell terms
-to one (item, component) table, so cost stays proportional to the number
-of observed entries.
+sum_v (1 - mu[v]) * beta[v, m, z] (entry hidden). The EM path in
+`mixture`, shared with the value-blind fit, keeps everything in log
+domain per user and reduces the per-hidden-cell terms to one (item,
+component) table, so cost stays proportional to the number of observed
+entries. This module holds the observation model, its estimation and
+priors, the attribution of hidden entries and the public wrappers.
 
 mu can be held fixed or learned; learning places a Beta(xi1, xi0) prior
 on each mu[v] and both raise the same joint objective monotonically.
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import smoothed_distribution
-from .data import RatingDataset, _scipy
+from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
-from .mixture import (FitConfig, FitResult, MixtureParams, _logsumexp,
-                      _map_update, _normalize_log_weights, _objective_mar,
-                      _run_em, init_params)
+from .mixture import (FitConfig, FitResult, MixtureParams, _e_step,
+                      _expected_counts, _fit, _log_weights, _logsumexp,
+                      _m_step, _objective)
 
 # Observation probabilities are clamped inside the open unit interval so
 # their logs stay finite.
@@ -76,55 +78,17 @@ def check_mu_length(mu, n_values: int) -> None:
                                  f" ({n_values}), got shape {np.shape(mu)}")
 
 
-def _hidden_cell_table(params: MixtureParams, cptv: CptvParams) -> np.ndarray:
-    """gamma0[m, z] = sum_v (1 - mu[v]) * beta[v, m, z], shape (M, K)."""
-    return ((1.0 - cptv.mu)[:, None, None] * params.beta).sum(axis=0)
-
-
-def _log_weights_nmar(params: MixtureParams, cptv: CptvParams,
-                      dataset: RatingDataset) -> np.ndarray:
-    """Unnormalised per-user log component weights, shape (N, K).
-
-    Starts every user from the all-hidden row sum and adjusts only the
-    observed entries, swapping each hidden-cell term for
-    log mu[x] + log beta[x, m, z].
-    """
-    with np.errstate(divide="ignore"):
-        log_theta = np.log(params.theta)
-        log_beta = np.log(params.beta)
-        log_gamma0 = np.log(_hidden_cell_table(params, cptv))
-    base = log_theta + log_gamma0.sum(axis=0)
-    adj = np.log(cptv.mu)[:, None, None] + log_beta - log_gamma0
-    return base + dataset.gather(adj)
-
-
 def e_step_nmar(params: MixtureParams, cptv: CptvParams,
                 dataset: RatingDataset) -> np.ndarray:
     """Posterior component responsibilities, shape (N, K); rows sum to 1."""
-    q, _ = _normalize_log_weights(_log_weights_nmar(params, cptv, dataset))
-    return q
+    return _e_step(params, dataset, cptv)[0]
 
 
 def log_evidence_nmar(params: MixtureParams, cptv: CptvParams,
                       dataset: RatingDataset) -> np.ndarray:
     """Per-user log probability of observed values and response pattern,
     shape (N,)."""
-    return _logsumexp(_log_weights_nmar(params, cptv, dataset))
-
-
-def _expected_counts(params: MixtureParams, cptv: CptvParams,
-                     dataset: RatingDataset, q: np.ndarray):
-    """Expected (V, M, K) rating counts of the observed and the hidden cells.
-
-    Returns (observed, hidden): the responsibility scatter of the observed
-    entries, and the responsibility mass of users whose (i, m) cell is
-    hidden spread over the values as a hidden rating at (m, z) is.
-    """
-    gamma0 = _hidden_cell_table(params, cptv)
-    w = (1.0 - cptv.mu)[:, None, None] * params.beta / gamma0
-    observed = dataset.scatter(q)
-    hidden_q = np.maximum(q.sum(axis=0) - observed.sum(axis=0), 0.0)
-    return observed, w * hidden_q
+    return _logsumexp(_log_weights(params, dataset, cptv))
 
 
 def m_step_nmar(params: MixtureParams, cptv: CptvParams, dataset: RatingDataset,
@@ -135,17 +99,7 @@ def m_step_nmar(params: MixtureParams, cptv: CptvParams, dataset: RatingDataset,
     re-estimated only with ``learn_mu``, which requires cptv to carry
     its Beta prior.
     """
-    observed, hidden = _expected_counts(params, cptv, dataset, q)
-    new_params = _map_update(params, q, observed, hidden)
-    if not learn_mu:
-        return new_params, cptv
-    if cptv.xi1 is None:
-        raise ConfigurationError("cannot learn mu without its Beta prior")
-    observed_v = dataset.value_counts()
-    hidden_v = hidden.sum(axis=(1, 2))
-    mu_num = cptv.xi1 - 1.0 + observed_v
-    mu = mu_num / (cptv.xi1 + cptv.xi0 - 2.0 + observed_v + hidden_v)
-    return new_params, CptvParams(mu=mu, xi1=cptv.xi1, xi0=cptv.xi0)
+    return _m_step(params, dataset, q, cptv, learn_mu)
 
 
 def missing_value_attribution(params: MixtureParams, cptv: CptvParams,
@@ -159,31 +113,15 @@ def missing_value_attribution(params: MixtureParams, cptv: CptvParams,
     """
     if dataset.n_obs >= dataset.n_users * dataset.n_items:
         return None
-    by_value = _expected_counts(params, cptv, dataset, q)[1].sum(axis=(1, 2))
+    by_value = _expected_counts(params, dataset, q, cptv)[1].sum(axis=(1, 2))
     return by_value / by_value.sum()
-
-
-def _log_beta_prior(cptv: CptvParams) -> float:
-    """Log density of mu under its Beta prior; 0 when there is none."""
-    if cptv.xi1 is None:
-        return 0.0
-    gammaln = _scipy("special", "_special_ufuncs").gammaln
-    return float((gammaln(cptv.xi1 + cptv.xi0) - gammaln(cptv.xi1)
-                  - gammaln(cptv.xi0)
-                  + (cptv.xi1 - 1.0) * np.log(cptv.mu)
-                  + (cptv.xi0 - 1.0) * np.log1p(-cptv.mu)).sum())
-
-
-def _objective_nmar(params: MixtureParams, cptv: CptvParams,
-                    log_z: np.ndarray) -> float:
-    return _objective_mar(params, log_z) + _log_beta_prior(cptv)
 
 
 def log_posterior_nmar(params: MixtureParams, cptv: CptvParams,
                        dataset: RatingDataset) -> float:
     """Log of (evidence x priors); includes the Beta term for mu only
     when cptv carries a prior."""
-    return _objective_nmar(params, cptv, log_evidence_nmar(params, cptv, dataset))
+    return _objective(params, log_evidence_nmar(params, cptv, dataset), cptv)
 
 
 def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
@@ -208,20 +146,11 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
         With cptv, holding the prior's xi1/xi0 when mu was learned.
     """
     check_mu_length(mu, dataset.n_values)
-    learn = strength is not None
-    xi1, xi0 = build_mu_prior(mu, strength) if learn else (None, None)
-    if learn:
+    xi1 = xi0 = None
+    if strength is not None:
+        xi1, xi0 = build_mu_prior(mu, strength)
         mu = np.random.default_rng([config.seed, 1]).beta(xi1, xi0)
-    cptv = CptvParams(mu=mu, xi1=xi1, xi0=xi0)
-
-    (params, cptv), q, trace, converged = _run_em(
-        (init_params(dataset.n_items, dataset.n_values, config), cptv),
-        lambda s: _log_weights_nmar(*s, dataset),
-        lambda s, q: m_step_nmar(*s, dataset, q, learn_mu=learn),
-        lambda s, log_z: _objective_nmar(*s, log_z),
-        config)
-    return FitResult(params=params, cptv=cptv, log_posterior_trace=trace,
-                     converged=converged, iterations=len(trace), q=q)
+    return _fit(dataset, config, CptvParams(mu=mu, xi1=xi1, xi0=xi0))
 
 
 def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,

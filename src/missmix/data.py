@@ -30,8 +30,9 @@ from .errors import ConfigurationError, DataValidationError, ParseError
 
 @cache
 def _scipy(package: str, name: str):
-    """Compiled module scipy.<package>.<name>, loaded by file: the import through
-    scipy.<package> would run about 0.15 s of Python layers missmix never calls."""
+    """Compiled module scipy.<package>.<name>, loaded by file: importing scipy.sparse
+    and scipy.special after numpy runs 0.2-0.3 s of Python layers (scipy 1.17,
+    2-core VM) that missmix never calls."""
     try:
         top = PathFinder.find_spec("scipy").submodule_search_locations[0]
         spec = PathFinder.find_spec(f"scipy.{package}.{name}", [f"{top}/{package}"])
@@ -285,7 +286,10 @@ def write_int_csv(path, header: str, *columns) -> None:
 def format_floats(values) -> str:
     """Space-joined values to 17 significant digits: every float64 reads back exactly."""
     flat = np.asarray(values, dtype=float).ravel()
-    return " ".join(["%.17g"] * len(flat)) % tuple(flat.tolist())
+    # 2**15 values at a time, so few Python floats and format strings exist at once
+    blocks = (flat[start:start + 2**15] for start in range(0, len(flat), 2**15))
+    return " ".join(" ".join(["%.17g"] * len(block)) % tuple(block.tolist())
+                    for block in blocks)
 
 
 def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:

@@ -2,16 +2,19 @@
 
 Each user draws a latent component z with probability theta[z]; given z,
 the rating of item m is drawn from the multinomial beta[:, m, z] over the
-values 1..V. Missing entries are ignored by the fitting routines here,
+values 1..V. Without an observation model, missing entries are ignored,
 which is the correct treatment only when missingness does not depend on
-the rating values themselves. Dirichlet smoothing on theta and beta keeps
-every estimate strictly interior, and the objective maximised is the log
-of (likelihood x priors).
+the rating values themselves. The private E/M/objective/EM path below
+also takes an optional observation model (`cptv.CptvParams`, read by its
+mu/xi1/xi0 attributes), which adds one factor per cell to each user's
+evidence. Dirichlet smoothing on theta and beta keeps every estimate
+strictly interior, and the objective maximised is the log of
+(likelihood x priors).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,17 +121,29 @@ def init_params(n_items: int, n_values: int, config: FitConfig) -> MixtureParams
                          phi=float(config.phi))
 
 
-def _log_weights_mar(params: MixtureParams,
-                     dataset: RatingDataset) -> np.ndarray:
+def _hidden_cell_table(params: MixtureParams, cptv) -> np.ndarray:
+    """gamma0[m, z] = sum_v (1 - mu[v]) * beta[v, m, z], shape (M, K)."""
+    return ((1.0 - cptv.mu)[:, None, None] * params.beta).sum(axis=0)
+
+
+def _log_weights(params: MixtureParams, dataset: RatingDataset,
+                 cptv=None) -> np.ndarray:
     """Unnormalised per-user log component weights, shape (N, K).
 
     Row i holds log theta_z + sum over observed items of
-    log beta[x, m, z].
+    log beta[x, m, z]. With an observation model ``cptv``, every user
+    starts from the all-hidden row sum of log gamma0 instead, and each
+    observed entry swaps its hidden-cell term for
+    log mu[x] + log beta[x, m, z].
     """
     with np.errstate(divide="ignore"):
-        log_theta = np.log(params.theta)
         log_beta = np.log(params.beta)
-    return log_theta + dataset.gather(log_beta)
+        base = np.log(params.theta)
+        if cptv is not None:
+            log_gamma0 = np.log(_hidden_cell_table(params, cptv))
+            base = base + log_gamma0.sum(axis=0)
+            log_beta = np.log(cptv.mu)[:, None, None] + log_beta - log_gamma0
+    return base + dataset.gather(log_beta)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -147,44 +162,62 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         return (np.log1p(s) + np.log(m) + a_max).ravel()
 
 
-def _normalize_log_weights(log_w: np.ndarray):
+def _e_step(params: MixtureParams, dataset: RatingDataset, cptv=None):
+    """Responsibilities q, shape (N, K) with rows summing to 1, and the
+    per-user log normalisers log_z, shape (N,)."""
+    log_w = _log_weights(params, dataset, cptv)
     log_z = _logsumexp(log_w)
-    q = np.exp(log_w - log_z[:, None])
-    return q, log_z
+    return np.exp(log_w - log_z[:, None]), log_z
 
 
-def e_step_mar(params: MixtureParams, dataset: RatingDataset) -> np.ndarray:
-    """Posterior component responsibilities, shape (N, K); rows sum to 1."""
-    q, _ = _normalize_log_weights(_log_weights_mar(params, dataset))
-    return q
+def _expected_counts(params: MixtureParams, dataset: RatingDataset,
+                     q: np.ndarray, cptv=None):
+    """Expected (V, M, K) rating counts: (observed,) or, with ``cptv``,
+    (observed, hidden).
+
+    observed is the responsibility scatter of the observed entries; hidden
+    spreads the responsibility mass of users whose (i, m) cell is hidden
+    over the values as a hidden rating at (m, z) is.
+    """
+    observed = dataset.scatter(q)
+    if cptv is None:
+        return (observed,)
+    w = (1.0 - cptv.mu)[:, None, None] * params.beta / _hidden_cell_table(params, cptv)
+    hidden_q = np.maximum(q.sum(axis=0) - observed.sum(axis=0), 0.0)
+    return observed, w * hidden_q
 
 
-def m_step_mar(params: MixtureParams, dataset: RatingDataset,
-               q: np.ndarray) -> MixtureParams:
+def _m_step(params: MixtureParams, dataset: RatingDataset, q: np.ndarray,
+            cptv=None, learn_mu: bool = False):
     """Maximise the smoothed expected complete-data objective.
 
-    Both simplex constraints are met exactly because each denominator is
-    computed as the sum of its own numerators.
+    Returns (params, cptv). theta and beta are always updated, each
+    denominator the sum of its own numerators so both simplex constraints
+    hold exactly; mu is re-estimated only with ``learn_mu``, which needs
+    cptv to carry its Beta prior.
     """
-    return _map_update(params, q, dataset.scatter(q))
-
-
-def _map_update(params: MixtureParams, q: np.ndarray,
-                *beta_counts: np.ndarray) -> MixtureParams:
-    """MAP theta and beta from responsibilities ``q`` and the expected
-    (V, M, K) rating counts, added to phi - 1 in the order given."""
     if params.alpha is None or params.phi is None:
         raise ConfigurationError("maximum-posterior updates need smoothing")
+    counts = _expected_counts(params, dataset, q, cptv)
     theta_num = params.alpha - 1.0 + q.sum(axis=0)
-    theta = theta_num / theta_num.sum()
-    beta_num = sum(beta_counts, params.phi - 1.0)
-    beta = beta_num / beta_num.sum(axis=0, keepdims=True)
-    return MixtureParams(theta=theta, beta=beta, alpha=params.alpha, phi=params.phi)
+    beta_num = sum(counts, params.phi - 1.0)
+    new = MixtureParams(theta=theta_num / theta_num.sum(),
+                        beta=beta_num / beta_num.sum(axis=0, keepdims=True),
+                        alpha=params.alpha, phi=params.phi)
+    if not learn_mu:
+        return new, cptv
+    if cptv.xi1 is None:
+        raise ConfigurationError("cannot learn mu without its Beta prior")
+    observed_v = dataset.value_counts()
+    mu_num = cptv.xi1 - 1.0 + observed_v
+    mu = mu_num / (cptv.xi1 + cptv.xi0 - 2.0 + observed_v + counts[1].sum(axis=(1, 2)))
+    return new, replace(cptv, mu=mu)
 
 
-def _objective_mar(params: MixtureParams, log_z: np.ndarray) -> float:
+def _objective(params: MixtureParams, log_z: np.ndarray, cptv=None) -> float:
     """The per-user log normalisers ``log_z`` summed, plus the log density
-    of theta and every beta[:, m, z] under their smoothing."""
+    of theta and every beta[:, m, z] under their smoothing and, when
+    ``cptv`` carries a prior, of mu under its Beta(xi1, xi0)."""
     if params.alpha is None or params.phi is None:
         raise ConfigurationError("log posterior needs smoothing")
     gammaln = _scipy("special", "_special_ufuncs").gammaln
@@ -196,37 +229,34 @@ def _objective_mar(params: MixtureParams, log_z: np.ndarray) -> float:
           + ((params.alpha - 1.0) * log_theta).sum())
     lp += (gammaln(V * params.phi) - V * gammaln(params.phi)
            + ((params.phi - 1.0) * log_beta).sum(axis=0)).sum()
-    return float(log_z.sum()) + float(lp)
-
-
-def log_posterior_mar(params: MixtureParams, dataset: RatingDataset) -> float:
-    """Log of (observed-data likelihood x smoothing priors), up to the
-    normalising constant of the data."""
-    return _objective_mar(params, _logsumexp(_log_weights_mar(params, dataset)))
+    total = float(log_z.sum()) + float(lp)
+    if cptv is not None and cptv.xi1 is not None:
+        xi1, xi0 = cptv.xi1, cptv.xi0
+        total += float((gammaln(xi1 + xi0) - gammaln(xi1) - gammaln(xi0)
+                        + (xi1 - 1.0) * np.log(cptv.mu)
+                        + (xi0 - 1.0) * np.log1p(-cptv.mu)).sum())
+    return total
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run_em(state, log_weights, m_step, objective, config: FitConfig):
-    """The EM loop shared by every model family.
+def _fit(dataset: RatingDataset, config: FitConfig, cptv=None) -> FitResult:
+    """MAP EM from `init_params`, for both families.
 
-    ``state`` holds the current parameters; ``log_weights(state)`` gives
-    unnormalised per-user log component weights, ``m_step(state, q)``
-    the next state, and ``objective(state, log_z)`` the log posterior
-    from the per-user log normalisers. Iterates M then E until the
-    relative objective change falls below ``config.rel_tol`` or
+    With an observation model ``cptv`` its mu is held fixed, or learned
+    when cptv carries its Beta prior (xi1/xi0). Iterates M then E until
+    the relative objective change falls below ``config.rel_tol`` or
     ``config.max_iters`` runs out. A non-finite objective raises
     EstimationError in place of the overflow warnings behind it.
-
-    Returns (state, q, trace, converged) with q the responsibilities
-    under the final state and trace[t] the objective after M-step t+1.
     """
-    q, _ = _normalize_log_weights(log_weights(state))
+    learn_mu = cptv is not None and cptv.xi1 is not None
+    params = init_params(dataset.n_items, dataset.n_values, config)
+    q, _ = _e_step(params, dataset, cptv)
     trace = []
     converged = False
     for _ in range(config.max_iters):
-        state = m_step(state, q)
-        q, log_z = _normalize_log_weights(log_weights(state))
-        trace.append(objective(state, log_z))
+        params, cptv = _m_step(params, dataset, q, cptv, learn_mu)
+        q, log_z = _e_step(params, dataset, cptv)
+        trace.append(_objective(params, log_z, cptv))
         if not np.isfinite(trace[-1]):
             raise EstimationError(f"log posterior is {trace[-1]} after EM iteration"
                                   f" {len(trace)}; a smoothing or prior count is too large")
@@ -234,28 +264,31 @@ def _run_em(state, log_weights, m_step, objective, config: FitConfig):
                                 < config.rel_tol):
             converged = True
             break
-    return state, q, np.array(trace), converged
+    return FitResult(params=params, log_posterior_trace=np.array(trace),
+                     converged=converged, iterations=len(trace), q=q, cptv=cptv)
+
+
+def e_step_mar(params: MixtureParams, dataset: RatingDataset) -> np.ndarray:
+    """Posterior component responsibilities, shape (N, K); rows sum to 1."""
+    return _e_step(params, dataset)[0]
+
+
+def m_step_mar(params: MixtureParams, dataset: RatingDataset,
+               q: np.ndarray) -> MixtureParams:
+    """Maximise the smoothed expected complete-data objective."""
+    return _m_step(params, dataset, q)[0]
+
+
+def log_posterior_mar(params: MixtureParams, dataset: RatingDataset) -> float:
+    """Log of (observed-data likelihood x smoothing priors), up to the
+    normalising constant of the data."""
+    return _objective(params, _logsumexp(_log_weights(params, dataset)))
 
 
 def fit_mar(dataset: RatingDataset, config: FitConfig) -> FitResult:
     """Fit the mixture to the observed entries by MAP EM.
 
-    Parameters
-    ----------
-    dataset : RatingDataset
-    config : FitConfig
-
-    Returns
-    -------
-    FitResult
-        With the objective evaluated after every update; the run stops
-        once the relative change falls below ``config.rel_tol``.
+    Returns a FitResult with the objective evaluated after every update;
+    the run stops once the relative change falls below ``config.rel_tol``.
     """
-    params, q, trace, converged = _run_em(
-        init_params(dataset.n_items, dataset.n_values, config),
-        lambda p: _log_weights_mar(p, dataset),
-        lambda p, q: m_step_mar(p, dataset, q),
-        _objective_mar,
-        config)
-    return FitResult(params=params, log_posterior_trace=trace,
-                     converged=converged, iterations=len(trace), q=q)
+    return _fit(dataset, config)

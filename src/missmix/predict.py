@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cptv import CptvParams, e_step_nmar
+from .cptv import CptvParams
 from .data import RatingDataset
 from .errors import EstimationError, EvaluationError
-from .mixture import MixtureParams, e_step_mar
+from .mixture import MixtureParams, _e_step
 
 # Pairs per einsum call, so its V x pairs x K operand stays a few MB.
 PAIR_BLOCK = 2**14
@@ -30,7 +30,7 @@ def posterior_z(params: MixtureParams, dataset: RatingDataset,
     a model that does not cover the data's items and values ConfigurationError.
     """
     with np.errstate(invalid="ignore"):
-        q = e_step_mar(params, dataset) if cptv is None else e_step_nmar(params, cptv, dataset)
+        q, _ = _e_step(params, dataset, cptv)
     lost = np.flatnonzero(np.isnan(q).any(axis=1))
     if len(lost):
         raise EstimationError(f"user {lost[0]} has probability zero under every"

@@ -103,9 +103,10 @@ def _keep_mask(truth: GroundTruth, seed) -> np.ndarray:
 
 def _probe_mask(truth: GroundTruth, per_user: int, seed) -> np.ndarray:
     """The ``per_user`` cells of each row with the smallest uniform keys."""
-    order = np.argsort(np.random.default_rng(seed).random(truth.complete.shape), axis=1)
-    probe = np.zeros(truth.complete.shape, dtype=bool)
-    np.put_along_axis(probe, order[:, :per_user], True, axis=1)
+    keys = np.random.default_rng(seed).random(truth.complete.shape)
+    smallest = np.argpartition(keys, per_user - 1, axis=1)[:, :per_user]
+    probe = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(probe, smallest, True, axis=1)
     return probe
 
 

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from missmix.cptv import (CptvParams, MU_EPS, YAHOO_MU, _expected_counts,
-                          build_mu_prior, e_step_nmar, estimate_mu_heldout, fit_nmar,
+from missmix.cptv import (CptvParams, MU_EPS, YAHOO_MU, build_mu_prior,
+                          e_step_nmar, estimate_mu_heldout, fit_nmar,
                           log_evidence_nmar, log_posterior_nmar, m_step_nmar,
                           missing_value_attribution)
 from missmix.data import RatingDataset
 from missmix.errors import (ConfigurationError, DataValidationError,
                             EstimationError)
-from missmix.mixture import (FitConfig, MixtureParams, e_step_mar, fit_mar,
-                             init_params, m_step_mar)
+from missmix.mixture import (FitConfig, MixtureParams, _expected_counts,
+                             e_step_mar, fit_mar, init_params, m_step_mar)
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 from oracles import (brute_force_user_evidence, compute_gamma,
                      expected_complete_objective, log_posterior, user_rows)
@@ -252,7 +252,7 @@ def test_hidden_counts_are_never_negative_on_fully_observed_items():
     for seed in range(40):
         result = fit_nmar(full, FitConfig(n_components=3, seed=seed, max_iters=5),
                           np.ones(5))
-        hidden = _expected_counts(result.params, result.cptv, full, result.q)[1]
+        hidden = _expected_counts(result.params, full, result.q, result.cptv)[1]
         assert (hidden >= 0).all(), seed
 
 

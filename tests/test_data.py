@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from missmix import analysis, cli, mixture, modelio, protocol, synthetic
+from missmix import analysis, cli, mixture, modelio, predict, protocol, synthetic
 from missmix.cli import build_parser
 from missmix.cptv import CptvParams
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
@@ -507,8 +507,13 @@ def test_save_csv_then_load_csv_round_trips(tmp_path_factory, data):
         assert getattr(back, name).tolist() == getattr(ds, name).tolist()
 
 
+# format_floats works in blocks of 2**15 values; this crosses one boundary
+_ACROSS_A_BLOCK = np.random.default_rng(5).standard_normal(2**15 + 3).tolist()
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
 @example([5e-324, -0.0, 0.1, 1.7976931348623157e308, -2.2250738585072014e-308])
+@example(_ACROSS_A_BLOCK)
 def test_format_floats_reads_back_bit_for_bit(values):
     arr = np.array(values, dtype=np.float64)
     back = np.array([float(t) for t in format_floats(arr).split()], dtype=np.float64)
@@ -519,6 +524,7 @@ def test_format_floats_reads_back_bit_for_bit(values):
 @example([5e-324, -0.0, 0.1, 1.7976931348623157e308, -2.2250738585072014e-308])
 @example([0.0, 1 / 3])
 @example([])
+@example(_ACROSS_A_BLOCK)
 def test_format_floats_is_the_per_value_17_digit_format(values):
     arr = np.array(values, dtype=np.float64)
     assert format_floats(arr) == " ".join("%.17g" % x for x in arr)
@@ -574,12 +580,25 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     assert _holders(r"check_mu_length\(") == [
         "cptv.py", "modelio.py", "protocol.py", "synthetic.py"]
     assert _holders(r"mu must hold|--seed must be >= 0") == []
-    # one MAP objective: the evidence sum meets the Dirichlet priors in
-    # mixture._objective_mar, which the mm-cptv objective extends
+    # one MAP objective: the evidence sum meets the Dirichlet priors, and
+    # mu's Beta prior when there is one, in mixture._objective
     assert _holders(r"float\(log_z\.sum\(\)\)") == ["mixture.py"]
     assert inspect.getsource(mixture).count("float(log_z.sum())") == 1
-    assert "float(log_z.sum())" in inspect.getsource(mixture._objective_mar)
+    assert "float(log_z.sum())" in inspect.getsource(mixture._objective)
     assert _holders(r"_log_dirichlet_prior") == []
+    # one E/M/objective/EM path for both families, in mixture: mm-cptv is
+    # the mm-none fit with an observation model, and only mixture calls gammaln
+    mixture_source = inspect.getsource(mixture)
+    for name in ("_log_weights", "_m_step", "_objective", "_fit", "_hidden_cell_table"):
+        assert _holders(rf"def {name}\b") == ["mixture.py"], name
+        assert len(re.findall(rf"def {name}\b", mixture_source)) == 1, name
+    assert _holders(r"gammaln\(") == ["mixture.py"]
+    assert _holders(r"\b(_run_em|_log_weights_mar|_log_weights_nmar|_map_update"
+                    r"|_objective_mar|_objective_nmar|_log_beta_prior)\b") == []
+    assert _holders(r"\b_scipy\b") == ["data.py", "mixture.py"]
+    posterior_source = inspect.getsource(predict.posterior_z)
+    assert "_e_step(params, dataset, cptv)" in posterior_source
+    assert not re.search(r"cptv is (not )?None|\belse\b|_mar\b|_nmar\b", posterior_source)
     # one sparse operator, owned by the dataset: its cached CSR arrays, the
     # scipy kernels that multiply them, their loader and the rule that a
     # table covers the data all live in data, behind gather and scatter

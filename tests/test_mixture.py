@@ -7,11 +7,11 @@ from scipy.sparse import csr_array
 from scipy.special import gammaln, logsumexp
 
 from missmix import data
-from missmix.cptv import (YAHOO_MU, CptvParams, _log_weights_nmar, e_step_nmar,
-                          fit_nmar, log_posterior_nmar)
+from missmix.cptv import (YAHOO_MU, CptvParams, e_step_nmar, fit_nmar,
+                          log_posterior_nmar)
 from missmix.data import RatingDataset
 from missmix.errors import ConfigurationError, DataValidationError, EstimationError
-from missmix.mixture import (FitConfig, MixtureParams, _log_weights_mar,
+from missmix.mixture import (FitConfig, MixtureParams, _log_weights,
                              _logsumexp, e_step_mar, fit_mar, init_params,
                              log_posterior_mar, m_step_mar)
 from missmix.predict import posterior_z
@@ -220,9 +220,8 @@ def test_incidence_forms_match_per_triple_loop():
         nmar[i] += np.log(cptv.mu[x - 1]) + log_beta[x - 1, m] - np.log(gamma0[m])
         scatter[x - 1, m] += q[i]
 
-    np.testing.assert_allclose(_log_weights_mar(params, ds), mar, rtol=1e-13)
-    np.testing.assert_allclose(_log_weights_nmar(params, cptv, ds), nmar,
-                               rtol=1e-13)
+    np.testing.assert_allclose(_log_weights(params, ds), mar, rtol=1e-13)
+    np.testing.assert_allclose(_log_weights(params, ds, cptv), nmar, rtol=1e-13)
     np.testing.assert_allclose(ds.scatter(q), scatter, rtol=1e-13)
     assert np.array_equal(ds.scatter(q)[:, 3], np.zeros((V, K)))
     assert ds._csr is ds._csr

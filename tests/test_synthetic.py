@@ -1,10 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from missmix.errors import ConfigurationError, GenerationError
-from missmix.synthetic import (apply_cptv_missingness, build_study_dataset,
-                               sample_ground_truth, sample_mcar_test)
+from missmix.synthetic import (_probe_mask, apply_cptv_missingness,
+                               build_study_dataset, sample_ground_truth,
+                               sample_mcar_test)
 from oracles import (ORACLE_ASSIGNMENT_LIMIT, OracleLimitError,
                      brute_force_user_evidence, user_rows)
 
@@ -99,6 +104,21 @@ def test_mcar_probe_is_value_blind():
     assert p > 0.001
     with pytest.raises(ConfigurationError):
         sample_mcar_test(truth, 31, seed=0)
+
+
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+@example(4, 7, 7, 0)
+def test_probe_mask_is_the_argsort_mask_on_distinct_keys(n_users, n_items, per_user, seed):
+    # the probe takes each row's smallest keys by partition, not by sort;
+    # without ties both pick the same cells, up to the whole row
+    per_user = min(per_user, n_items)
+    keys = np.random.default_rng(seed).random((n_users, n_items))
+    assume(all(len(np.unique(row)) == n_items for row in keys))
+    expected = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(expected, np.argsort(keys, axis=1)[:, :per_user], True, axis=1)
+    truth = SimpleNamespace(complete=np.ones(keys.shape, dtype=np.int64))
+    assert np.array_equal(_probe_mask(truth, per_user, seed), expected)
 
 
 def test_build_study_dataset_postconditions():
