@@ -25,17 +25,16 @@ def smoothed_distribution(counts) -> np.ndarray:
 def skl(p, q):
     """Symmetrised Kullback-Leibler divergence in bits along the last axis.
 
-    Both arguments must be strictly positive distributions; smooth
-    counts first (`smoothed_distribution`). Returns a float for 1-d
-    inputs and one divergence per row otherwise.
+    Both arguments must be finite, strictly positive distributions;
+    smooth counts first (`smoothed_distribution`). Returns a float for
+    1-d inputs and one divergence per row otherwise.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise EvaluationError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if (p <= 0).any() or (q <= 0).any():
-        raise EvaluationError(
-            "distributions must be strictly positive; smooth counts first")
+    if not ((0 < p) & (p < np.inf) & (0 < q) & (q < np.inf)).all():
+        raise EvaluationError("distributions must be finite and > 0; smooth counts first")
     ratio = np.log2(p / q)
     return (p * ratio).sum(axis=-1) - (q * ratio).sum(axis=-1)
 

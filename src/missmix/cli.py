@@ -142,15 +142,10 @@ def _model_specs(args, families, ks, seed: int) -> list[ModelSpec]:
     each fit with ``seed``; built before any ratings file is read."""
     check_distinct("--families", families)
     check_distinct("-K", ks)
-    learn = args.mu_mode == "learn"
-    if learn and args.strength is None:
-        raise ConfigurationError("learn mode needs a prior strength")
-    if args.strength is not None and not learn:
-        raise ConfigurationError("a prior strength needs mu_mode 'learn', not 'fixed'")
-    if learn and "mm-cptv" not in families:
-        raise ConfigurationError("--mu-mode learn and -S need an mm-cptv model")
-    if (args.mu is not None or args.mu_scale is not None) and "mm-cptv" not in families:
-        raise ConfigurationError("--mu and --mu-scale need an mm-cptv model")
+    if (args.mu_mode == "learn") != (args.strength is not None):
+        raise ConfigurationError("--mu-mode learn and -S go together")
+    if "mm-cptv" not in families and (args.mu, args.mu_scale, args.strength) != (None,) * 3:
+        raise ConfigurationError("--mu, --mu-scale and -S need an mm-cptv model")
     mu = (None if args.mu is None else
           _parse_mu(args.mu) * (1.0 if args.mu_scale is None else args.mu_scale))
     configs = [_fit_config(args, k, seed) for k in ks]
@@ -167,8 +162,7 @@ def _cmd_train(args) -> None:
     spec, = _model_specs(args, [args.model], [args.components], args.seed)
     data, = _load("train", [args.data], args.dims, args.components)
     result = fit_spec(data, spec)
-    modelio.save_model(args.out, result.params, cptv=result.cptv,
-                       mu_mode=args.mu_mode)
+    modelio.save_model(args.out, result.params, cptv=result.cptv, mu_mode=args.mu_mode)
     write_text(args.out + ".trace.csv", "iteration,log_posterior\n", (
         f"{i},{format_floats(lp)}\n"
         for i, lp in enumerate(result.log_posterior_trace, start=1)))

@@ -96,10 +96,12 @@ def m_step_nmar(params: MixtureParams, cptv: CptvParams, dataset: RatingDataset,
     """Maximise the smoothed expected complete-data objective.
 
     Returns (params, cptv) with theta and beta always updated; mu is
-    re-estimated only with ``learn_mu``, which requires cptv to carry
-    its Beta prior.
+    re-estimated exactly when cptv carries its Beta prior, which
+    ``learn_mu`` must state.
     """
-    return _m_step(params, dataset, q, cptv, learn_mu)
+    if learn_mu != (cptv.xi1 is not None):
+        raise ConfigurationError("learn_mu must be True exactly when cptv carries mu's prior")
+    return _m_step(params, dataset, q, cptv)
 
 
 def missing_value_attribution(params: MixtureParams, cptv: CptvParams,

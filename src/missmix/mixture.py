@@ -187,14 +187,12 @@ def _expected_counts(params: MixtureParams, dataset: RatingDataset,
     return observed, w * hidden_q
 
 
-def _m_step(params: MixtureParams, dataset: RatingDataset, q: np.ndarray,
-            cptv=None, learn_mu: bool = False):
+def _m_step(params: MixtureParams, dataset: RatingDataset, q: np.ndarray, cptv=None):
     """Maximise the smoothed expected complete-data objective.
 
     Returns (params, cptv). theta and beta are always updated, each
     denominator the sum of its own numerators so both simplex constraints
-    hold exactly; mu is re-estimated only with ``learn_mu``, which needs
-    cptv to carry its Beta prior.
+    hold exactly; mu is re-estimated exactly when cptv carries its prior.
     """
     if params.alpha is None or params.phi is None:
         raise ConfigurationError("maximum-posterior updates need smoothing")
@@ -204,10 +202,8 @@ def _m_step(params: MixtureParams, dataset: RatingDataset, q: np.ndarray,
     new = MixtureParams(theta=theta_num / theta_num.sum(),
                         beta=beta_num / beta_num.sum(axis=0, keepdims=True),
                         alpha=params.alpha, phi=params.phi)
-    if not learn_mu:
+    if cptv is None or cptv.xi1 is None:
         return new, cptv
-    if cptv.xi1 is None:
-        raise ConfigurationError("cannot learn mu without its Beta prior")
     observed_v = dataset.value_counts()
     mu_num = cptv.xi1 - 1.0 + observed_v
     mu = mu_num / (cptv.xi1 + cptv.xi0 - 2.0 + observed_v + counts[1].sum(axis=(1, 2)))
@@ -248,13 +244,12 @@ def _fit(dataset: RatingDataset, config: FitConfig, cptv=None) -> FitResult:
     ``config.max_iters`` runs out. A non-finite objective raises
     EstimationError in place of the overflow warnings behind it.
     """
-    learn_mu = cptv is not None and cptv.xi1 is not None
     params = init_params(dataset.n_items, dataset.n_values, config)
     q, _ = _e_step(params, dataset, cptv)
     trace = []
     converged = False
     for _ in range(config.max_iters):
-        params, cptv = _m_step(params, dataset, q, cptv, learn_mu)
+        params, cptv = _m_step(params, dataset, q, cptv)
         q, log_z = _e_step(params, dataset, cptv)
         trace.append(_objective(params, log_z, cptv))
         if not np.isfinite(trace[-1]):

@@ -42,6 +42,14 @@ class LoadedModel:
     z: np.ndarray | None = None
 
 
+def _check_mu_mode(mu_mode: str | None, cptv: CptvParams) -> None:
+    """ConfigurationError unless ``mu_mode`` is None or the mode of ``cptv``:
+    learn exactly when it carries mu's Beta prior, else fixed."""
+    mode = "fixed" if cptv.xi1 is None else "learn"
+    if mu_mode not in (None, mode):
+        raise ConfigurationError(f"expected mu_mode {mode!r}, as xi1/xi0 say; got {mu_mode!r}")
+
+
 def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
                mu_mode: str | None = None, z=None) -> None:
     """Write parameters (and optional observation model) to ``path``."""
@@ -51,6 +59,7 @@ def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
               "theta": params.theta, "beta": params.beta,
               "alpha": params.alpha, "phi": params.phi, "z": z}
     if cptv is not None:
+        _check_mu_mode(mu_mode, cptv)
         values.update(mu=cptv.mu, mu_mode=mu_mode, xi1=cptv.xi1, xi0=cptv.xi0)
     write_text(path, "# rating mixture model\n", (
         f"{key} {_tokens(kind, value)}\n"
@@ -100,8 +109,6 @@ def load_model(path) -> LoadedModel:
         raise ParseError(f"unsupported format_version {fields['format_version']}")
     if fields["kind"] not in (_KIND_PLAIN, _KIND_CPTV):
         raise ParseError(f"unknown kind {fields['kind']!r}")
-    if fields.get("mu_mode", "fixed") not in ("fixed", "learn"):
-        raise ParseError(f"unknown mu_mode {fields['mu_mode']!r}")
 
     K, M, V = fields["K"], fields["M"], fields["V"]
     if min(K, M, V) < 1:
@@ -134,11 +141,9 @@ def load_model(path) -> LoadedModel:
             check_mu_length(fields["mu"], V)
             cptv = CptvParams(mu=fields["mu"], xi1=fields.get("xi1"),
                               xi0=fields.get("xi0"))
+            _check_mu_mode(fields.get("mu_mode"), cptv)
         except ConfigurationError as exc:
             raise ParseError(str(exc)) from None
-        mode = "fixed" if cptv.xi1 is None else "learn"
-        if fields.get("mu_mode", mode) != mode:
-            raise ParseError("mu_mode learn needs xi1 and xi0 lines; mu_mode fixed takes none")
     else:
         for key in ("mu", "xi1", "xi0", "mu_mode"):
             if key in fields:

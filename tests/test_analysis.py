@@ -39,6 +39,12 @@ def test_skl_validation():
         skl([0.5, 0.5], [1.0, 0.0])
     with pytest.raises(EvaluationError):
         skl([0.5, 0.5], [0.2, 0.3, 0.5])
+    # non-finite entries are refused too, never a silent NaN
+    for p, q in (([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [0.5, np.nan]),
+                 ([np.inf, 0.5], [0.5, 0.5]), ([[0.5, 0.5], [0.5, 0.5]],
+                                               [[0.5, 0.5], [0.5, np.inf]])):
+        with pytest.raises(EvaluationError, match="finite and > 0"):
+            skl(p, q)
 
 
 def test_value_histogram_and_item_counts():

@@ -530,15 +530,15 @@ def test_mu_flags_need_each_other_and_an_mm_cptv_model(study, tmp_path, capsys):
     # each ran before, ignoring the flags an mm-none or constant model has no use for
     for argv, message in (
             (train + ["--model", "mm-none", "--mu-mode", "learn", "-S", "nan"],
-             "--mu-mode learn and -S need an mm-cptv model"),
+             "--mu, --mu-scale and -S need an mm-cptv model"),
             (train + ["--model", "mm-none", "--mu-mode", "learn", "-S", "300"],
-             "--mu-mode learn and -S need an mm-cptv model"),
+             "--mu, --mu-scale and -S need an mm-cptv model"),
             (evaluate + ["--families", "mm-none,constant", "--mu-mode", "learn",
-                         "-S", "300"], "--mu-mode learn and -S need an mm-cptv model"),
+                         "-S", "300"], "--mu, --mu-scale and -S need an mm-cptv model"),
             (train + ["--model", "mm-none", "-S", "300"],
-             "a prior strength needs mu_mode 'learn', not 'fixed'"),
+             "--mu-mode learn and -S go together"),
             (evaluate + ["--families", "constant", "--mu-mode", "learn"],
-             "learn mode needs a prior strength")):
+             "--mu-mode learn and -S go together")):
         assert main(argv) == 3, argv
         assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
@@ -552,13 +552,13 @@ def test_mu_flags_need_an_mm_cptv_model_and_mm_cptv_needs_mu(study, tmp_path, ca
     # the first four exited 0, ignoring --mu and --mu-scale
     for argv, message in (
             (train + ["--model", "mm-none", "--mu", "0.5,nan", "--mu-scale", "7"],
-             "--mu and --mu-scale need an mm-cptv model"),
+             "--mu, --mu-scale and -S need an mm-cptv model"),
             (train + ["--model", "mm-none", "--mu", "yahoo"],
-             "--mu and --mu-scale need an mm-cptv model"),
+             "--mu, --mu-scale and -S need an mm-cptv model"),
             (train + ["--model", "mm-none", "--mu-scale", "1"],
-             "--mu and --mu-scale need an mm-cptv model"),
+             "--mu, --mu-scale and -S need an mm-cptv model"),
             (evaluate + ["--families", "mm-none,constant", "--mu", "yahoo"],
-             "--mu and --mu-scale need an mm-cptv model"),
+             "--mu, --mu-scale and -S need an mm-cptv model"),
             (train + ["--model", "mm-cptv"], "mm-cptv needs a mu vector (--mu)"),
             (train + ["--model", "mm-cptv", "--mu-scale", "4"],
              "mm-cptv needs a mu vector (--mu)")):

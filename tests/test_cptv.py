@@ -188,6 +188,10 @@ def test_m_step_fixed_mode_keeps_mu():
     assert new_cptv is cptv
     with pytest.raises(ConfigurationError):
         m_step_nmar(params, cptv, ds, q, learn_mu=True)
+    # the prior decides whether mu is learned, so learn_mu may not deny it either
+    prior = CptvParams(mu=mu, xi1=np.full(mu.shape, 3.0), xi0=np.full(mu.shape, 2.0))
+    with pytest.raises(ConfigurationError, match="learn_mu must be True exactly when"):
+        m_step_nmar(params, prior, ds, q, learn_mu=False)
 
 
 def test_log_posterior_nmar_matches_the_objective_oracle():

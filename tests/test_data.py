@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from missmix import analysis, cli, mixture, modelio, predict, protocol, synthetic
 from missmix.cli import build_parser
-from missmix.cptv import CptvParams
+from missmix.cptv import CptvParams, m_step_nmar
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
                           read_int_columns, save_csv, write_int_csv)
 from missmix.errors import DataValidationError, MissmixError, ParseError
@@ -674,3 +674,20 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     # one CSV parser in front of the line loop: numpy's loadtxt, in data
     assert _holders(r"_plain_width|fromstring") == []
     assert _holders(r"loadtxt\(") == ["data.py"]
+    # learning mu is one fact, that cptv carries its prior: _m_step takes no
+    # switch, m_step_nmar's pinned learn_mu only has to agree with cptv, the
+    # model file's mode names live in modelio._check_mu_mode, which its writer
+    # and reader both run, and _model_specs has two mu-flag rules
+    assert _holders(r"\blearn_mu\b") == ["cptv.py"]
+    assert (inspect.getsource(inspect.getmodule(m_step_nmar)).count("learn_mu")
+            == inspect.getsource(m_step_nmar).count("learn_mu"))
+    assert "learn_mu" in inspect.signature(m_step_nmar).parameters
+    assert list(inspect.signature(mixture._m_step).parameters) == [
+        "params", "dataset", "q", "cptv"]
+    assert _holders(r"cannot learn mu without|learn mode needs a prior strength"
+                    r"|unknown mu_mode") == []
+    assert re.findall(r'"learn"', inspect.getsource(modelio)) == ['"learn"']
+    assert '"learn"' in inspect.getsource(modelio._check_mu_mode)
+    for function in (modelio.save_model, modelio.load_model):
+        assert "_check_mu_mode(" in inspect.getsource(function)
+    assert inspect.getsource(cli._model_specs).count("raise ConfigurationError") == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from missmix.cptv import CptvParams, fit_nmar
-from missmix.errors import MissmixError, ParseError
+from missmix.errors import ConfigurationError, MissmixError, ParseError
 from missmix.mixture import FitConfig, MixtureParams, fit_mar
 from missmix.modelio import load_model, save_model
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
@@ -118,14 +118,16 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines() + ["xi1 nan"], "xi1 line present but kind is plain"),
         (_base_lines() + ["xi0 2"], "xi0 line present but kind is plain"),
         (_base_lines() + ["mu_mode learn"], "mu_mode line present but kind"),
-        (_base_lines() + ["xi1 nan", "mu_mode banana"], "unknown mu_mode"),
-        (_cptv_lines() + ["mu_mode banana"], "unknown mu_mode 'banana'"),
+        # a plain file takes no mu_mode line, known or not
+        (_base_lines() + ["xi1 nan", "mu_mode banana"], "xi1 line present but kind"),
+        (_cptv_lines() + ["mu_mode banana"], "expected mu_mode 'fixed', as xi1/xi0 say;"
+                                             " got 'banana'"),
         (_cptv_lines()[:-1] + ["mu 0.5 0.5 0.5"],
          r"mu must have one entry per rating value \(2\), got shape \(3,\)"),
         # mu_mode must say what the prior lines say
-        (_cptv_lines() + ["mu_mode learn"], "mu_mode learn needs xi1 and xi0"),
+        (_cptv_lines() + ["mu_mode learn"], "expected mu_mode 'fixed'.*got 'learn'"),
         (_cptv_lines() + ["mu_mode fixed", "xi1 2 2", "xi0 2 2"],
-         "mu_mode fixed takes none"),
+         "expected mu_mode 'learn'.*got 'fixed'"),
     ]
     for i, (lines, match) in enumerate(cases):
         with pytest.raises(ParseError, match=match):
@@ -183,7 +185,8 @@ def test_comments_and_blanks_ignored(tmp_path):
 @st.composite
 def _models(draw):
     """A plain, fixed-mu or learned-mu model, with or without smoothing
-    and assignments; probabilities may come out very small."""
+    and assignments, and a mu_mode drawn apart from it; probabilities may
+    come out very small."""
     K, M, V = (draw(st.integers(1, 4)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     conc = draw(st.sampled_from([0.01, 1.0, 100.0]))
@@ -199,13 +202,21 @@ def _models(draw):
         prior = (1 + rng.uniform(0, 50, V), 1 + rng.uniform(0, 50, V))
         cptv = CptvParams(mu, *(prior if kind == "learn" else (None, None)))
     z = rng.integers(0, K, draw(st.integers(0, 6))) if draw(st.booleans()) else None
-    return params, cptv, None if kind == "plain" else kind, z
+    return params, cptv, draw(st.sampled_from([None, "fixed", "learn"])), z
 
 
 @given(_models())
 def test_save_then_load_round_trips_every_model(tmp_path_factory, model):
     params, cptv, mu_mode, z = model
     path = tmp_path_factory.mktemp("model") / "m.model"
+    # the writer refuses exactly a mu_mode that disagrees with cptv; a
+    # plain model ignores it
+    implied = None if cptv is None else "fixed" if cptv.xi1 is None else "learn"
+    if implied is not None and mu_mode not in (None, implied):
+        with pytest.raises(ConfigurationError, match=f"expected mu_mode '{implied}'"):
+            save_model(path, params, cptv=cptv, mu_mode=mu_mode, z=z)
+        assert not path.exists()
+        return
     save_model(path, params, cptv=cptv, mu_mode=mu_mode, z=z)
     back = load_model(path)
 
@@ -216,7 +227,8 @@ def test_save_then_load_round_trips_every_model(tmp_path_factory, model):
 
     assert same(back.params.theta, params.theta) and same(back.params.beta, params.beta)
     assert back.params.alpha == params.alpha and back.params.phi == params.phi
-    assert (back.cptv is None) == (cptv is None) and back.mu_mode == mu_mode
+    assert (back.cptv is None) == (cptv is None)
+    assert back.mu_mode == (None if cptv is None else mu_mode)
     if cptv is not None:
         assert all(same(getattr(back.cptv, k), getattr(cptv, k))
                    for k in ("mu", "xi1", "xi0"))
