@@ -1,7 +1,8 @@
 """Plain-text model files.
 
-One key per line, arrays flattened in C order and written with 17
-significant digits so every float64 round-trips exactly. Lines starting
+One key per line, arrays flattened in C order. A float array is one
+token, its little-endian float64 bytes in hex; scalars are decimal, floats
+to 17 significant digits. Every float64 round-trips exactly. Lines starting
 with '#' and blank lines are ignored. The 'kind' key says whether an
 observation-probability block is present. The smoothing is stored as one
 'alpha' and one 'phi' value. Only files of FORMAT_VERSION load.
@@ -18,12 +19,13 @@ from .data import format_floats, read_text, write_text
 from .errors import ConfigurationError, ParseError
 from .mixture import FitConfig, MixtureParams
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # Largest distance from 1 accepted for the sum of a stored distribution.
 _SIMPLEX_TOL = 1e-9
 
 # Every key a model file may hold, in the order `save_model` writes them,
-# and the type of its tokens; each of _SCALAR_KEYS takes one token.
+# and the type of its tokens; each of _SCALAR_KEYS takes one token, and
+# each float array one hex token.
 _KEYS = {"format_version": int, "kind": str, "K": int, "M": int, "V": int,
          "theta": float, "beta": float, "alpha": float, "phi": float,
          "mu": float, "mu_mode": str, "xi1": float, "xi0": float, "z": int}
@@ -62,30 +64,36 @@ def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
         _check_mu_mode(mu_mode, cptv)
         values.update(mu=cptv.mu, mu_mode=mu_mode, xi1=cptv.xi1, xi0=cptv.xi0)
     write_text(path, "# rating mixture model\n", (
-        f"{key} {_tokens(kind, value)}\n"
-        for key, kind in _KEYS.items() if (value := values.get(key)) is not None))
+        f"{key} {_tokens(key, value)}\n"
+        for key in _KEYS if (value := values.get(key)) is not None))
 
 
-def _tokens(kind, value) -> str:
-    """The tokens of a line of type ``kind`` that holds ``value``."""
+def _tokens(key, value) -> str:
+    """The tokens of a ``key`` line that holds ``value``."""
+    kind = _KEYS[key]
+    if kind is float and key not in _SCALAR_KEYS:
+        return np.ascontiguousarray(value, dtype="<f8").tobytes().hex()
     return (format_floats(value) if kind is float else
             " ".join(map(str, np.ravel(np.asarray(value, dtype=kind)).tolist())))
 
 
 def _parse(key, rest, line_no):
     """The value on a ``key`` line of tokens ``rest``: the one token of a
-    scalar key, else an array of the key's type."""
-    kind = _KEYS[key]
-    if key in _SCALAR_KEYS and len(rest) != 1:
+    scalar key, the float64 array of a float array's hex token (none for an
+    empty array), else an array of the key's type."""
+    kind, scalar = _KEYS[key], key in _SCALAR_KEYS
+    if len(rest) != 1 and (scalar or kind is float and rest):
         raise ParseError(f"{key} takes one token", line=line_no)
     if kind is str:
         return rest[0]
     try:
+        if kind is float and not scalar:  # a bytearray keeps the array writable
+            return np.frombuffer(bytearray.fromhex("".join(rest)), "<f8")
         values = np.array(rest, dtype=np.int64 if kind is int else float)
     except (ValueError, OverflowError):
-        raise ParseError("malformed " + ("integer" if kind is int else "float"),
-                         line=line_no) from None
-    return values[0].item() if key in _SCALAR_KEYS else values
+        raise ParseError("malformed " + ("integer" if kind is int else "float" if scalar
+                                         else "float64 hex token"), line=line_no) from None
+    return values[0].item() if scalar else values
 
 
 def load_model(path) -> LoadedModel:

@@ -16,7 +16,7 @@ from missmix.cli import main
 from missmix.cptv import CptvParams
 from missmix.data import load_csv, write_int_csv
 from missmix.mixture import MixtureParams
-from missmix.modelio import load_model, save_model
+from missmix.modelio import FORMAT_VERSION, load_model, save_model
 from missmix.predict import (mae, posterior_z, predict_median,
                              predictive_distribution)
 
@@ -758,7 +758,7 @@ def test_a_clamped_estimate_is_one_warning_line_that_names_no_source_file(
 def test_predict_refuses_a_model_file_of_another_format_version(study, tmp_path, capsys):
     model = tmp_path / "v1.model"
     model.write_text(Path(study + ".truth.model").read_text(encoding="utf-8").replace(
-        "format_version 2\n", "format_version 1\n"), encoding="utf-8")
+        f"format_version {FORMAT_VERSION}\n", "format_version 1\n"), encoding="utf-8")
     assert main(["predict", study + ".train.csv", "--model", str(model),
                  "--pairs", study + ".test.csv", "--out", str(tmp_path / "p.csv")]) == 2
     assert capsys.readouterr() == ("", "error: unsupported format_version 1\n")

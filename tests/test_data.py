@@ -549,6 +549,8 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     assert _holders(r"open\([^)]*, *['\"][wax]") == ["data.py"]
     assert _holders(r"\breturn [1-9]|exit\([1-9]|EXIT_CODE = |exit_code = ") == ["errors.py"]
     assert _holders(r"np\.log2") == ["analysis.py"]
+    # one codec for the model file's float arrays: hex of their float64 bytes
+    assert _holders(r"\.fromhex\(") == _holders(r"\.hex\(\)") == ["modelio.py"]
     # one bound on the dense tables a command allocates from its sizes
     assert _holders(r"DENSE_CELL_BUDGET") == ["cli.py"]
     assert _holders(r"def _check_dense_cells") == ["cli.py"]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from missmix.cptv import CptvParams, fit_nmar
 from missmix.errors import ConfigurationError, MissmixError, ParseError
 from missmix.mixture import FitConfig, MixtureParams, fit_mar
-from missmix.modelio import load_model, save_model
+from missmix.modelio import FORMAT_VERSION, _parse, _tokens, load_model, save_model
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 
 
@@ -42,6 +42,10 @@ def test_round_trip_cptv_model(tmp_path, fitted):
     assert np.array_equal(back.cptv.xi1, aware.cptv.xi1)
     assert np.array_equal(back.cptv.xi0, aware.cptv.xi0)
     assert back.mu_mode == "learn"
+    # decoded arrays can be written to, as arrays parsed from text could
+    for array in (back.params.theta, back.params.beta, back.cptv.mu, back.cptv.xi1,
+                  back.cptv.xi0):
+        assert array.flags.writeable
 
 
 def test_round_trip_truth_with_assignments(tmp_path, fitted):
@@ -62,9 +66,14 @@ def test_save_is_byte_stable(tmp_path, fitted):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _hex(*values):
+    """The one token of a float array line that holds ``values``."""
+    return np.array(values, dtype="<f8").tobytes().hex()
+
+
 def _base_lines():
-    return ["format_version 2", "kind mixture", "K 1", "M 1", "V 2",
-            "theta 1", "beta 0.25 0.75"]
+    return [f"format_version {FORMAT_VERSION}", "kind mixture", "K 1", "M 1", "V 2",
+            "theta " + _hex(1), "beta " + _hex(0.25, 0.75)]
 
 
 def _write(tmp_path, lines, name="m.model"):
@@ -74,60 +83,73 @@ def _write(tmp_path, lines, name="m.model"):
 
 
 def _cptv_lines():
-    return ["format_version 2", "kind mixture+cptv"] + _base_lines()[2:] + [
-        "mu 0.5 0.5"]
+    return _base_lines()[:1] + ["kind mixture+cptv"] + _base_lines()[2:] + [
+        "mu " + _hex(0.5, 0.5)]
 
 
 def test_load_rejects_malformed_files(tmp_path):
     ok = load_model(_write(tmp_path, _base_lines()))
     assert ok.params.beta.shape == (2, 1, 1)
     for extra, mode in (([], None), (["mu_mode fixed"], "fixed"),
-                        (["mu_mode learn", "xi1 2 2", "xi0 2 2"], "learn")):
+                        (["mu_mode learn", "xi1 " + _hex(2, 2), "xi0 " + _hex(2, 2)],
+                         "learn")):
         assert load_model(_write(tmp_path, _cptv_lines() + extra)).mu_mode == mode
 
     cases = [
         (_base_lines()[1:], "missing required key"),            # no version
         (_base_lines() + ["kind mixture"], "duplicate"),
-        (["format_version 3"] + _base_lines()[1:], "format_version"),
+        ([f"format_version {FORMAT_VERSION + 1}"] + _base_lines()[1:], "format_version"),
         (["format_version 1"] + _base_lines()[1:], "unsupported format_version 1"),
-        (_base_lines()[:6] + ["beta 0.25"], "must hold 2"),
-        (_base_lines()[:5] + ["theta 0.5 0.5", "beta 0.25 0.75"], "theta must hold 1 values"),
+        (["format_version 2"] + _base_lines()[1:], "unsupported format_version 2"),
+        (_base_lines()[:6] + ["beta " + _hex(0.25)], "must hold 2"),
+        (_base_lines()[:5] + ["theta " + _hex(0.5, 0.5)] + _base_lines()[6:],
+         "theta must hold 1 values"),
         (_base_lines() + ["what 1"], "unknown key"),
-        (_base_lines()[:6] + ["beta 0.25 zebra"], "malformed float"),
+        (_base_lines()[:6] + ["beta " + _hex(0.25) + "zebra"], "malformed float"),
         (_base_lines() + ["z 0 x"], "malformed integer"),
-        (_base_lines() + ["mu 0.5 0.5"], "kind is plain"),
+        (_base_lines() + ["mu " + _hex(0.5, 0.5)], "kind is plain"),
         (_cptv_lines()[:-1], "requires a mu"),
-        (_base_lines()[:6] + ["beta nan 0.75"], "probabilities"),
-        (_base_lines()[:6] + ["beta -3 9"], "probabilities"),
-        (_base_lines()[:5] + ["theta 0.5", "beta 0.25 0.75"], "sum to 1"),
-        (_base_lines()[:6] + ["beta 0.25 0.5"], "sum to 1"),
-        (_cptv_lines()[:-1] + ["mu nan 0.5"], "probabilities"),
+        (_base_lines()[:6] + ["beta " + _hex(np.nan, 0.75)], "probabilities"),
+        (_base_lines()[:6] + ["beta " + _hex(-3, 9)], "probabilities"),
+        (_base_lines()[:5] + ["theta " + _hex(0.5)] + _base_lines()[6:], "sum to 1"),
+        (_base_lines()[:6] + ["beta " + _hex(0.25, 0.5)], "sum to 1"),
+        (_cptv_lines()[:-1] + ["mu " + _hex(np.nan, 0.5)], "probabilities"),
         (_base_lines() + ["alpha 1"], "alpha and phi must be finite and > 1"),
         (_base_lines() + ["alpha nan"], "alpha and phi must be finite and > 1"),
         (_base_lines() + ["phi inf"], "alpha and phi must be finite and > 1"),
         (_base_lines() + ["phi inf inf"], "phi takes one token"),
         (_base_lines() + ["phi 2 2"], "phi takes one token"),
-        (_cptv_lines() + ["xi1 nan nan", "xi0 2 2"], "prior counts"),
-        (_cptv_lines() + ["xi1 0.5 2", "xi0 2 2"], "prior counts"),
-        (_cptv_lines() + ["xi1 2 2 2", "xi0 2 2"], "match mu in shape"),
-        (_cptv_lines() + ["xi1 2 2"], "given together"),
-        (_base_lines()[:3] + ["M -1", "V -1", "theta 1", "beta 1"], ">= 1"),
-        (_base_lines()[:3] + ["M 0", "V 2", "theta 1", "beta"], ">= 1"),
+        (_cptv_lines() + ["xi1 " + _hex(np.nan, np.nan), "xi0 " + _hex(2, 2)], "prior counts"),
+        (_cptv_lines() + ["xi1 " + _hex(0.5, 2), "xi0 " + _hex(2, 2)], "prior counts"),
+        (_cptv_lines() + ["xi1 " + _hex(2, 2, 2), "xi0 " + _hex(2, 2)], "match mu in shape"),
+        (_cptv_lines() + ["xi1 " + _hex(2, 2)], "given together"),
+        (_base_lines()[:3] + ["M -1", "V -1", "theta " + _hex(1), "beta " + _hex(1)], ">= 1"),
+        (_base_lines()[:3] + ["M 0", "V 2", "theta " + _hex(1), "beta " + _hex()], ">= 1"),
         (_base_lines() + ["z 99999999999999999999"], "malformed integer"),
         (_base_lines()[:2] + ["K 1 1"] + _base_lines()[3:], "takes one token"),
-        (_base_lines() + ["xi1 nan"], "xi1 line present but kind is plain"),
-        (_base_lines() + ["xi0 2"], "xi0 line present but kind is plain"),
+        (_base_lines() + ["xi1 " + _hex(np.nan)], "xi1 line present but kind is plain"),
+        (_base_lines() + ["xi0 " + _hex(2)], "xi0 line present but kind is plain"),
         (_base_lines() + ["mu_mode learn"], "mu_mode line present but kind"),
         # a plain file takes no mu_mode line, known or not
-        (_base_lines() + ["xi1 nan", "mu_mode banana"], "xi1 line present but kind"),
+        (_base_lines() + ["xi1 " + _hex(np.nan), "mu_mode banana"],
+         "xi1 line present but kind"),
         (_cptv_lines() + ["mu_mode banana"], "expected mu_mode 'fixed', as xi1/xi0 say;"
                                              " got 'banana'"),
-        (_cptv_lines()[:-1] + ["mu 0.5 0.5 0.5"],
+        (_cptv_lines()[:-1] + ["mu " + _hex(0.5, 0.5, 0.5)],
          r"mu must have one entry per rating value \(2\), got shape \(3,\)"),
         # mu_mode must say what the prior lines say
         (_cptv_lines() + ["mu_mode learn"], "expected mu_mode 'fixed'.*got 'learn'"),
-        (_cptv_lines() + ["mu_mode fixed", "xi1 2 2", "xi0 2 2"],
+        (_cptv_lines() + ["mu_mode fixed", "xi1 " + _hex(2, 2), "xi0 " + _hex(2, 2)],
          "expected mu_mode 'learn'.*got 'fixed'"),
+        # a float array line is one hex token of whole float64s, or the file
+        # is refused at that line
+        (_base_lines()[:6] + ["beta " + _hex(0.25) + " " + _hex(0.75)],
+         "^line 7: beta takes one token$"),
+        (_base_lines()[:6] + ["beta " + _hex(0.25, 0.75)[:-1]],
+         "^line 7: malformed float64 hex token$"),
+        (_base_lines()[:6] + ["beta zz"], "^line 7: malformed float64 hex token$"),
+        (_base_lines()[:6] + ["beta " + "0" * 12], "^line 7: malformed float64 hex token$"),
+        (_base_lines()[:6] + ["beta 0.5"], "^line 7: malformed float64 hex token$"),
     ]
     for i, (lines, match) in enumerate(cases):
         with pytest.raises(ParseError, match=match):
@@ -136,9 +158,14 @@ def test_load_rejects_malformed_files(tmp_path):
 
 _TOKENS = st.one_of(
     st.sampled_from(["-1", "0", "1", "0.5", "nan", "inf", "-inf", "1e999",
-                     "99999999999999999999", "x", "mixture", "learn"]),
+                     "99999999999999999999", "x", "mixture", "learn", "zz"]),
     st.integers(-3, 3).map(str),
-    st.floats().map(repr))
+    st.floats().map(repr),
+    # hex tokens: whole float64s, then any bytes, whole or cut to odd length
+    st.lists(st.floats(), min_size=1, max_size=3).map(lambda v: _hex(*v)),
+    st.binary(min_size=1, max_size=17).map(bytes.hex).flatmap(
+        lambda h: st.sampled_from([h, h[1:]])))
+_FLOAT_ARRAYS = ("theta", "beta", "mu", "xi1", "xi0")
 
 
 @st.composite
@@ -148,21 +175,22 @@ def _model_files(draw):
     and each optional key present or not."""
     K, M, V = (draw(st.integers(-1, 2)) for _ in range(3))
 
-    def tokens(n, value):
+    def tokens(key, n, value):
         if draw(st.integers(0, 3)):
-            return [repr(value)] * max(n, 0)
+            values = [value] * max(n, 0)
+            return [_hex(*values)] if key in _FLOAT_ARRAYS else list(map(repr, values))
         return draw(st.lists(_TOKENS, max_size=3))
 
-    fields = {"format_version": [draw(st.sampled_from(["1", "2", "3"]))],
+    fields = {"format_version": [str(draw(st.integers(1, FORMAT_VERSION + 1)))],
               "kind": [draw(st.sampled_from(["mixture", "mixture+cptv", "x"]))],
               "K": [str(K)], "M": [str(M)], "V": [str(V)],
-              "theta": tokens(K, 1 / K if K else 0.0),
-              "beta": tokens(V * M * K, 1 / V if V else 0.0)}
+              "theta": tokens("theta", K, 1 / K if K else 0.0),
+              "beta": tokens("beta", V * M * K, 1 / V if V else 0.0)}
     for key, n, value in (("mu", V, 0.5), ("xi1", V, 2.0), ("xi0", V, 2.0),
                           ("alpha", 1, 2.0), ("phi", 1, 2.0), ("z", 1, 0),
                           ("mu_mode", 1, "learn")):
         if draw(st.booleans()):
-            fields[key] = tokens(n, value)
+            fields[key] = tokens(key, n, value)
     return "".join(f"{k} {' '.join(v)}\n" for k, v in fields.items())
 
 
@@ -174,6 +202,20 @@ def test_load_gives_a_model_or_a_missmix_error(tmp_path_factory, text):
         load_model(path)
     except MissmixError:
         pass
+
+
+@given(st.lists(st.floats(), max_size=8))
+@example([-0.0])
+@example([5e-324])                      # the smallest subnormal
+@example([1 - 2**-53])                  # the largest float64 below 1
+@example([np.nextafter(0.5, 0.0)])      # one ulp below 0.5
+def test_a_float_array_token_round_trips_every_bit(values):
+    array = np.array(values, dtype=float)
+    token = _tokens("beta", array)
+    assert len(token.split()) == (1 if values else 0)
+    back = _parse("beta", token.split(), 1)
+    assert back.dtype == np.float64 and back.tobytes() == array.tobytes()
+    assert back.flags.writeable
 
 
 def test_comments_and_blanks_ignored(tmp_path):

@@ -24,7 +24,13 @@ def test_output_digest_hashes_every_output_of_a_workload():
         "generate", *(step.kind for step in workload.steps), "estimate-mu"]
     assert [tuple(r["files"]) for r in records] == [
         tool.STUDY_FILES, *(step.outputs for step in workload.steps), ("mu.txt",)]
+    # each model file also has the digest of what load_model reads from it
+    assert [tuple(r["content"]) for r in records] == [
+        tuple(name for name in files if name.endswith(".model"))
+        for files in (r["files"] for r in records)]
+    assert any(r["content"] for r in records)
     for record in records:
         assert record["rc"] == 0, record["argv"]
-        for digest in (record["stdout"], record["stderr"], *record["files"].values()):
+        for digest in (record["stdout"], record["stderr"], *record["files"].values(),
+                       *record["content"].values()):
             assert re.fullmatch("[0-9a-f]{64}", digest or ""), record["argv"]

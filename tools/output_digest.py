@@ -12,6 +12,11 @@ study. It prints one JSON object that gives, for each command, its
 arguments, its exit code and the sha256 of its standard output, its
 standard error and each file it writes. Two trees with equal digests
 write the same bytes on this loop.
+
+Each model file also gets a `content` digest: the sha256 of what the
+--src tree's own `load_model` reads from it (every array's dtype, shape
+and bytes, and every other field), so two trees whose model formats differ
+still show whether they store the same values.
 """
 
 from __future__ import annotations
@@ -31,6 +36,28 @@ STUDY_FILES = ("study.train.csv", "study.test.csv", "study.truth.model")
 # Probed cells per user: `generate`'s default --per-user-test, which no
 # workload overrides.
 PER_USER_TEST = 10
+# Prints the content digest of the model file argv[1], walking the
+# dataclass load_model returns field by field.
+CONTENT_SCRIPT = """
+import dataclasses, hashlib, sys
+import numpy as np
+from missmix.modelio import load_model
+
+digest = hashlib.sha256()
+
+def walk(name, value):
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            walk(name + "." + field.name, getattr(value, field.name))
+    elif isinstance(value, np.ndarray):
+        digest.update(f"{name} {value.dtype.str} {value.shape}\\n".encode())
+        digest.update(value.tobytes())
+    else:
+        digest.update(f"{name} {value!r}\\n".encode())
+
+walk("model", load_model(sys.argv[1]))
+print(digest.hexdigest())
+"""
 
 
 def load_workloads():
@@ -60,9 +87,13 @@ def run_command(argv, cwd: Path, src: Path, outputs) -> tuple[dict, str]:
                           cwd=cwd, env=env, capture_output=True)
     files = {name: _sha256((cwd / name).read_bytes()) if (cwd / name).exists()
              else None for name in outputs}
+    content = {name: subprocess.run(
+        [sys.executable, "-c", CONTENT_SCRIPT, name], cwd=cwd, env=env, check=True,
+        capture_output=True, text=True).stdout.strip() if files[name] else None
+        for name in outputs if name.endswith(".model")}
     return ({"argv": list(argv), "rc": proc.returncode,
              "stdout": _sha256(proc.stdout), "stderr": _sha256(proc.stderr),
-             "files": files}, proc.stdout.decode("utf-8", "replace"))
+             "files": files, "content": content}, proc.stdout.decode("utf-8", "replace"))
 
 
 def digest_workload(workload, n_values: int, src: Path, seed: int) -> list[dict]:
