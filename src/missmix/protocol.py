@@ -1,15 +1,16 @@
 """Train/test evaluation runs over a grid of model settings.
 
 A protocol run fits each requested model on the training set once per
-seed, scores mean absolute error on both sides of the split, and emits
-one row per (model, seed) plus one aggregate row per model with the
-across-seed mean and standard error. Rows are plain dicts so they can
-be serialised or inspected directly; `write_report` renders them as CSV
-with full-precision floats.
+seed, in up to one forked process per available CPU (in-process if only one
+would be used), scores mean absolute error on both sides of the split and
+emits one plain-dict row per (model, seed) plus one aggregate row per model
+with the across-seed mean and standard error: a serial run's rows and
+warnings, byte for byte. `write_report` renders rows as full-precision CSV.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,7 @@ REPORT_COLUMNS = ["model", "K", "mu_mode", "S", "seed", "train_mae",
 # The score cells of a report row, in the order `_fit_and_score` returns them.
 _SCORES = ("train_mae", "test_mae", "iterations", "converged")
 _FAMILIES = ("mm-none", "mm-cptv", "constant")
+_split: SplitPair | None = None  # the running protocol's split, inherited by forked workers
 
 
 @dataclass
@@ -96,19 +98,43 @@ def fit_spec(train: RatingDataset, spec: ModelSpec) -> FitResult:
     return fit_nmar(train, spec.config, spec.mu, spec.strength)
 
 
-def _fit_and_score(split: SplitPair, spec: ModelSpec, seed: int):
-    """The _SCORES of ``spec`` fit with ``seed``, in their order."""
-    train, test = split.train, split.test
+def _fit_and_score(spec: ModelSpec, seed: int):
+    """The _SCORES of ``spec`` fit with ``seed`` on `_split`, or the fit's EstimationError."""
+    train, test = _split.train, _split.test
     if spec.family == "constant":
         value = empirical_median_value(train)
         return (mae(np.full(train.n_obs, value), train.values),
                 mae(np.full(test.n_obs, value), test.values), 0, 1)
-
-    result = fit_spec(train, replace(spec, config=replace(spec.config, seed=seed)))
+    try:
+        result = fit_spec(train, replace(spec, config=replace(spec.config, seed=seed)))
+    except EstimationError as exc:
+        return exc
     train_pred, test_pred = (predict_median(predictive_distribution(
         result.params, result.q, ds.users, ds.items)) for ds in (train, test))
     return (mae(train_pred, train.values), mae(test_pred, test.values),
             result.iterations, int(result.converged))
+
+
+def _map_tasks(split: SplitPair, tasks):
+    """`_fit_and_score` of each (spec, seed) in order, on forked workers if 2+ would run."""
+    global _split
+    _split, filters = split, warnings.filters[:]
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    workers = min(len(tasks), len(cpus))
+    # Python 3.12+ warns on fork() beside a second thread. numpy's is OpenBLAS's idle
+    # pool, which has atfork handlers, and no task calls BLAS: the warning does not apply.
+    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+    try:
+        if workers < 2:
+            return [_fit_and_score(*task) for task in tasks]
+        import multiprocessing.pool
+        with multiprocessing.get_context("fork").Pool(workers) as pool:  # terminates on a raise
+            scores = pool.starmap(_fit_and_score, tasks, chunksize=1)
+            pool.close()
+            pool.join()
+        return scores
+    finally:
+        warnings.filters[:], _split = filters, None
 
 
 def run_protocol(split: SplitPair, specs, seeds):
@@ -127,6 +153,7 @@ def run_protocol(split: SplitPair, specs, seeds):
         if spec.mu is not None:
             check_mu_length(spec.mu, split.train.n_values)
 
+    results = iter(_map_tasks(split, [(spec, seed) for spec in specs for seed in seeds]))
     rows = []
     for spec in specs:
         labels = dict.fromkeys(REPORT_COLUMNS, "")
@@ -137,14 +164,12 @@ def run_protocol(split: SplitPair, specs, seeds):
             labels.update(mu_mode="fixed" if spec.strength is None else "learn",
                           S="" if spec.strength is None else spec.strength)
         scores = []
-        for seed in seeds:
+        for seed, score in zip(seeds, results):  # takes len(seeds) results
             row = dict(labels, seed=seed, agg=0)
             rows.append(row)
-            try:
-                score = _fit_and_score(split, spec, seed)
-            except EstimationError as exc:
+            if isinstance(score, EstimationError):
                 warnings.warn(f"{spec.family} K={spec.config.n_components} seed {seed}"
-                              f" failed: {exc}", stacklevel=2)
+                              f" failed: {score}", stacklevel=2)
                 continue
             row.update(zip(_SCORES, score))
             scores.append(score)

@@ -1,9 +1,13 @@
 
+import multiprocessing
+import multiprocessing.pool
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from missmix import protocol
 from missmix.cptv import YAHOO_MU
 from missmix.data import RatingDataset, SplitPair
 from missmix.errors import (ConfigurationError, DataValidationError,
@@ -149,6 +153,61 @@ def test_run_protocol_deterministic(small_split):
     a = run_protocol(split, specs, (0, 1))
     b = run_protocol(split, specs, (0, 1))
     assert a == b
+
+
+def test_a_pooled_grid_gives_the_rows_and_warnings_of_one_fit_at_a_time(small_split):
+    split, truth = small_split
+    config = FitConfig(2, max_iters=20)
+    specs = [ModelSpec(family="constant"),
+             ModelSpec(family="mm-none", config=config),
+             ModelSpec(family="mm-none", config=FitConfig(2, alpha=1e308)),
+             ModelSpec(family="mm-cptv", config=config, mu=truth.mu)]
+    seeds = (0, 1)
+    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    pool = mock.Mock(wraps=multiprocessing.pool.Pool)
+    with mock.patch("multiprocessing.pool.Pool", pool), pytest.warns(UserWarning) as pooled:
+        rows = run_protocol(split, specs, seeds)
+    # the grid ran on a pool wherever two CPUs are available
+    assert pool.call_count == int(two_cpus)
+    assert multiprocessing.active_children() == [] and protocol._split is None
+
+    # one (spec, seed) at a time runs in this process
+    with mock.patch("multiprocessing.pool.Pool", pool), pytest.warns(UserWarning) as serial:
+        singles = [run_protocol(split, [spec], (seed,))[0] for spec in specs for seed in seeds]
+    assert pool.call_count == int(two_cpus)
+    assert [row for row in rows if row["agg"] == 0] == singles
+    assert [str(w.message) for w in pooled] == [str(w.message) for w in serial] == [
+        f"mm-none K=2 seed {seed} failed: log posterior is nan after EM iteration 1;"
+        " a smoothing or prior count is too large" for seed in seeds]
+    # and so does the whole grid on one CPU, aggregates included
+    with mock.patch("os.sched_getaffinity", return_value={0}, create=True), \
+            pytest.warns(UserWarning):
+        assert run_protocol(split, specs, seeds) == rows
+    assert pool.call_count == int(two_cpus)
+
+
+def test_a_foreign_error_in_a_worker_is_raised_in_the_caller(small_split, monkeypatch):
+    split, _ = small_split
+    fit_spec = protocol.fit_spec
+
+    def fit_or_refuse(train, spec):
+        if spec.config.seed == 1:
+            raise ConfigurationError("no fit for seed 1")
+        return fit_spec(train, spec)
+
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(protocol, "fit_spec", fit_or_refuse)
+    spec = ModelSpec(family="mm-none", config=FitConfig(2, max_iters=5))
+    with pytest.raises(ConfigurationError, match="^no fit for seed 1$"):
+        run_protocol(split, [spec], (0, 1, 2))
+    assert multiprocessing.active_children() == [] and protocol._split is None
+
+
+def test_an_empty_grid_starts_no_process(small_split, monkeypatch):
+    split, _ = small_split
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    assert run_protocol(split, [], (0, 1)) == []
+    os.fork.assert_not_called()
 
 
 def test_write_report_formatting(tmp_path):
