@@ -138,6 +138,8 @@ def load_model(path) -> LoadedModel:
                   phi=fields.get("phi", FitConfig.phi))
     except ConfigurationError as exc:
         raise ParseError(str(exc)) from None
+    if "z" in fields and not ((fields["z"] >= 0) & (fields["z"] < K)).all():
+        raise ParseError(f"z entries must be component indices in 0..{K - 1}")
     params = MixtureParams(theta=fields["theta"], beta=beta,
                            alpha=fields.get("alpha"), phi=fields.get("phi"))
 

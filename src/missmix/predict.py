@@ -16,7 +16,7 @@ from .data import RatingDataset
 from .errors import EstimationError, EvaluationError
 from .mixture import MixtureParams, _e_step
 
-# Pairs per einsum call, so its V x pairs x K operand stays a few MB.
+# Pairs per einsum call, so its pairs x V x K operand stays a few MB.
 PAIR_BLOCK = 2**14
 
 
@@ -47,11 +47,11 @@ def predictive_distribution(params: MixtureParams, q: np.ndarray,
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
+    by_item = np.ascontiguousarray(params.beta.transpose(1, 0, 2))  # (M, V, K)
     out = np.empty((len(users), params.beta.shape[0]))
     for start in range(0, len(users), PAIR_BLOCK):
         rows = slice(start, start + PAIR_BLOCK)
-        np.einsum("vnk,nk->nv", params.beta[:, items[rows], :], q[users[rows]],
-                  out=out[rows])
+        np.einsum("nvk,nk->nv", by_item[items[rows]], q[users[rows]], out=out[rows])
     return out
 
 

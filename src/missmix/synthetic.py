@@ -50,6 +50,12 @@ class GroundTruth:
         return self.params.n_values
 
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices of about 2**16 cells, so no N x M float64 draw exists at once."""
+    step = max(1, 2**16 // n_cols)
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
 def sample_ground_truth(n_users: int, n_items: int, n_values: int,
                         n_components: int, mu, seed,
                         concentration: float = 1.0) -> GroundTruth:
@@ -77,10 +83,11 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     # Invert each per-cell CDF at one uniform draw: a rating is 1 plus the
     # number of the first V-1 thresholds that u passes, so it stays in 1..V
     # even where rounding leaves the last CDF value below u.
-    u = rng.random((n_users, n_items))
-    complete = np.ones((n_users, n_items), np.int16)
-    for cdf in np.cumsum(beta, axis=0)[:-1]:
-        complete += cdf.T[z] < u
+    thresholds = np.ascontiguousarray(np.cumsum(beta, axis=0)[:-1].transpose(2, 0, 1))
+    complete = np.empty((n_users, n_items), np.int16)
+    for rows in _row_blocks(n_users, n_items):
+        u = rng.random(complete[rows].shape)
+        complete[rows] = 1 + (thresholds[z[rows]] < u[:, None]).sum(axis=1, dtype=np.int16)
 
     params = MixtureParams(theta=theta, beta=beta, alpha=None, phi=None)
     return GroundTruth(params=params, mu=mu, z=z, complete=complete)
@@ -98,22 +105,29 @@ def check_split_sizes(n_items: int, per_user_test: int, min_train: int = 0) -> N
 def _keep_mask(truth: GroundTruth, seed) -> np.ndarray:
     """Cell (i, m) with rating v is kept with probability truth.mu[v-1]."""
     rng = np.random.default_rng(seed)
-    return rng.random(truth.complete.shape) < truth.mu[truth.complete - 1]
+    rate = np.concatenate(([0.0], truth.mu))
+    keep = np.empty(truth.complete.shape, dtype=bool)
+    for rows in _row_blocks(*keep.shape):
+        keep[rows] = rng.random(keep[rows].shape) < rate[truth.complete[rows]]
+    return keep
 
 
 def _probe_mask(truth: GroundTruth, per_user: int, seed) -> np.ndarray:
     """The ``per_user`` cells of each row with the smallest uniform keys."""
-    keys = np.random.default_rng(seed).random(truth.complete.shape)
-    smallest = np.argpartition(keys, per_user - 1, axis=1)[:, :per_user]
-    probe = np.zeros(keys.shape, dtype=bool)
-    np.put_along_axis(probe, smallest, True, axis=1)
+    rng = np.random.default_rng(seed)
+    probe = np.zeros(truth.complete.shape, dtype=bool)
+    for rows in _row_blocks(*probe.shape):
+        keys = rng.random(probe[rows].shape)
+        smallest = np.argpartition(keys, per_user - 1, axis=1)[:, :per_user]
+        np.put_along_axis(probe[rows], smallest, True, axis=1)
     return probe
 
 
 def _observed(complete: np.ndarray, mask: np.ndarray, n_values: int) -> RatingDataset:
     """The cells of ``complete`` under ``mask``, on the table's N x M."""
-    return RatingDataset.from_arrays(*complete.shape, n_values, *np.nonzero(mask),
-                                     complete[mask])
+    users, items = np.divmod(np.flatnonzero(mask), complete.shape[1])
+    return RatingDataset.from_arrays(*complete.shape, n_values, users, items,
+                                     complete[users, items])
 
 
 def apply_cptv_missingness(truth: GroundTruth, seed) -> RatingDataset:

@@ -186,3 +186,51 @@ def parse_ratings_rows(raw, n=3):
             raise ParseError(f"negative id in {line!r}", line=ln)
         rows.append((ln, *fields))
     return rows
+
+
+def whole_table_ground_truth(n_users, n_items, n_values, n_components, seed,
+                             concentration=1.0):
+    """``(theta, beta, z, complete)`` of a synthetic population drawn with
+    the N x M uniform table made at once: beta is (V, M, K), and each rating
+    is 1 plus the number of its cell's first V-1 CDF values below its draw."""
+    rng = np.random.default_rng(seed)
+    theta = rng.dirichlet(np.full(n_components, concentration))
+    beta = rng.dirichlet(np.full(n_values, concentration), size=(n_items, n_components))
+    beta = np.ascontiguousarray(beta.transpose(2, 0, 1))
+    z = rng.choice(n_components, size=n_users, p=theta)
+    u = rng.random((n_users, n_items))
+    complete = np.ones((n_users, n_items), np.int16)
+    for cdf in np.cumsum(beta, axis=0)[:-1]:
+        complete += cdf.T[z] < u
+    return theta, beta, z, complete
+
+
+def whole_table_keep_mask(complete, mu, seed):
+    """Cell (i, m) of rating v is kept where its uniform draw, from one
+    N x M table, is below mu[v-1]."""
+    return np.random.default_rng(seed).random(complete.shape) < mu[complete - 1]
+
+
+def whole_table_probe_mask(shape, per_user, seed):
+    """The ``per_user`` cells of each row with the smallest keys of one
+    N x M uniform table."""
+    keys = np.random.default_rng(seed).random(shape)
+    probe = np.zeros(shape, dtype=bool)
+    np.put_along_axis(probe, np.argpartition(keys, per_user - 1, axis=1)[:, :per_user],
+                      True, axis=1)
+    return probe
+
+
+def whole_table_study(complete, mu, seed, per_user_test, min_train):
+    """``(train, test, kept)`` of a study split: the kept cells less the
+    probe, and the probe, each as (users, items, values) triples over the
+    users with at least ``min_train`` training cells, re-indexed densely."""
+    seed_missing, seed_test = np.random.SeedSequence(seed).spawn(2)
+    probe = whole_table_probe_mask(complete.shape, per_user_test, seed_test)
+    train = whole_table_keep_mask(complete, mu, seed_missing) & ~probe
+    kept = np.flatnonzero(train.sum(axis=1) >= min_train)
+
+    def triples(mask):
+        mask = mask[kept]
+        return (*np.nonzero(mask), complete[kept][mask])
+    return triples(train), triples(probe), kept

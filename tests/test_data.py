@@ -472,6 +472,11 @@ def test_plain_files_take_the_fast_path_and_read_as_the_oracle(tmp_path_factory,
 @given(st.integers(2, 3).flatmap(lambda k: st.tuples(st.just(k), st.lists(
     st.lists(st.integers(-2**63, 2**63 - 1), min_size=k, max_size=k), max_size=8))))
 @example((3, []))
+@example((2, [[9, -9], [10, -10], [99, -99], [100, -100]]))  # a digit more per row
+@example((2, [[10**18 - 1, 10**18], [1 - 10**18, -10**18]]))
+@example((3, [[-2**63, 2**63 - 1, 0], [2**63 - 1, -2**63, -1]]))
+@example((3, [[7, 123456, 0], [0, -5, 9], [9, 4294967296, -3]]))  # one-digit first column
+@example((2, [[1, 2], [3, 0]]))  # one digit everywhere
 def test_write_int_csv_writes_what_the_per_row_format_wrote(tmp_path_factory, case):
     k, rows = case
     columns = np.array(rows, dtype=np.int64).reshape(-1, k).T
@@ -483,7 +488,7 @@ def test_write_int_csv_writes_what_the_per_row_format_wrote(tmp_path_factory, ca
 
 
 def test_write_int_csv_crosses_its_row_blocks_as_the_per_row_format(tmp_path):
-    # 2**16 rows are formatted at a time; 2**17 + 3 rows make three blocks
+    # 2**13 rows are formatted at a time; 2**17 + 3 rows make seventeen blocks
     rows = np.random.default_rng(3).integers(-2**63, 2**63 - 1, size=(2**17 + 3, 2),
                                              dtype=np.int64, endpoint=True)
     path = tmp_path / "w.csv"

@@ -107,6 +107,8 @@ def test_load_rejects_malformed_files(tmp_path):
         (_base_lines() + ["what 1"], "unknown key"),
         (_base_lines()[:6] + ["beta " + _hex(0.25) + "zebra"], "malformed float"),
         (_base_lines() + ["z 0 x"], "malformed integer"),
+        (_base_lines() + ["z 0 -7"], r"z entries must be component indices in 0\.\.0"),
+        (_base_lines() + ["z 1"], r"z entries must be component indices in 0\.\.0"),
         (_base_lines() + ["mu " + _hex(0.5, 0.5)], "kind is plain"),
         (_cptv_lines()[:-1], "requires a mu"),
         (_base_lines()[:6] + ["beta " + _hex(np.nan, 0.75)], "probabilities"),

@@ -38,6 +38,19 @@ def test_predictive_distribution_in_blocks_equals_one_einsum():
     assert predictive_distribution(params, q, users, items).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("n_values", [2, 5, 7])
+def test_predictive_distribution_has_the_bits_of_the_value_major_gather(n_values):
+    # item rows gathered from a (M, V, K) copy of beta give the bits of the
+    # (V, pairs, K) gather from beta itself, at every K
+    rng = np.random.default_rng(n_values)
+    for k in range(1, 34):
+        params = init_params(11, n_values, FitConfig(n_components=k, seed=k))
+        q = rng.dirichlet(np.ones(k), size=30)
+        users, items = rng.integers(0, 30, 500), rng.integers(0, 11, 500)
+        old = np.einsum("vnk,nk->nv", params.beta[:, items, :], q[users])
+        assert predictive_distribution(params, q, users, items).tobytes() == old.tobytes()
+
+
 def test_predictive_distribution_rows_sum_to_one():
     params = init_params(6, 4, FitConfig(n_components=3, seed=2))
     rng = np.random.default_rng(0)

@@ -1,17 +1,19 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from missmix.errors import ConfigurationError, GenerationError
-from missmix.synthetic import (_probe_mask, apply_cptv_missingness,
+from missmix.synthetic import (_keep_mask, _probe_mask, apply_cptv_missingness,
                                build_study_dataset, sample_ground_truth,
                                sample_mcar_test)
 from oracles import (ORACLE_ASSIGNMENT_LIMIT, OracleLimitError,
-                     brute_force_user_evidence, user_rows)
+                     brute_force_user_evidence, user_rows, whole_table_ground_truth,
+                     whole_table_keep_mask, whole_table_probe_mask, whole_table_study)
 
 
 def test_ground_truth_shapes_and_ranges():
@@ -184,6 +186,65 @@ def test_build_study_dataset_checks_min_train_first():
     # before the probe is drawn, so before its own size check
     with pytest.raises(ConfigurationError, match=r"^min_train must be >= 0, got -1$"):
         build_study_dataset(truth, seed=20, per_user_test=0, min_train=-1)
+
+
+@st.composite
+def _block_edge_studies(draw):
+    """A small population whose table ends just before, at or just after a
+    row block of 2**16 cells, with mu touching 0 and 1, and split sizes."""
+    n_items = draw(st.sampled_from([1, 2**16 - 1, 2**16, 2**16 + 1]))
+    rows = max(1, 2**16 // n_items)  # rows per block
+    n_users = draw(st.sampled_from(sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 1})))
+    n_values, n_components = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    mu = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+                                min_size=n_values, max_size=n_values)))
+    return (n_users, n_items, n_values, n_components, mu, draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(1, min(n_items, 3))), draw(st.integers(0, 3)))
+
+
+@settings(max_examples=20)
+@given(_block_edge_studies())
+@example((2**16 + 1, 1, 5, 3, np.array([0.0, 0.3, 0.7, 1.0, 0.3]), 0, 1, 1))
+def test_row_blocked_draws_equal_the_whole_table_draws(study):
+    # every N x M draw comes from its generator one row block at a time,
+    # which must give the bits of the one whole-table draw
+    n_users, n_items, n_values, n_components, mu, seed, per_user, min_train = study
+    truth = sample_ground_truth(n_users, n_items, n_values, n_components, mu, seed)
+    theta, beta, z, complete = whole_table_ground_truth(n_users, n_items, n_values,
+                                                        n_components, seed)
+    for got, expected in ((truth.params.theta, theta), (truth.params.beta, beta),
+                          (truth.z, z), (truth.complete, complete)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert np.array_equal(_keep_mask(truth, seed + 1),
+                          whole_table_keep_mask(complete, mu, seed + 1))
+    assert np.array_equal(_probe_mask(truth, per_user, seed + 2),
+                          whole_table_probe_mask(complete.shape, per_user, seed + 2))
+    train, test, kept = whole_table_study(complete, mu, seed + 3, per_user, min_train)
+    if len(kept) == 0:
+        with pytest.raises(GenerationError):
+            build_study_dataset(truth, seed + 3, per_user, min_train)
+        return
+    split, got_kept = build_study_dataset(truth, seed + 3, per_user, min_train)
+    assert got_kept.tolist() == kept.tolist()
+    assert _triples(split.train) == list(zip(*(a.tolist() for a in train)))
+    assert _triples(split.test) == list(zip(*(a.tolist() for a in test)))
+
+
+def test_no_draw_holds_a_whole_float64_table():
+    n_users, n_items = 500, 2000
+    table_bytes = n_users * n_items * 8
+    tracemalloc.start()
+    try:
+        truth = sample_ground_truth(n_users, n_items, 5, 3, np.full(5, 0.5), seed=0)
+        truth_peak = tracemalloc.get_traced_memory()[1]
+        for draw in (lambda: _keep_mask(truth, 1), lambda: _probe_mask(truth, 10, 2)):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            draw()
+            assert tracemalloc.get_traced_memory()[1] - held < table_bytes
+    finally:
+        tracemalloc.stop()
+    assert truth_peak < table_bytes
 
 
 def test_oracle_limit_guard():
