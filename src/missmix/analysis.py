@@ -42,7 +42,7 @@ def skl(p, q):
 def item_value_counts(dataset: RatingDataset) -> np.ndarray:
     """Per-item value counts, shape (M, V)."""
     M, V = dataset.n_items, dataset.n_values
-    cells = dataset.items * V + dataset.values - 1
+    cells = dataset.items.astype(np.int64) * V + dataset.values - 1
     return np.bincount(cells, minlength=M * V).reshape(M, V)
 
 
@@ -90,6 +90,6 @@ def paired_difference_histogram(a: RatingDataset, b: RatingDataset):
     shared = rows >= 0
     V = a.n_values
     offsets = np.arange(-(V - 1), V)
-    diffs = a.values[rows[shared]] - b.values[shared]
+    diffs = a.values[rows[shared]].astype(np.int64) - b.values[shared]
     counts = np.bincount(diffs + V - 1, minlength=2 * V - 1)
     return offsets, counts

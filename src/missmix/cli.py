@@ -27,7 +27,7 @@ from .data import (RatingDataset, SplitPair, check_ranges, format_floats,
 from .errors import (IO_EXIT_CODE, ConfigurationError, DataValidationError,
                      MissmixError)
 from .mixture import FitConfig
-from .predict import posterior_z, predict_median, predictive_distribution
+from .predict import posterior_z, predicted_medians
 from .protocol import (ModelSpec, check_distinct, check_seeds, fit_spec,
                        run_protocol, write_report)
 from .synthetic import build_study_dataset, check_split_sizes, sample_ground_truth
@@ -190,7 +190,7 @@ def _cmd_predict(args) -> None:
         raise DataValidationError("no pairs to predict")
     check_ranges((data.n_users, model.params.n_items, data.n_values), users, items,
                  prefix="pair ")
-    pred = predict_median(predictive_distribution(model.params, q, users, items))
+    pred = predicted_medians(model.params, q, users, items)
     write_int_csv(args.out, "user,item,prediction", users, items, pred)
     print(f"predictions {args.out} {len(pred)}")
 

@@ -19,6 +19,7 @@ Ratings files are parsed by numpy's ``loadtxt`` where it reads them as
 from __future__ import annotations
 
 import importlib
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib.machinery import PathFinder
@@ -46,6 +47,18 @@ def _scipy(package: str, name: str):
             return importlib.import_module(f"scipy.{package}")
 
 
+def _index_dtype(*sizes):
+    """int32 when every size is below 2**31, else int64."""
+    return np.int32 if max(sizes) < 2**31 else np.int64
+
+
+def _steps_back(users, items, ties: bool) -> np.ndarray:
+    """Whether each (user, item) pair after the first comes before its predecessor,
+    or with ``ties`` equals it; comparisons, unlike differences, cannot wrap."""
+    late = np.less_equal if ties else np.less
+    return (users[1:] < users[:-1]) | (users[1:] == users[:-1]) & late(items[1:], items[:-1])
+
+
 @dataclass(frozen=True)
 class RatingDataset:
     """Sparse collection of integer ratings for N users x M items.
@@ -55,7 +68,9 @@ class RatingDataset:
     n_users, n_items, n_values : int
         Dimensions (N, M, V). Rating values live in 1..V.
     users, items, values : ndarray
-        Parallel int arrays sorted by (user, item), one entry per pair.
+        Parallel int arrays sorted by (user, item), one entry per pair:
+        users and items int32 while N and M are below 2**31, values int8
+        while V is below 128, and int64 otherwise.
 
     Construction raises DataValidationError for negative dimensions, a
     triple outside them, or a repeated or out-of-order pair. Datasets are
@@ -72,15 +87,14 @@ class RatingDataset:
     @classmethod
     def from_arrays(cls, n_users, n_items, n_values, users, items,
                     values) -> "RatingDataset":
-        """Build a dataset from triple arrays in any order."""
-        users = np.array(users, dtype=np.int64)
-        items = np.array(items, dtype=np.int64)
-        values = np.array(values, dtype=np.int64)
+        """Build a dataset from triple arrays in any order (non-integer ones as int64)."""
+        users, items, values = (a if isinstance(a, np.ndarray) and a.dtype.kind in "iu"
+                                else np.asarray(a, dtype=np.int64)
+                                for a in (users, items, values))
         if not (users.shape == items.shape == values.shape):
             raise DataValidationError("users/items/values arrays differ in length")
         # The stable lexsort is the identity exactly on pairs already in order.
-        step = np.diff(users)
-        if ((step < 0) | (step == 0) & (np.diff(items) < 0)).any():
+        if _steps_back(users, items, ties=False).any():
             order = np.lexsort((items, users))
             users, items, values = users[order], items[order], values[order]
         return cls(int(n_users), int(n_items), int(n_values), users, items, values)
@@ -93,13 +107,21 @@ class RatingDataset:
             raise DataValidationError(f"dimensions {dims} overflow the int64 pair"
                                       " keys (N * M >= 2**63); pass smaller --dims")
         check_ranges(dims, self.users, self.items, self.values)
-        # Keys of in-range pairs increase strictly iff pairs are sorted and unique.
-        steps = np.diff(self.pair_keys())
-        if (steps <= 0).any():
-            i = int(np.argmax(steps <= 0))
+        # Every entry is inside the dims, so narrowing wraps none. Writable arrays are
+        # copied, so no caller can change the checked triples; frozen ones are kept.
+        for name, dtype in (("users", _index_dtype(self.n_users)),
+                            ("items", _index_dtype(self.n_items)),
+                            ("values", np.int8 if self.n_values < 128 else np.int64)):
+            arr = getattr(self, name)
+            object.__setattr__(self, name, np.array(
+                arr, dtype, order="C", copy=True if arr.flags.writeable else None))
+        stalls = _steps_back(self.users, self.items, ties=True)
+        if stalls.any():
+            i = int(np.argmax(stalls))
             raise DataValidationError(
                 f"duplicate rating for (user={self.users[i]}, item={self.items[i]})"
-                if steps[i] == 0 else "triples must be sorted by (user, item)")
+                if (self.users[i], self.items[i]) == (self.users[i + 1], self.items[i + 1])
+                else "triples must be sorted by (user, item)")
         for arr in (self.users, self.items, self.values):
             arr.flags.writeable = False
 
@@ -111,9 +133,10 @@ class RatingDataset:
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only CSR arrays (indptr, indices, data) of the operator A, built
         once: A[i, (x-1)*M + m] = 1 for each observed (i, m, x), in item order
-        within each row."""
-        cols = (self.values - 1) * self.n_items + self.items
-        row_ptr = np.searchsorted(self.users, np.arange(self.n_users + 1))
+        within each row. Indices are int32 when every index and size fits."""
+        index = _index_dtype(self.n_users + 1, self.n_values * self.n_items, self.n_obs)
+        cols = (self.values.astype(index) - 1) * self.n_items + self.items
+        row_ptr = np.searchsorted(self.users, np.arange(self.n_users + 1)).astype(index)
         csr = row_ptr, cols, np.ones(self.n_obs)
         for arr in csr:
             arr.flags.writeable = False
@@ -142,8 +165,14 @@ class RatingDataset:
         return y
 
     def value_counts(self) -> np.ndarray:
-        """Count of each rating value 1..V, shape (V,)."""
-        return np.bincount(self.values, minlength=self.n_values + 1)[1:]
+        """Count of each rating value 1..V, shape (V,), read-only."""
+        return self._value_counts
+
+    @cached_property
+    def _value_counts(self) -> np.ndarray:
+        counts = np.bincount(self.values, minlength=self.n_values + 1)[1:]
+        counts.flags.writeable = False
+        return counts
 
     def pair_keys(self) -> np.ndarray:
         """Unique int64 key per (user, item) pair, increasing along the rows."""
@@ -216,30 +245,35 @@ def read_text(path) -> str:
 
 
 def read_int_columns(path, n: int) -> tuple[np.ndarray, ...]:
-    """The first ``n`` (2 or 3) fields of each rating CSV row, as int64 arrays.
+    """The first ``n`` (2 or 3) fields of each rating CSV row, as int arrays:
+    int32 when every value read fits in it, else int64.
 
     A header line, then ``user,item[,rating]`` rows of ``n`` to 3 integer
     fields; blank lines are skipped and fields past the n-th are not read.
     ParseError names the line of a row of the wrong width, a non-integer
     field, a negative user or item, or an integer outside int64. A file the
-    guard below admits is read by np.loadtxt, whose result stands if it has
-    n to 3 columns and no negative id; any other file or result goes through
-    the line loop, the one source of errors.
+    guard below admits is read by np.loadtxt into int32, whose result stands
+    if it has n to 3 columns and no negative id; any other file or result (a
+    value outside int32 too) goes through the line loop, the one source of errors.
     """
-    text = read_text(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     # loadtxt reads a non-ASCII letter as a digit, strips \x1c-\x1f (which
     # int() refuses), reads \x0b \x0c \x1c-\x1e as blanks where splitlines
-    # breaks the line, and warns on a file with no data line.
-    if (text.isascii() and text.partition("\n")[2].strip()
-            and not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x1f")):
+    # breaks the line, and warns on a file with no data line. It reads the file
+    # itself once the guard has dropped the bytes.
+    header_end = data.find(b"\n")
+    if (data.isascii() and header_end >= 0 and re.compile(rb"\S").search(data, header_end + 1)
+            and not any(c in data for c in b"\x0b\x0c\x1c\x1d\x1e\x1f")):
+        del data
         try:
-            rows = np.loadtxt(path, np.int64, delimiter=",", comments=None,
+            rows = np.loadtxt(path, np.int32, delimiter=",", comments=None,
                               skiprows=1, ndmin=2, encoding="utf-8")
             if n <= rows.shape[1] <= 3 and (rows[:, :2] >= 0).all():
                 return tuple(rows[:, :n].T)
         except ValueError:
             pass
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("missing header line", line=1)
     flat = []
@@ -257,12 +291,14 @@ def read_int_columns(path, n: int) -> tuple[np.ndarray, ...]:
         if "-" in line and min(flat[-n], flat[1 - n]) < 0:
             raise ParseError(f"negative id in {line!r}", line=ln)
     try:
-        return tuple(np.array(flat, dtype=np.int64).reshape(-1, n).T)
+        columns = np.array(flat, dtype=np.int64).reshape(-1, n).T
     except OverflowError:
         ln, line = next((ln, line) for ln, line in enumerate(lines[1:], start=2)
                         if line.strip() and not all(-2**63 <= int(p) < 2**63
                                                     for p in line.split(",")[:n]))
         raise ParseError(f"integer out of int64 range in {line!r}", line=ln) from None
+    fits = columns.size == 0 or -2**31 <= columns.min() and columns.max() < 2**31
+    return tuple(columns.astype(np.int32) if fits else columns)
 
 
 def write_text(path, head: str, lines=()) -> None:

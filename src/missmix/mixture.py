@@ -121,9 +121,10 @@ def init_params(n_items: int, n_values: int, config: FitConfig) -> MixtureParams
                          phi=float(config.phi))
 
 
-def _hidden_cell_table(params: MixtureParams, cptv) -> np.ndarray:
-    """gamma0[m, z] = sum_v (1 - mu[v]) * beta[v, m, z], shape (M, K)."""
-    return ((1.0 - cptv.mu)[:, None, None] * params.beta).sum(axis=0)
+def _hidden_cell_table(params: MixtureParams, cptv):
+    """gamma0[m, z] = sum_v (1 - mu[v]) * beta[v, m, z], shape (M, K), and its new terms."""
+    terms = (1.0 - cptv.mu)[:, None, None] * params.beta
+    return terms.sum(axis=0), terms
 
 
 def _log_weights(params: MixtureParams, dataset: RatingDataset,
@@ -137,13 +138,15 @@ def _log_weights(params: MixtureParams, dataset: RatingDataset,
     log mu[x] + log beta[x, m, z].
     """
     with np.errstate(divide="ignore"):
-        log_beta = np.log(params.beta)
         base = np.log(params.theta)
-        if cptv is not None:
-            log_gamma0 = np.log(_hidden_cell_table(params, cptv))
-            base = base + log_gamma0.sum(axis=0)
-            log_beta = np.log(cptv.mu)[:, None, None] + log_beta - log_gamma0
-    return base + dataset.gather(log_beta)
+        if cptv is None:
+            return base + dataset.gather(np.log(params.beta))
+        # the hidden-cell table first, so its terms are gone before log beta exists
+        log_gamma0 = np.log(_hidden_cell_table(params, cptv)[0])
+        log_beta = np.log(params.beta)
+        log_beta += np.log(cptv.mu)[:, None, None]  # in place: log mu[x] + log beta - log gamma0
+        log_beta -= log_gamma0
+    return base + log_gamma0.sum(axis=0) + dataset.gather(log_beta)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -182,9 +185,10 @@ def _expected_counts(params: MixtureParams, dataset: RatingDataset,
     observed = dataset.scatter(q)
     if cptv is None:
         return (observed,)
-    w = (1.0 - cptv.mu)[:, None, None] * params.beta / _hidden_cell_table(params, cptv)
-    hidden_q = np.maximum(q.sum(axis=0) - observed.sum(axis=0), 0.0)
-    return observed, w * hidden_q
+    gamma0, hidden = _hidden_cell_table(params, cptv)
+    hidden /= gamma0  # in place: each value's share of a hidden cell
+    hidden *= np.maximum(q.sum(axis=0) - observed.sum(axis=0), 0.0)
+    return observed, hidden
 
 
 def _m_step(params: MixtureParams, dataset: RatingDataset, q: np.ndarray, cptv=None):
@@ -198,9 +202,11 @@ def _m_step(params: MixtureParams, dataset: RatingDataset, q: np.ndarray, cptv=N
         raise ConfigurationError("maximum-posterior updates need smoothing")
     counts = _expected_counts(params, dataset, q, cptv)
     theta_num = params.alpha - 1.0 + q.sum(axis=0)
-    beta_num = sum(counts, params.phi - 1.0)
-    new = MixtureParams(theta=theta_num / theta_num.sum(),
-                        beta=beta_num / beta_num.sum(axis=0, keepdims=True),
+    beta = counts[0]  # the scatter's own output, smoothed, summed and normalised in place
+    for addend in (params.phi - 1.0, *counts[1:]):
+        beta += addend
+    beta /= beta.sum(axis=0, keepdims=True)
+    new = MixtureParams(theta=theta_num / theta_num.sum(), beta=beta,
                         alpha=params.alpha, phi=params.phi)
     if cptv is None or cptv.xi1 is None:
         return new, cptv
@@ -221,10 +227,11 @@ def _objective(params: MixtureParams, log_z: np.ndarray, cptv=None) -> float:
     with np.errstate(divide="ignore"):
         log_theta = np.log(params.theta)
         log_beta = np.log(params.beta)
+    log_beta *= params.phi - 1.0  # in place, the same product
     lp = (gammaln(K * params.alpha) - K * gammaln(params.alpha)
           + ((params.alpha - 1.0) * log_theta).sum())
     lp += (gammaln(V * params.phi) - V * gammaln(params.phi)
-           + ((params.phi - 1.0) * log_beta).sum(axis=0)).sum()
+           + log_beta.sum(axis=0)).sum()
     total = float(log_z.sum()) + float(lp)
     if cptv is not None and cptv.xi1 is not None:
         xi1, xi0 = cptv.xi1, cptv.xi0

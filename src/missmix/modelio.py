@@ -11,6 +11,7 @@ observation-probability block is present. The smoothing is stored as one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,9 +53,18 @@ def _check_mu_mode(mu_mode: str | None, cptv: CptvParams) -> None:
         raise ConfigurationError(f"expected mu_mode {mode!r}, as xi1/xi0 say; got {mu_mode!r}")
 
 
+def _check_z(z: np.ndarray, n_components: int) -> None:
+    """ConfigurationError unless every entry of ``z`` is a component index."""
+    if not ((z >= 0) & (z < n_components)).all():
+        raise ConfigurationError(
+            f"z entries must be component indices in 0..{n_components - 1}")
+
+
 def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
                mu_mode: str | None = None, z=None) -> None:
     """Write parameters (and optional observation model) to ``path``."""
+    if z is not None:
+        _check_z(np.asarray(z, dtype=int), params.n_components)
     values = {"format_version": FORMAT_VERSION,
               "kind": _KIND_PLAIN if cptv is None else _KIND_CPTV,
               "K": params.n_components, "M": params.n_items, "V": params.n_values,
@@ -64,17 +74,19 @@ def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
         _check_mu_mode(mu_mode, cptv)
         values.update(mu=cptv.mu, mu_mode=mu_mode, xi1=cptv.xi1, xi0=cptv.xi0)
     write_text(path, "# rating mixture model\n", (
-        f"{key} {_tokens(key, value)}\n"
-        for key in _KEYS if (value := values.get(key)) is not None))
+        piece for key in _KEYS if (value := values.get(key)) is not None
+        for piece in chain([f"{key} "], _tokens(key, value), ["\n"])))
 
 
-def _tokens(key, value) -> str:
-    """The tokens of a ``key`` line that holds ``value``."""
+def _tokens(key, value):
+    """The tokens of a ``key`` line that holds ``value``, as pieces of text:
+    a float array's one hex token comes 2**15 values at a time."""
     kind = _KEYS[key]
     if kind is float and key not in _SCALAR_KEYS:
-        return np.ascontiguousarray(value, dtype="<f8").tobytes().hex()
-    return (format_floats(value) if kind is float else
-            " ".join(map(str, np.ravel(np.asarray(value, dtype=kind)).tolist())))
+        flat = np.ascontiguousarray(value, dtype="<f8").ravel()
+        return (flat[start:start + 2**15].tobytes().hex() for start in range(0, len(flat), 2**15))
+    return [format_floats(value) if kind is float else
+            " ".join(map(str, np.ravel(np.asarray(value, dtype=kind)).tolist()))]
 
 
 def _parse(key, rest, line_no):
@@ -133,13 +145,13 @@ def load_model(path) -> LoadedModel:
            np.abs(beta.sum(axis=0) - 1.0).max(initial=0.0)) > _SIMPLEX_TOL:
         raise ParseError("theta and each beta[:, m, z] must sum to 1"
                          f" within {_SIMPLEX_TOL:g}")
-    try:  # FitConfig's rule on the smoothing; an absent line takes its default
+    try:  # FitConfig's rule on the smoothing, where an absent line takes its default
         FitConfig(K, alpha=fields.get("alpha", FitConfig.alpha),
                   phi=fields.get("phi", FitConfig.phi))
+        if "z" in fields:
+            _check_z(fields["z"], K)
     except ConfigurationError as exc:
         raise ParseError(str(exc)) from None
-    if "z" in fields and not ((fields["z"] >= 0) & (fields["z"] < K)).all():
-        raise ParseError(f"z entries must be component indices in 0..{K - 1}")
     params = MixtureParams(theta=fields["theta"], beta=beta,
                            alpha=fields.get("alpha"), phi=fields.get("phi"))
 

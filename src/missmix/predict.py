@@ -55,6 +55,16 @@ def predictive_distribution(params: MixtureParams, q: np.ndarray,
     return out
 
 
+def predicted_medians(params: MixtureParams, q: np.ndarray, users, items) -> np.ndarray:
+    """`predict_median` of each pair's `predictive_distribution`, one
+    PAIR_BLOCK of pairs at a time, so no (pairs, V) table exists."""
+    out = np.empty(len(users), dtype=np.int64)
+    for start in range(0, len(users), PAIR_BLOCK):
+        rows = slice(start, start + PAIR_BLOCK)
+        out[rows] = predict_median(predictive_distribution(params, q, users[rows], items[rows]))
+    return out
+
+
 def predict_median(dist: np.ndarray) -> np.ndarray:
     """Smallest value whose cumulative probability reaches one half.
 

@@ -20,8 +20,7 @@ from .cptv import CptvParams, build_mu_prior, check_mu_length, fit_nmar
 from .data import RatingDataset, SplitPair, format_floats, write_text
 from .errors import ConfigurationError, EstimationError, EvaluationError
 from .mixture import FitConfig, FitResult, fit_mar
-from .predict import (empirical_median_value, mae, predict_median,
-                      predictive_distribution)
+from .predict import empirical_median_value, mae, predicted_medians
 
 REPORT_COLUMNS = ["model", "K", "mu_mode", "S", "seed", "train_mae",
                   "test_mae", "train_mae_se", "test_mae_se", "iterations",
@@ -109,8 +108,8 @@ def _fit_and_score(spec: ModelSpec, seed: int):
         result = fit_spec(train, replace(spec, config=replace(spec.config, seed=seed)))
     except EstimationError as exc:
         return exc
-    train_pred, test_pred = (predict_median(predictive_distribution(
-        result.params, result.q, ds.users, ds.items)) for ds in (train, test))
+    train_pred, test_pred = (predicted_medians(result.params, result.q, ds.users, ds.items)
+                             for ds in (train, test))
     return (mae(train_pred, train.values), mae(test_pred, test.values),
             result.iterations, int(result.converged))
 

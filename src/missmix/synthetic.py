@@ -174,6 +174,8 @@ def build_study_dataset(truth: GroundTruth, seed, per_user_test: int = 10,
     kept = np.flatnonzero(train.sum(axis=1) >= min_train)
     if len(kept) == 0:
         raise GenerationError(f"no users kept at least {min_train} training entries")
-    complete = truth.complete[kept]
-    return SplitPair(train=_observed(complete, train[kept], truth.n_values),
-                     test=_observed(complete, probe[kept], truth.n_values)), kept
+    complete = truth.complete
+    if len(kept) < len(complete):  # copy the rows only when some user is dropped
+        complete, train, probe = complete[kept], train[kept], probe[kept]
+    return SplitPair(train=_observed(complete, train, truth.n_values),
+                     test=_observed(complete, probe, truth.n_values)), kept

@@ -3,6 +3,7 @@ import functools
 import inspect
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from missmix import analysis, cli, mixture, modelio, predict, protocol, synthetic
+from missmix import analysis, cli, data, mixture, modelio, predict, protocol, synthetic
 from missmix.cli import build_parser
 from missmix.cptv import CptvParams, m_step_nmar
 from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
@@ -70,7 +71,13 @@ def test_load_csv_parse_errors(tmp_path):
 def test_read_int_columns_reads_pairs_and_ratings_files(tmp_path):
     users, items = read_int_columns(_write(tmp_path, "user,item\n3,1\n\n0,2\n"), 2)
     assert (users.tolist(), items.tolist()) == ([3, 0], [1, 2])
-    assert users.dtype == items.dtype == np.int64
+    assert users.dtype == items.dtype == np.int32
+    # int64 once a value leaves int32, on loadtxt's path and the line loop's alike
+    for text in ("user,item\n2147483648,1\n", "user,item\n+2147483648,1\n"):
+        users, items = read_int_columns(_write(tmp_path, text), 2)
+        assert users.dtype == items.dtype == np.int64 and users.tolist() == [2**31]
+    for text in ("user,item\n2147483647,1\n", "user,item\n+2147483647,1\n"):
+        assert read_int_columns(_write(tmp_path, text), 2)[0].dtype == np.int32
     # a ratings file gives its first two columns
     users, items = read_int_columns(_write(tmp_path, "user,item,rating\n3,1,5\n"), 2)
     assert (users.tolist(), items.tolist()) == ([3], [1])
@@ -210,6 +217,100 @@ def test_from_arrays_gives_a_valid_dataset_or_a_data_error(args):
     assert (np.diff(ds.pair_keys()) > 0).all()
     assert sorted(triples) == list(zip(ds.users.tolist(), ds.items.tolist(),
                                        ds.values.tolist()))
+
+
+# Ids and dims at the int32 and uint32 edges: narrowing must never wrap one.
+_EDGES = (-1, 0, 1, 2**31 - 2, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1)
+
+
+@st.composite
+def _edge_args(draw):
+    """Dims on both sides of the int32 limit, or small enough for dense tables
+    (``small``), and up to five triples of ids near the edges of int32 and of
+    the dims, or inside small dims."""
+    small = draw(st.booleans())
+    if small:
+        dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    else:
+        dims = (draw(st.sampled_from([3, 2**31 - 1, 2**31, 2**32 + 1])),
+                draw(st.sampled_from([3, 2**29, 2**31 - 1, 2**31, 2**32 + 1])),
+                draw(st.sampled_from([1, 5, 127, 128])))
+
+    def near(limit, low):
+        return st.integers(low, limit) | st.sampled_from(
+            sorted({*_EDGES, low - 1, low, limit - 1, limit, limit + 1}))
+    triples = draw(st.lists(st.tuples(near(dims[0] - 1, 0), near(dims[1] - 1, 0),
+                                      near(dims[2], 1)), max_size=5))
+    return small, dims, triples
+
+
+@given(_edge_args(), st.booleans(), st.integers(1, 3))
+@example((False, (2**31, 2**32 + 1, 5), [(2**31 - 1, 2**32, 5), (2**31 - 1, 2**31 - 1, 1)]),
+         False, 1)
+@example((False, (3, 2**31, 1), [(0, 2**31 - 1, 1), (2, 0, 1)]), False, 1)
+@example((True, (2, 3, 2), [(1, 2, 2), (0, 0, 1), (1, 0, 1)]), True, 2)
+def test_narrowing_never_wraps_an_id(args, wide_index, k):
+    # ``wide_index`` makes small dims take int64 indices, so both index dtypes
+    # meet scipy; no dense table is built unless the dims are small
+    small, (N, M, V), triples = args
+    pairs = [(u, m) for u, m, _ in triples]
+    valid = (N * M < 2**63 and len(set(pairs)) == len(pairs)
+             and all(0 <= u < N and 0 <= m < M and 1 <= v <= V for u, m, v in triples))
+    columns = [np.array(col, dtype=np.int64) for col in zip(*triples)] or [
+        np.zeros(0, np.int64)] * 3
+    index_dtype = (lambda *sizes: np.int64) if wide_index else data._index_dtype
+    with mock.patch.object(data, "_index_dtype", index_dtype):
+        try:
+            ds = RatingDataset.from_arrays(N, M, V, *columns)
+        except DataValidationError:
+            assert not valid
+            return
+        assert valid
+        indptr, indices, ones = ds._csr if N < 2**16 else (None,) * 3
+    # the int64 triples, in (user, item) order, and their keys without a wrap
+    assert list(zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist())) == sorted(triples)
+    assert [ds.users.dtype, ds.items.dtype, ds.values.dtype] == [
+        index_dtype(N), index_dtype(M), np.int8 if V < 128 else np.int64]
+    keys = ds.pair_keys()
+    assert keys.dtype == np.int64 and keys.tolist() == [u * M + m for u, m in sorted(pairs)]
+    if indptr is None:
+        return
+    cols = [(v - 1) * M + m for _, m, v in sorted(triples)]
+    wide = wide_index or max(N + 1, V * M, len(triples)) >= 2**31
+    assert indptr.dtype == indices.dtype == (np.int64 if wide else np.int32)
+    assert indices.tolist() == cols
+    assert indptr.tolist() == [sum(u < row for u, _ in pairs) for row in range(N + 1)]
+    if small:
+        # the kernels on these arrays give the bits of a csr_array built from int64 ones
+        from scipy.sparse import csr_array
+
+        A = csr_array((np.ones(len(cols)), np.array(cols, dtype=np.int64),
+                       indptr.astype(np.int64)), shape=(N, V * M))
+        rng = np.random.default_rng(len(triples))
+        table, q = rng.normal(size=(V, M, k)), rng.normal(size=(N, k))
+        assert ds.gather(table).tobytes() == (A @ table.reshape(V * M, k)).tobytes()
+        assert ds.scatter(q).tobytes() == (A.T @ q).tobytes()
+
+
+def test_load_csv_peaks_near_its_int32_table(tmp_path):
+    # 200k rows: the int32 table loadtxt returns, the dataset's own narrow
+    # arrays and the order check's masks; no file text, int64 column or pair
+    # key lives beside them (the int64 reader peaked at 6x the table)
+    rng = np.random.default_rng(0)
+    n = 200_000
+    users = np.repeat(np.arange(n // 100), 100)
+    items = np.tile(np.arange(100), n // 100) * 7
+    path = tmp_path / "r.csv"
+    write_int_csv(path, "user,item,rating", users, items, rng.integers(1, 6, n))
+    table_bytes = n * 3 * 4
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_obs == n and ds.items.dtype == np.int32 and ds.values.dtype == np.int8
+    assert peak < 2.5 * table_bytes, peak / table_bytes
 
 
 def test_save_load_round_trip(tmp_path):

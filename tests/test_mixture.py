@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from missmix.cptv import (YAHOO_MU, CptvParams, e_step_nmar, fit_nmar,
                           log_posterior_nmar)
 from missmix.data import RatingDataset
 from missmix.errors import ConfigurationError, DataValidationError, EstimationError
-from missmix.mixture import (FitConfig, MixtureParams, _log_weights,
-                             _logsumexp, e_step_mar, fit_mar, init_params,
-                             log_posterior_mar, m_step_mar)
+from missmix.mixture import (FitConfig, MixtureParams, _e_step, _log_weights,
+                             _logsumexp, _m_step, _objective, e_step_mar, fit_mar,
+                             init_params, log_posterior_mar, m_step_mar)
 from missmix.predict import posterior_z
 from oracles import log_posterior
 
@@ -234,11 +235,12 @@ def test_loaded_kernels_match_scipy_sparse_bit_for_bit(K):
     N, M, V = 4, 5, 3
     ds = RatingDataset.from_arrays(N, M, V, [0, 0, 0, 1, 1, 3, 3, 3],
                                    [0, 2, 4, 1, 2, 0, 1, 4], [3, 1, 2, 2, 2, 1, 3, 3])
-    # the operator as a csr_array, built from int64 arrays as scipy is given them
-    cols = (ds.values - 1) * M + ds.items
+    # the operator as a csr_array, built from int64 arrays; at sizes this small
+    # the dataset's own index arrays are int32
+    cols = (ds.values.astype(np.int64) - 1) * M + ds.items
     A = csr_array((np.ones(ds.n_obs), cols, np.searchsorted(ds.users, np.arange(N + 1))),
                   shape=(N, V * M))
-    assert [a.dtype for a in ds._csr] == [A.indptr.dtype, A.indices.dtype, A.data.dtype]
+    assert [a.dtype for a in ds._csr] == [np.int32, np.int32, A.data.dtype]
     rng = np.random.default_rng(K)
     table, q = rng.normal(size=(V, M + 2, K)), rng.normal(size=(N, K))
     assert ds.gather(table).tobytes() == (A @ table[:, :M].reshape(V * M, K)).tobytes()
@@ -350,3 +352,26 @@ def test_logsumexp_matches_scipy_bit_for_bit(K):
     got = _logsumexp(a)
     assert got.shape == want.shape == (50000,)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("learn", [False, True])
+def test_an_em_iteration_needs_three_rating_tables_of_memory(learn):
+    # one M-step, E-step and objective at M = 2000, K = 10 hold the new beta and
+    # at most two more (V, M, K) tables at once, plus (M, K) and (N, K) ones
+    N, M, V, K = 300, 2000, 5, 10
+    ds = _random_dataset(np.random.default_rng(0), N, M, V, density=0.05)
+    params = init_params(M, V, FitConfig(K, seed=0))
+    mu = YAHOO_MU * 4.0
+    cptv = CptvParams(mu, *((mu * 50 + 1, (1 - mu) * 50 + 1) if learn else (None, None)))
+    q, _ = _e_step(params, ds, cptv)  # builds the dataset's cached operator and counts
+    ds.value_counts()
+    table = params.beta.nbytes
+    tracemalloc.start()
+    try:
+        new, new_cptv = _m_step(params, ds, q, cptv)
+        _objective(new, _e_step(new, ds, new_cptv)[1], new_cptv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # with every temporary kept apart, as before, a step peaked at 4.2 tables
+    assert peak < 3 * table + 4 * q.nbytes, peak / table

@@ -58,6 +58,18 @@ def test_round_trip_truth_with_assignments(tmp_path, fitted):
     assert np.array_equal(back.cptv.mu, np.clip(truth.mu, 1e-12, 1 - 1e-12))
 
 
+def test_the_writer_refuses_a_z_its_reader_would_refuse(tmp_path):
+    # save_model wrote `z -7` for a one-component model, which load_model refused
+    params = MixtureParams(theta=np.ones(1), beta=np.full((2, 1, 1), 0.5))
+    path = tmp_path / "m.model"
+    with pytest.raises(ConfigurationError, match=r"^z entries must be component indices"
+                                                 r" in 0\.\.0$"):
+        save_model(path, params, z=[-7])
+    assert not path.exists()
+    save_model(path, params, z=[0, 0])
+    assert load_model(path).z.tolist() == [0, 0]
+
+
 def test_save_is_byte_stable(tmp_path, fitted):
     _, plain, _ = fitted
     p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
@@ -213,11 +225,18 @@ def test_load_gives_a_model_or_a_missmix_error(tmp_path_factory, text):
 @example([np.nextafter(0.5, 0.0)])      # one ulp below 0.5
 def test_a_float_array_token_round_trips_every_bit(values):
     array = np.array(values, dtype=float)
-    token = _tokens("beta", array)
+    token = "".join(_tokens("beta", array))
     assert len(token.split()) == (1 if values else 0)
     back = _parse("beta", token.split(), 1)
     assert back.dtype == np.float64 and back.tobytes() == array.tobytes()
     assert back.flags.writeable
+
+
+def test_a_long_float_array_token_is_written_in_pieces_of_the_same_bytes():
+    array = np.random.default_rng(0).random(2 * 2**15 + 3)
+    pieces = list(_tokens("beta", array))
+    assert [len(p) for p in pieces] == [16 * 2**15, 16 * 2**15, 16 * 3]
+    assert "".join(pieces) == array.astype("<f8").tobytes().hex()
 
 
 def test_comments_and_blanks_ignored(tmp_path):
@@ -245,7 +264,9 @@ def _models(draw):
         mu = rng.uniform(0, 1, V)
         prior = (1 + rng.uniform(0, 50, V), 1 + rng.uniform(0, 50, V))
         cptv = CptvParams(mu, *(prior if kind == "learn" else (None, None)))
-    z = rng.integers(0, K, draw(st.integers(0, 6))) if draw(st.booleans()) else None
+    # assignments may fall outside 0..K-1, which the writer must refuse
+    z = rng.integers(-1 if draw(st.booleans()) else 0, K + draw(st.integers(0, 1)),
+                     draw(st.integers(0, 6))) if draw(st.booleans()) else None
     return params, cptv, draw(st.sampled_from([None, "fixed", "learn"])), z
 
 
@@ -253,9 +274,16 @@ def _models(draw):
 def test_save_then_load_round_trips_every_model(tmp_path_factory, model):
     params, cptv, mu_mode, z = model
     path = tmp_path_factory.mktemp("model") / "m.model"
-    # the writer refuses exactly a mu_mode that disagrees with cptv; a
-    # plain model ignores it
+    # the writer refuses exactly a z entry outside 0..K-1, which the reader
+    # would refuse, and a mu_mode that disagrees with cptv; a plain model
+    # ignores its mu_mode
     implied = None if cptv is None else "fixed" if cptv.xi1 is None else "learn"
+    K = params.n_components
+    if z is not None and not ((z >= 0) & (z < K)).all():
+        with pytest.raises(ConfigurationError, match=rf"z entries .* in 0\.\.{K - 1}$"):
+            save_model(path, params, cptv=cptv, mu_mode=mu_mode, z=z)
+        assert not path.exists()
+        return
     if implied is not None and mu_mode not in (None, implied):
         with pytest.raises(ConfigurationError, match=f"expected mu_mode '{implied}'"):
             save_model(path, params, cptv=cptv, mu_mode=mu_mode, z=z)

@@ -6,7 +6,8 @@ from missmix.data import RatingDataset
 from missmix.errors import EvaluationError
 from missmix.mixture import FitConfig, MixtureParams, e_step_mar, init_params
 from missmix.predict import (PAIR_BLOCK, empirical_median_value, mae,
-                             posterior_z, predict_median, predictive_distribution)
+                             posterior_z, predict_median, predicted_medians,
+                             predictive_distribution)
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 
 
@@ -36,6 +37,18 @@ def test_predictive_distribution_in_blocks_equals_one_einsum():
     users, items = rng.integers(0, 40, n), rng.integers(0, 9, n)
     whole = np.einsum("vnk,nk->nv", params.beta[:, items, :], q[users])
     assert predictive_distribution(params, q, users, items).tobytes() == whole.tobytes()
+
+
+def test_medians_taken_block_by_block_equal_the_medians_of_one_table():
+    params = init_params(9, 5, FitConfig(n_components=4, seed=3))
+    rng = np.random.default_rng(2)
+    q = rng.dirichlet(np.ones(4), size=40)
+    n = 2 * PAIR_BLOCK + 77
+    users, items = rng.integers(0, 40, n).astype(np.int32), rng.integers(0, 9, n)
+    whole = predict_median(predictive_distribution(params, q, users, items))
+    got = predicted_medians(params, q, users, items)
+    assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes()
+    assert predicted_medians(params, q, [], []).tolist() == []
 
 
 @pytest.mark.parametrize("n_values", [2, 5, 7])
