@@ -24,8 +24,8 @@ from .cptv import (CptvParams, YAHOO_MU, estimate_mu_heldout,
 from .data import (RatingDataset, SplitPair, check_ranges, format_floats,
                    load_csv, read_int_columns, save_csv, write_int_csv,
                    write_text)
-from .errors import (IO_EXIT_CODE, ConfigurationError, DataValidationError,
-                     MissmixError)
+from .errors import (IO_EXIT_CODE, MEMORY_EXIT_CODE, ConfigurationError,
+                     DataValidationError, MissmixError)
 from .mixture import FitConfig
 from .predict import posterior_z, predicted_medians
 from .protocol import (ModelSpec, check_distinct, check_seeds, fit_spec,
@@ -357,6 +357,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return IO_EXIT_CODE
+        except MemoryError as exc:
+            print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+            return MEMORY_EXIT_CODE
     return 0
 
 

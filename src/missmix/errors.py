@@ -1,10 +1,12 @@
 """Exception hierarchy shared across the package.
 
-The CLI exits with each class's exit_code (IO_EXIT_CODE for an OSError),
-so library code should raise the most specific class that applies.
+The CLI exits with each class's exit_code (IO_EXIT_CODE for an OSError,
+MEMORY_EXIT_CODE for a MemoryError), so library code should raise the most
+specific class that applies.
 """
 
 IO_EXIT_CODE = 4
+MEMORY_EXIT_CODE = 6
 
 
 class MissmixError(Exception):

@@ -151,18 +151,22 @@ def _log_weights(params: MixtureParams, dataset: RatingDataset,
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """scipy.special.logsumexp(a, axis=1) for real ``a``, bit for bit: each
-    row's maxima leave the sum of exponentials and return as log(count)."""
-    a_max = a.max(axis=1, keepdims=True)
-    is_max = a == a_max
-    m = is_max.sum(axis=1, keepdims=True)
+    row's maxima leave the sum of exponentials and return as log(count).
+    The max and the count, exact in any order, run down a contiguous (K, N)
+    copy; the float sum keeps numpy's pairwise order along each row."""
+    cols = a.T.copy()
+    a_max = cols.max(axis=0)
+    is_max = cols == a_max
+    m = is_max.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.exp(a - a_max)
+        cols -= a_max
+        e = np.exp(cols, out=cols)
         # Zeroing the maxima also clears the NaN an infinite maximum leaves
         # (inf - inf), where scipy sums exp(a) directly to the same -inf or inf.
         np.putmask(e, is_max, 0.0)
-        s = e.sum(axis=1, keepdims=True)
+        s = np.ascontiguousarray(e.T).sum(axis=1)
         s = np.where(s == 0, s, s / m)
-        return (np.log1p(s) + np.log(m) + a_max).ravel()
+        return np.log1p(s) + np.log(m) + a_max
 
 
 def _e_step(params: MixtureParams, dataset: RatingDataset, cptv=None):

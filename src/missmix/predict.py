@@ -16,8 +16,20 @@ from .data import RatingDataset
 from .errors import EstimationError, EvaluationError
 from .mixture import MixtureParams, _e_step
 
-# Pairs per einsum call, so its pairs x V x K operand stays a few MB.
-PAIR_BLOCK = 2**14
+# Pairs x V x K cells per einsum operand: 512 KB of float64, inside a core's L2 cache.
+BLOCK_CELLS = 2**16
+
+
+def _pair_blocks(params: MixtureParams, q: np.ndarray, users, items):
+    """(rows, beta rows of shape (n, V, K), q rows) for each block of about
+    BLOCK_CELLS / (V K) pairs, gathered from one (M, V, K) copy of beta."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    by_item = np.ascontiguousarray(params.beta.transpose(1, 0, 2))
+    step = max(1, BLOCK_CELLS // (params.n_values * params.n_components))
+    for start in range(0, len(users), step):
+        rows = slice(start, start + step)
+        yield rows, by_item.take(items[rows], axis=0), q.take(users[rows], axis=0)
 
 
 def posterior_z(params: MixtureParams, dataset: RatingDataset,
@@ -45,23 +57,18 @@ def predictive_distribution(params: MixtureParams, q: np.ndarray,
     Returns shape (n_pairs, V); row j is sum_z q[users[j], z] *
     beta[:, items[j], z].
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    by_item = np.ascontiguousarray(params.beta.transpose(1, 0, 2))  # (M, V, K)
-    out = np.empty((len(users), params.beta.shape[0]))
-    for start in range(0, len(users), PAIR_BLOCK):
-        rows = slice(start, start + PAIR_BLOCK)
-        np.einsum("nvk,nk->nv", by_item[items[rows]], q[users[rows]], out=out[rows])
+    out = np.empty((len(users), params.n_values))
+    for rows, beta_rows, q_rows in _pair_blocks(params, q, users, items):
+        np.einsum("nvk,nk->nv", beta_rows, q_rows, out=out[rows])
     return out
 
 
 def predicted_medians(params: MixtureParams, q: np.ndarray, users, items) -> np.ndarray:
-    """`predict_median` of each pair's `predictive_distribution`, one
-    PAIR_BLOCK of pairs at a time, so no (pairs, V) table exists."""
+    """`predict_median` of each pair's `predictive_distribution`, one block
+    of pairs at a time, so no (pairs, V) table exists."""
     out = np.empty(len(users), dtype=np.int64)
-    for start in range(0, len(users), PAIR_BLOCK):
-        rows = slice(start, start + PAIR_BLOCK)
-        out[rows] = predict_median(predictive_distribution(params, q, users[rows], items[rows]))
+    for rows, beta_rows, q_rows in _pair_blocks(params, q, users, items):
+        out[rows] = predict_median(np.einsum("nvk,nk->nv", beta_rows, q_rows))
     return out
 
 
@@ -69,11 +76,19 @@ def predict_median(dist: np.ndarray) -> np.ndarray:
     """Smallest value whose cumulative probability reaches one half.
 
     ``dist`` has one distribution over values 1..V per row; returns an
-    int array of predictions.
+    int array of predictions, 1 for a row that never reaches one half. The
+    running sum takes one column at a time, with ``np.cumsum``'s bits; the
+    median is V less the number of earlier columns at or past the crossing.
     """
     dist = np.atleast_2d(dist)
-    cdf = np.cumsum(dist, axis=1)
-    return np.argmax(cdf >= 0.5, axis=1).astype(np.int64) + 1
+    cdf = dist[:, 0].astype(np.cumsum(dist[:0]).dtype)  # cumsum's accumulator
+    reached = cdf >= 0.5
+    past = np.zeros(len(dist), dtype=np.int64)
+    for value in range(1, dist.shape[1]):
+        past += reached
+        cdf += dist[:, value]
+        reached |= cdf >= 0.5
+    return np.where(reached, dist.shape[1] - past, 1)
 
 
 def mae(predicted, actual) -> float:

@@ -15,6 +15,7 @@ from missmix import cli
 from missmix.cli import main
 from missmix.cptv import CptvParams
 from missmix.data import load_csv, write_int_csv
+from missmix.errors import MEMORY_EXIT_CODE
 from missmix.mixture import MixtureParams
 from missmix.modelio import FORMAT_VERSION, load_model, save_model
 from missmix.predict import (mae, posterior_z, predict_median,
@@ -391,6 +392,21 @@ def test_evaluate_checks_its_inputs_before_reading_a_file_or_fitting(
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not fit.called
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 2.00 GiB for an array"),
+     "error: out of memory: Unable to allocate 2.00 GiB for an array\n"),
+])
+def test_exit_code_out_of_memory(study, tmp_path, capsys, exc, line):
+    out = tmp_path / "m.model"
+    with mock.patch.object(cli, "fit_spec", side_effect=exc):
+        rc = main(["train", study + ".train.csv", "--model", "mm-none", "-K", "2",
+                   "--out", str(out)])
+    assert rc == MEMORY_EXIT_CODE == 6
+    assert capsys.readouterr() == ("", line)
+    assert not out.exists()
 
 
 def test_exit_code_missing_file(tmp_path):

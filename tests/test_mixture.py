@@ -329,7 +329,7 @@ def test_fit_is_deterministic():
     assert np.array_equal(a.params.beta, b.params.beta)
 
 
-@pytest.mark.parametrize("K", [1, 2, 5, 10, 20])
+@pytest.mark.parametrize("K", [1, 2, 5, 7, 8, 9, 10, 20, 33])
 def test_logsumexp_matches_scipy_bit_for_bit(K):
     rng = np.random.default_rng(K)
     a = rng.normal(scale=30.0, size=(50000, K))
@@ -347,6 +347,10 @@ def test_logsumexp_matches_scipy_bit_for_bit(K):
     a[800:900] = 1e308                                  # sum overflows
     a[900:1000, 0] = -1e308
     a[900:1000, -1] = 1.7e308                           # shift overflows
+    a[1000:1300] = -np.abs(a[1000:1300])
+    a[1000:1100, 0], a[1000:1100, -1] = -0.0, 0.0       # maxima -0.0 then +0.0
+    a[1100:1200, 0], a[1100:1200, -1] = 0.0, -0.0       # maxima +0.0 then -0.0
+    a[1200:1300] = -0.0                                 # every entry -0.0
     with np.errstate(over="ignore"):
         want = logsumexp(a, axis=1)
     got = _logsumexp(a)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from missmix.cptv import CptvParams, e_step_nmar
 from missmix.data import RatingDataset
 from missmix.errors import EvaluationError
 from missmix.mixture import FitConfig, MixtureParams, e_step_mar, init_params
-from missmix.predict import (PAIR_BLOCK, empirical_median_value, mae,
+from missmix.predict import (BLOCK_CELLS, empirical_median_value, mae,
                              posterior_z, predict_median, predicted_medians,
                              predictive_distribution)
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
@@ -17,6 +20,25 @@ def test_predict_median_hand_cases():
     assert predict_median(np.array([[0.2, 0.3, 0.5]]))[0] == 2
     assert predict_median(np.array([[0.2, 0.2, 0.6]]))[0] == 3
     assert predict_median(np.array([0.1, 0.9]))[0] == 2
+
+
+_MEDIAN_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 0.125, 0.25, 0.5, 1.0, -0.25, -0.5, np.nan, np.inf, -np.inf]) | st.floats(-1.0, 1.5)
+
+
+@given(st.integers(1, 8).flatmap(lambda v: hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 12), st.just(v)), elements=_MEDIAN_ENTRIES)))
+@example(np.zeros((2, 4)))                                      # never reaches one half
+@example(np.array([[0.5, 0.0, 0.0], [0.25, 0.25, 0.5], [0.125, 0.125, 0.25]]))  # exact ties
+@example(np.array([[0.6, -0.3, 0.4], [0.1, 0.5, -0.4], [-0.5, 0.5, 0.75]]))    # not monotone
+@example(np.array([[np.nan, 0.9, 0.1], [0.1, np.nan, 0.9], [0.1, 0.2, np.nan]]))
+@example(np.array([[np.inf, -np.inf, 1.0], [-np.inf, 0.2, 0.8], [0.1, 0.2, np.inf]]))
+@example(np.array([[-100, -100, 1], [100, 100, -100]], dtype=np.int8))  # cumsum widens
+def test_predict_median_is_the_first_column_whose_running_sum_reaches_one_half(dist):
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.argmax(np.cumsum(dist, axis=1) >= 0.5, axis=1) + 1
+        got = predict_median(dist)
+    assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes()
 
 
 def test_predictive_distribution_mixes_components():
@@ -33,7 +55,7 @@ def test_predictive_distribution_in_blocks_equals_one_einsum():
     params = init_params(9, 5, FitConfig(n_components=4, seed=3))
     rng = np.random.default_rng(1)
     q = rng.dirichlet(np.ones(4), size=40)
-    n = 2 * PAIR_BLOCK + 77
+    n = 2 * (BLOCK_CELLS // (5 * 4)) + 77  # two whole blocks of pairs at V = 5, K = 4
     users, items = rng.integers(0, 40, n), rng.integers(0, 9, n)
     whole = np.einsum("vnk,nk->nv", params.beta[:, items, :], q[users])
     assert predictive_distribution(params, q, users, items).tobytes() == whole.tobytes()
@@ -43,7 +65,7 @@ def test_medians_taken_block_by_block_equal_the_medians_of_one_table():
     params = init_params(9, 5, FitConfig(n_components=4, seed=3))
     rng = np.random.default_rng(2)
     q = rng.dirichlet(np.ones(4), size=40)
-    n = 2 * PAIR_BLOCK + 77
+    n = 2 * (BLOCK_CELLS // (5 * 4)) + 77  # two whole blocks of pairs at V = 5, K = 4
     users, items = rng.integers(0, 40, n).astype(np.int32), rng.integers(0, 9, n)
     whole = predict_median(predictive_distribution(params, q, users, items))
     got = predicted_medians(params, q, users, items)

@@ -26,5 +26,6 @@ def test_readme_exit_code_table_matches_the_error_classes():
         for name in re.findall(r"`(\w+)`", names):
             listed[name] = int(code)
     assert listed.pop("OSError") == errors.IO_EXIT_CODE
+    assert listed.pop("MemoryError") == errors.MEMORY_EXIT_CODE
     assert listed == {name: cls.exit_code for name, cls in vars(errors).items()
                       if isinstance(cls, type) and issubclass(cls, errors.MissmixError)}

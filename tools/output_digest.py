@@ -17,6 +17,14 @@ Each model file also gets a `content` digest: the sha256 of what the
 --src tree's own `load_model` reads from it (every array's dtype, shape
 and bytes, and every other field), so two trees whose model formats differ
 still show whether they store the same values.
+
+    python3 tools/output_digest.py --golden
+
+rewrites tests/golden/output_digest_tiny.json: the digests of the tiny
+desk-grid and wide-learn loops at seed 0 with the Python, numpy and scipy
+versions that made them, which tests/test_output_digest.py compares each
+run against. A change that alters an output regenerates it in the same
+commit.
 """
 
 from __future__ import annotations
@@ -26,13 +34,18 @@ import hashlib
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STUDY_FILES = ("study.train.csv", "study.test.csv", "study.truth.model")
+GOLDEN = ROOT / "tests" / "golden" / "output_digest_tiny.json"
+GOLDEN_WORKLOADS = ("desk-grid", "wide-learn")
 # Probed cells per user: `generate`'s default --per-user-test, which no
 # workload overrides.
 PER_USER_TEST = 10
@@ -117,13 +130,38 @@ def digest_workload(workload, n_values: int, src: Path, seed: int) -> list[dict]
         return records
 
 
+def versions() -> dict:
+    """The Python, numpy and scipy versions the digested commands run on."""
+    return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy")}
+
+
+def golden_digest(src: Path) -> dict:
+    """The GOLDEN file's content for the package under ``src``: the tiny
+    GOLDEN_WORKLOADS at seed 0, run side by side, and the versions."""
+    workloads = load_workloads()
+    tiny = workloads.build(tiny=True)
+    with ThreadPoolExecutor(len(GOLDEN_WORKLOADS)) as pool:
+        records = pool.map(lambda name: digest_workload(
+            tiny[name], workloads.N_VALUES, src, seed=0), GOLDEN_WORKLOADS)
+        return {"seed": 0, "size": "tiny", "versions": versions(),
+                "workloads": dict(zip(GOLDEN_WORKLOADS, records))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory that holds the missmix package")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--size", choices=["tiny", "full"], default="full")
+    parser.add_argument("--golden", action="store_true",
+                        help=f"rewrite {GOLDEN.relative_to(ROOT)} from --src and exit")
     args = parser.parse_args(argv)
+    if args.golden:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(golden_digest(args.src.resolve()), indent=1) + "\n",
+                          encoding="utf-8")
+        return 0
     workloads = load_workloads()
     src = args.src.resolve()
     digest = {"seed": args.seed, "size": args.size, "workloads": {
