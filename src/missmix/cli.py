@@ -13,6 +13,7 @@ error class carries (see `errors`).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 
@@ -364,4 +365,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()  # the imports' objects live to the end: the collection at exit skips them
     sys.exit(main())

@@ -19,7 +19,7 @@ on each mu[v] and both raise the same joint objective monotonically.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .data import RatingDataset
 from .errors import ConfigurationError, EstimationError
 from .mixture import (FitConfig, FitResult, MixtureParams, _e_step,
                       _expected_counts, _fit, _log_weights, _logsumexp,
-                      _m_step, _objective)
+                      _m_step, _objective, _only)
 
 # Observation probabilities are clamped inside the open unit interval so
 # their logs stay finite.
@@ -69,6 +69,20 @@ class CptvParams:
                 raise ConfigurationError("xi1/xi0 must match mu in shape")
             if not all(((1 < xi) & (xi < np.inf)).all() for xi in (self.xi1, self.xi0)):
                 raise ConfigurationError("prior counts must all be finite and > 1")
+
+
+
+class _MuStack(CptvParams):
+    """A stack's learned mu, one row per fit, shape (S, V), each row checked
+    and clamped as a CptvParams mu is."""
+
+    def __post_init__(self):
+        self.mu = np.array([CptvParams(mu, self.xi1, self.xi0).mu for mu in self.mu])
+
+    def take(self, rows):
+        """The learned mu of the fits at ``rows`` (an index, or a list)."""
+        mu = self.mu[rows]
+        return replace(self, mu=mu) if mu.ndim == 2 else CptvParams(mu, self.xi1, self.xi0)
 
 
 def check_mu_length(mu, n_values: int) -> None:
@@ -123,7 +137,7 @@ def log_posterior_nmar(params: MixtureParams, cptv: CptvParams,
                        dataset: RatingDataset) -> float:
     """Log of (evidence x priors); includes the Beta term for mu only
     when cptv carries a prior."""
-    return _objective(params, log_evidence_nmar(params, cptv, dataset), cptv)
+    return float(_objective(params, log_evidence_nmar(params, cptv, dataset), cptv))
 
 
 def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
@@ -148,11 +162,17 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
         With cptv, holding the prior's xi1/xi0 when mu was learned.
     """
     check_mu_length(mu, dataset.n_values)
-    xi1 = xi0 = None
-    if strength is not None:
-        xi1, xi0 = build_mu_prior(mu, strength)
-        mu = np.random.default_rng([config.seed, 1]).beta(xi1, xi0)
-    return _fit(dataset, config, CptvParams(mu=mu, xi1=xi1, xi0=xi0))
+    return _only(_fit(dataset, [config], start_cptv(mu, strength, [config.seed])))
+
+
+def start_cptv(mu, strength: float | None, seeds) -> CptvParams:
+    """The observation model a stack of fits of ``seeds`` starts from: ``mu`` held
+    fixed or, with a ``strength``, learned from a draw of its prior per seed."""
+    if strength is None:
+        return CptvParams(mu=mu)
+    xi1, xi0 = build_mu_prior(mu, strength)
+    return _MuStack(mu=[np.random.default_rng([seed, 1]).beta(xi1, xi0) for seed in seeds],
+                    xi1=xi1, xi0=xi0)
 
 
 def estimate_mu_heldout(train: RatingDataset, heldout: RatingDataset,

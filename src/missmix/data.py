@@ -144,25 +144,31 @@ class RatingDataset:
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """A @ table: per-user sums of table[x-1, m, :] over observed (m, x), shape
-        (N, K). ``table`` is (V, M', K) with M' >= M, else ConfigurationError;
-        items past M are never observed and drop out."""
+        (N, K), or (S, N, K) for a stack of S tables. ``table`` is (V, M', K) or
+        (S, V, M', K) with M' >= M, else ConfigurationError; items past M are never
+        observed and drop out."""
         V, M = self.n_values, self.n_items
-        if table.shape[0] != V or table.shape[1] < M:
+        if table.shape[-3] != V or table.shape[-2] < M:
             raise ConfigurationError(
-                f"model covers {table.shape[1]} items and {table.shape[0]} values;"
+                f"model covers {table.shape[-2]} items and {table.shape[-3]} values;"
                 f" data has {M} and {V}")
-        x = table[:, :M].reshape(V * M, -1)
+        # a stack's tables side by side, as the S*K columns of one (V*M, S*K) table
+        x = table[:, :M] if table.ndim == 3 else table[:, :, :M].transpose(1, 2, 0, 3)
+        x = x.reshape(V * M, -1)
         y = np.zeros((self.n_users, x.shape[1]))
         _scipy("sparse", "_sparsetools").csr_matvecs(len(y), *x.shape, *self._csr, x, y)
-        return y
+        return y if table.ndim == 3 else np.ascontiguousarray(
+            y.reshape(len(y), len(table), table.shape[-1]).transpose(1, 0, 2))
 
     def scatter(self, q: np.ndarray) -> np.ndarray:
-        """A.T @ q: per-user rows summed into (value, item) cells, shape (V, M, K);
-        ``q`` has N rows."""
-        V, M, x = self.n_values, self.n_items, q.reshape(self.n_users, q.shape[1])
-        y = np.zeros((V, M, x.shape[1]))
+        """A.T @ q: per-user rows summed into (value, item) cells, shape (V, M, K) for
+        ``q`` (N, K), or (S, V, M, K) for a stack (S, N, K)."""
+        V, M, N, K = self.n_values, self.n_items, self.n_users, q.shape[-1]
+        x = q.reshape(N, K) if q.ndim == 2 else q.transpose(1, 0, 2).reshape(N, len(q) * K)
+        y = np.zeros((V * M, x.shape[1]))
         _scipy("sparse", "_sparsetools").csc_matvecs(V * M, *x.shape, *self._csr, x, y)
-        return y
+        return y.reshape(V, M, K) if q.ndim == 2 else np.ascontiguousarray(
+            y.reshape(V, M, len(q), K).transpose(2, 0, 1, 3))
 
     def value_counts(self) -> np.ndarray:
         """Count of each rating value 1..V, shape (V,), read-only."""

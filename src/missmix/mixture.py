@@ -10,6 +10,9 @@ mu/xi1/xi0 attributes), which adds one factor per cell to each user's
 evidence. Dirichlet smoothing on theta and beta keeps every estimate
 strictly interior, and the objective maximised is the log of
 (likelihood x priors).
+It also fits a stack of S seeds at once, with theta (S, K), beta (S, V, M,
+K), q (S, N, K) and a learned mu (S, V); every reduction runs over negative
+axes, so each fit of a stack sees a single fit's memory layout and bits.
 """
 
 from __future__ import annotations
@@ -50,15 +53,15 @@ class MixtureParams:
 
     @property
     def n_components(self) -> int:
-        return self.theta.shape[0]
+        return self.theta.shape[-1]
 
     @property
     def n_items(self) -> int:
-        return self.beta.shape[1]
+        return self.beta.shape[-2]
 
     @property
     def n_values(self) -> int:
-        return self.beta.shape[0]
+        return self.beta.shape[-3]
 
 
 @dataclass
@@ -123,8 +126,8 @@ def init_params(n_items: int, n_values: int, config: FitConfig) -> MixtureParams
 
 def _hidden_cell_table(params: MixtureParams, cptv):
     """gamma0[m, z] = sum_v (1 - mu[v]) * beta[v, m, z], shape (M, K), and its new terms."""
-    terms = (1.0 - cptv.mu)[:, None, None] * params.beta
-    return terms.sum(axis=0), terms
+    terms = (1.0 - cptv.mu)[..., None, None] * params.beta
+    return terms.sum(axis=-3), terms
 
 
 def _log_weights(params: MixtureParams, dataset: RatingDataset,
@@ -140,21 +143,22 @@ def _log_weights(params: MixtureParams, dataset: RatingDataset,
     with np.errstate(divide="ignore"):
         base = np.log(params.theta)
         if cptv is None:
-            return base + dataset.gather(np.log(params.beta))
+            return base[..., None, :] + dataset.gather(np.log(params.beta))
         # the hidden-cell table first, so its terms are gone before log beta exists
         log_gamma0 = np.log(_hidden_cell_table(params, cptv)[0])
         log_beta = np.log(params.beta)
-        log_beta += np.log(cptv.mu)[:, None, None]  # in place: log mu[x] + log beta - log gamma0
-        log_beta -= log_gamma0
-    return base + log_gamma0.sum(axis=0) + dataset.gather(log_beta)
+        log_beta += np.log(cptv.mu)[..., None, None]  # in place: log mu[x] + log beta - log gamma0
+        log_beta -= log_gamma0[..., None, :, :]
+    return (base + log_gamma0.sum(axis=-2))[..., None, :] + dataset.gather(log_beta)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp(a, axis=1) for real ``a``, bit for bit: each
+    """scipy.special.logsumexp(a, axis=-1) for real ``a``, bit for bit: each
     row's maxima leave the sum of exponentials and return as log(count).
-    The max and the count, exact in any order, run down a contiguous (K, N)
-    copy; the float sum keeps numpy's pairwise order along each row."""
-    cols = a.T.copy()
+    The max and the count, exact in any order, run down a contiguous (K, rows)
+    copy. So does the float sum below K = 8, where numpy sums a row left to
+    right; from K = 8 on it keeps numpy's pairwise order along each row."""
+    cols = a.reshape(-1, a.shape[-1]).T.copy()
     a_max = cols.max(axis=0)
     is_max = cols == a_max
     m = is_max.sum(axis=0)
@@ -164,17 +168,17 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         # Zeroing the maxima also clears the NaN an infinite maximum leaves
         # (inf - inf), where scipy sums exp(a) directly to the same -inf or inf.
         np.putmask(e, is_max, 0.0)
-        s = np.ascontiguousarray(e.T).sum(axis=1)
+        s = e.sum(axis=0) if len(e) < 8 else np.ascontiguousarray(e.T).sum(axis=1)
         s = np.where(s == 0, s, s / m)
-        return np.log1p(s) + np.log(m) + a_max
+        return (np.log1p(s) + np.log(m) + a_max).reshape(a.shape[:-1])
 
 
 def _e_step(params: MixtureParams, dataset: RatingDataset, cptv=None):
     """Responsibilities q, shape (N, K) with rows summing to 1, and the
-    per-user log normalisers log_z, shape (N,)."""
+    per-user log normalisers log_z, shape (N,); (S, N, K) and (S, N) for a stack."""
     log_w = _log_weights(params, dataset, cptv)
     log_z = _logsumexp(log_w)
-    return np.exp(log_w - log_z[:, None]), log_z
+    return np.exp(log_w - log_z[..., None]), log_z
 
 
 def _expected_counts(params: MixtureParams, dataset: RatingDataset,
@@ -190,8 +194,9 @@ def _expected_counts(params: MixtureParams, dataset: RatingDataset,
     if cptv is None:
         return (observed,)
     gamma0, hidden = _hidden_cell_table(params, cptv)
-    hidden /= gamma0  # in place: each value's share of a hidden cell
-    hidden *= np.maximum(q.sum(axis=0) - observed.sum(axis=0), 0.0)
+    hidden /= gamma0[..., None, :, :]  # in place: each value's share of a hidden cell
+    hidden *= np.maximum(q.sum(axis=-2)[..., None, :] - observed.sum(axis=-3),
+                         0.0)[..., None, :, :]
     return observed, hidden
 
 
@@ -205,25 +210,26 @@ def _m_step(params: MixtureParams, dataset: RatingDataset, q: np.ndarray, cptv=N
     if params.alpha is None or params.phi is None:
         raise ConfigurationError("maximum-posterior updates need smoothing")
     counts = _expected_counts(params, dataset, q, cptv)
-    theta_num = params.alpha - 1.0 + q.sum(axis=0)
+    theta_num = params.alpha - 1.0 + q.sum(axis=-2)
     beta = counts[0]  # the scatter's own output, smoothed, summed and normalised in place
     for addend in (params.phi - 1.0, *counts[1:]):
         beta += addend
-    beta /= beta.sum(axis=0, keepdims=True)
-    new = MixtureParams(theta=theta_num / theta_num.sum(), beta=beta,
+    beta /= beta.sum(axis=-3, keepdims=True)
+    new = MixtureParams(theta=theta_num / theta_num.sum(axis=-1, keepdims=True), beta=beta,
                         alpha=params.alpha, phi=params.phi)
     if cptv is None or cptv.xi1 is None:
         return new, cptv
     observed_v = dataset.value_counts()
     mu_num = cptv.xi1 - 1.0 + observed_v
-    mu = mu_num / (cptv.xi1 + cptv.xi0 - 2.0 + observed_v + counts[1].sum(axis=(1, 2)))
+    mu = mu_num / (cptv.xi1 + cptv.xi0 - 2.0 + observed_v + counts[1].sum(axis=(-2, -1)))
     return new, replace(cptv, mu=mu)
 
 
-def _objective(params: MixtureParams, log_z: np.ndarray, cptv=None) -> float:
+def _objective(params: MixtureParams, log_z: np.ndarray, cptv=None) -> np.ndarray:
     """The per-user log normalisers ``log_z`` summed, plus the log density
     of theta and every beta[:, m, z] under their smoothing and, when
-    ``cptv`` carries a prior, of mu under its Beta(xi1, xi0)."""
+    ``cptv`` carries a prior, of mu under its Beta(xi1, xi0): a float64, or
+    one per fit of a stack, shape (S,)."""
     if params.alpha is None or params.phi is None:
         raise ConfigurationError("log posterior needs smoothing")
     gammaln = _scipy("special", "_special_ufuncs").gammaln
@@ -233,45 +239,69 @@ def _objective(params: MixtureParams, log_z: np.ndarray, cptv=None) -> float:
         log_beta = np.log(params.beta)
     log_beta *= params.phi - 1.0  # in place, the same product
     lp = (gammaln(K * params.alpha) - K * gammaln(params.alpha)
-          + ((params.alpha - 1.0) * log_theta).sum())
+          + ((params.alpha - 1.0) * log_theta).sum(axis=-1))
     lp += (gammaln(V * params.phi) - V * gammaln(params.phi)
-           + log_beta.sum(axis=0)).sum()
-    total = float(log_z.sum()) + float(lp)
+           + log_beta.sum(axis=-3)).sum(axis=(-2, -1))
+    total = log_z.sum(axis=-1) + lp
     if cptv is not None and cptv.xi1 is not None:
         xi1, xi0 = cptv.xi1, cptv.xi0
-        total += float((gammaln(xi1 + xi0) - gammaln(xi1) - gammaln(xi0)
-                        + (xi1 - 1.0) * np.log(cptv.mu)
-                        + (xi0 - 1.0) * np.log1p(-cptv.mu)).sum())
+        total += (gammaln(xi1 + xi0) - gammaln(xi1) - gammaln(xi0)
+                  + (xi1 - 1.0) * np.log(cptv.mu)
+                  + (xi0 - 1.0) * np.log1p(-cptv.mu)).sum(axis=-1)
     return total
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _fit(dataset: RatingDataset, config: FitConfig, cptv=None) -> FitResult:
-    """MAP EM from `init_params`, for both families.
+def _take(rows, params: MixtureParams, q: np.ndarray, cptv):
+    """Params, q and observation model of the fits at ``rows`` (an index, or a list) of a stack."""
+    return (replace(params, theta=params.theta[rows], beta=params.beta[rows]), q[rows],
+            cptv if cptv is None or cptv.mu.ndim == 1 else cptv.take(rows))
 
-    With an observation model ``cptv`` its mu is held fixed, or learned
-    when cptv carries its Beta prior (xi1/xi0). Iterates M then E until
-    the relative objective change falls below ``config.rel_tol`` or
-    ``config.max_iters`` runs out. A non-finite objective raises
-    EstimationError in place of the overflow warnings behind it.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fit(dataset: RatingDataset, configs, cptv=None) -> list:
+    """MAP EM from `init_params`, for both families, of a stack of fits whose
+    ``configs`` differ only in seed: each one's FitResult, or the
+    EstimationError that ended it.
+
+    With an observation model ``cptv`` its mu is held fixed, or learned (one
+    per fit) when cptv carries its Beta prior (xi1/xi0). A fit leaves the stack
+    once its relative objective change falls below ``rel_tol`` or
+    ``max_iters`` runs out, or with an EstimationError, in place of the
+    overflow warnings behind it, once its objective turns non-finite.
     """
-    params = init_params(dataset.n_items, dataset.n_values, config)
+    starts = [init_params(dataset.n_items, dataset.n_values, config) for config in configs]
+    params = replace(starts[0], theta=np.stack([p.theta for p in starts]),
+                     beta=np.stack([p.beta for p in starts]))
     q, _ = _e_step(params, dataset, cptv)
-    trace = []
-    converged = False
-    for _ in range(config.max_iters):
+    fits, traces, results = list(range(len(configs))), [[] for _ in configs], {}
+    while fits:
         params, cptv = _m_step(params, dataset, q, cptv)
         q, log_z = _e_step(params, dataset, cptv)
-        trace.append(_objective(params, log_z, cptv))
-        if not np.isfinite(trace[-1]):
-            raise EstimationError(f"log posterior is {trace[-1]} after EM iteration"
-                                  f" {len(trace)}; a smoothing or prior count is too large")
-        if len(trace) >= 2 and (abs(trace[-1] - trace[-2]) / max(abs(trace[-1]), _TINY)
-                                < config.rel_tol):
-            converged = True
-            break
-    return FitResult(params=params, log_posterior_trace=np.array(trace),
-                     converged=converged, iterations=len(trace), q=q, cptv=cptv)
+        for row, (fit, value) in enumerate(zip(fits, _objective(params, log_z, cptv).tolist())):
+            trace = traces[fit]
+            trace.append(value)
+            converged = len(trace) >= 2 and (abs(value - trace[-2]) / max(abs(value), _TINY)
+                                             < configs[fit].rel_tol)
+            if not np.isfinite(value):
+                results[fit] = EstimationError(f"log posterior is {value} after EM iteration"
+                                               f" {len(trace)}; a smoothing or prior count"
+                                               " is too large")
+            elif converged or len(trace) == configs[fit].max_iters:
+                fit_params, fit_q, fit_cptv = _take(row, params, q, cptv)
+                results[fit] = FitResult(fit_params, np.array(trace), converged, len(trace),
+                                         fit_q, fit_cptv)
+        stay = [row for row, fit in enumerate(fits) if fit not in results]
+        if len(stay) < len(fits):
+            fits = [fits[row] for row in stay]
+            params, q, cptv = _take(stay, params, q, cptv)
+    return [results[fit] for fit in range(len(configs))]
+
+
+def _only(results):
+    """The one result of a stack of one fit, or its EstimationError raised."""
+    if isinstance(results[0], EstimationError):
+        raise results[0]
+    return results[0]
 
 
 def e_step_mar(params: MixtureParams, dataset: RatingDataset) -> np.ndarray:
@@ -288,7 +318,7 @@ def m_step_mar(params: MixtureParams, dataset: RatingDataset,
 def log_posterior_mar(params: MixtureParams, dataset: RatingDataset) -> float:
     """Log of (observed-data likelihood x smoothing priors), up to the
     normalising constant of the data."""
-    return _objective(params, _logsumexp(_log_weights(params, dataset)))
+    return float(_objective(params, _logsumexp(_log_weights(params, dataset))))
 
 
 def fit_mar(dataset: RatingDataset, config: FitConfig) -> FitResult:
@@ -297,4 +327,4 @@ def fit_mar(dataset: RatingDataset, config: FitConfig) -> FitResult:
     Returns a FitResult with the objective evaluated after every update;
     the run stops once the relative change falls below ``config.rel_tol``.
     """
-    return _fit(dataset, config)
+    return _only(_fit(dataset, [config]))

@@ -1,11 +1,13 @@
 """Train/test evaluation runs over a grid of model settings.
 
 A protocol run fits each requested model on the training set once per
-seed, in up to one forked process per available CPU (in-process if only one
-would be used), scores mean absolute error on both sides of the split and
-emits one plain-dict row per (model, seed) plus one aggregate row per model
-with the across-seed mean and standard error: a serial run's rows and
-warnings, byte for byte. `write_report` renders rows as full-precision CSV.
+seed, scores mean absolute error on both sides of the split and emits one
+plain-dict row per (model, seed) plus one aggregate row per model with the
+across-seed mean and standard error. A model's seeds are fitted as stacks
+(`mixture._fit`), largest stacks first, in up to one forked process per
+available CPU (in-process if only one would be used); the rows and warnings
+are those of one fit at a time, byte for byte. `write_report` renders rows
+as full-precision CSV.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cptv import CptvParams, build_mu_prior, check_mu_length, fit_nmar
+from .cptv import CptvParams, build_mu_prior, check_mu_length, fit_nmar, start_cptv
 from .data import RatingDataset, SplitPair, format_floats, write_text
 from .errors import ConfigurationError, EstimationError, EvaluationError
-from .mixture import FitConfig, FitResult, fit_mar
+from .mixture import FitConfig, FitResult, _fit, fit_mar
 from .predict import empirical_median_value, mae, predicted_medians
 
 REPORT_COLUMNS = ["model", "K", "mu_mode", "S", "seed", "train_mae",
@@ -30,6 +32,8 @@ REPORT_COLUMNS = ["model", "K", "mu_mode", "S", "seed", "train_mae",
 _SCORES = ("train_mae", "test_mae", "iterations", "converged")
 _FAMILIES = ("mm-none", "mm-cptv", "constant")
 _split: SplitPair | None = None  # the running protocol's split, inherited by forked workers
+# Cells of a stack's (S, V, M, K) rating table, 8 MB of float64; a larger fit runs alone.
+STACK_CELLS = 2**20
 
 
 @dataclass
@@ -97,29 +101,46 @@ def fit_spec(train: RatingDataset, spec: ModelSpec) -> FitResult:
     return fit_nmar(train, spec.config, spec.mu, spec.strength)
 
 
-def _fit_and_score(spec: ModelSpec, seed: int):
-    """The _SCORES of ``spec`` fit with ``seed`` on `_split`, or the fit's EstimationError."""
+def _fit_and_score(spec: ModelSpec, seeds):
+    """The _SCORES of ``spec`` fit on `_split` with each of ``seeds``, as one stack,
+    or the EstimationError that ended the seed's fit."""
     train, test = _split.train, _split.test
     if spec.family == "constant":
         value = empirical_median_value(train)
-        return (mae(np.full(train.n_obs, value), train.values),
-                mae(np.full(test.n_obs, value), test.values), 0, 1)
-    try:
-        result = fit_spec(train, replace(spec, config=replace(spec.config, seed=seed)))
-    except EstimationError as exc:
-        return exc
-    train_pred, test_pred = (predicted_medians(result.params, result.q, ds.users, ds.items)
-                             for ds in (train, test))
-    return (mae(train_pred, train.values), mae(test_pred, test.values),
-            result.iterations, int(result.converged))
+        return [(mae(np.full(train.n_obs, value), train.values),
+                 mae(np.full(test.n_obs, value), test.values), 0, 1)] * len(seeds)
+    cptv = None if spec.mu is None else start_cptv(spec.mu, spec.strength, seeds)
+    return [fit if isinstance(fit, EstimationError) else (
+        *(mae(predicted_medians(fit.params, fit.q, ds.users, ds.items), ds.values)
+          for ds in (train, test)), fit.iterations, int(fit.converged))
+        for fit in _fit(train, [replace(spec.config, seed=seed) for seed in seeds], cptv)]
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+
+
+def _stacks(specs, seeds, table_cells: int) -> list:
+    """(spec, seeds) tasks in spec and seed order: a constant spec's seeds in one, a
+    fitted spec's in stacks whose (S, V, M, K) table, of ``table_cells`` = V*M per
+    component, holds at most STACK_CELLS (or one fit), and in at least one per CPU
+    when fewer specs are fitted than there are CPUs."""
+    per_spec = -(-_cpus() // max(1, sum(spec.config is not None for spec in specs)))
+    tasks = []
+    for spec in specs:
+        n = min(len(seeds), 1)
+        if spec.config is not None:
+            size = max(1, STACK_CELLS // (table_cells * spec.config.n_components))
+            n = min(len(seeds), max(-(-len(seeds) // size), per_spec))
+        tasks += [(spec, seeds[len(seeds) * i // n:len(seeds) * (i + 1) // n]) for i in range(n)]
+    return tasks
 
 
 def _map_tasks(split: SplitPair, tasks):
-    """`_fit_and_score` of each (spec, seed) in order, on forked workers if 2+ would run."""
+    """`_fit_and_score` of each (spec, seeds) in order, on forked workers if 2+ would run."""
     global _split
     _split, filters = split, warnings.filters[:]
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    workers = min(len(tasks), len(cpus))
+    workers = min(len(tasks), _cpus())
     # Python 3.12+ warns on fork() beside a second thread. numpy's is OpenBLAS's idle
     # pool, which has atfork handlers, and no task calls BLAS: the warning does not apply.
     warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
@@ -152,7 +173,13 @@ def run_protocol(split: SplitPair, specs, seeds):
         if spec.mu is not None:
             check_mu_length(spec.mu, split.train.n_values)
 
-    results = iter(_map_tasks(split, [(spec, seed) for spec in specs for seed in seeds]))
+    tasks = _stacks(specs, list(seeds), split.train.n_values * split.train.n_items)
+    # largest stacks first: the most components, then mm-cptv
+    order = sorted(range(len(tasks)), reverse=True, key=lambda i: (
+        len(tasks[i][1]) * getattr(tasks[i][0].config, "n_components", 0),
+        tasks[i][0].family == "mm-cptv"))
+    by_task = dict(zip(order, _map_tasks(split, [tasks[i] for i in order])))
+    results = iter([score for i in range(len(tasks)) for score in by_task[i]])
     rows = []
     for spec in specs:
         labels = dict.fromkeys(REPORT_COLUMNS, "")

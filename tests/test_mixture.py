@@ -356,6 +356,9 @@ def test_logsumexp_matches_scipy_bit_for_bit(K):
     got = _logsumexp(a)
     assert got.shape == want.shape == (50000,)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if K in (1, 7, 8, 9):  # a stack's (S, N, K) weights: below K = 8 the sum runs by column
+        stacked = _logsumexp(a.reshape(5, 10000, K))
+        assert np.array_equal(stacked.view(np.uint64), want.view(np.uint64).reshape(5, 10000))
 
 
 @pytest.mark.parametrize("learn", [False, True])

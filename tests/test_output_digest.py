@@ -47,7 +47,7 @@ def test_output_digest_hashes_every_output_of_a_workload(tiny):
 
 
 def test_tiny_study_loop_writes_the_golden_bytes(tiny):
-    # every output byte of the tiny desk-grid and wide-learn loops is pinned;
+    # every output byte of the tiny loop of every workload is pinned;
     # a change that alters one regenerates the file and says why
     tool, digest = tiny
     golden = json.loads(tool.GOLDEN.read_text(encoding="utf-8"))

@@ -2,17 +2,20 @@
 import multiprocessing
 import multiprocessing.pool
 import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from missmix import protocol
-from missmix.cptv import YAHOO_MU
+from missmix import mixture, protocol
+from missmix.cptv import YAHOO_MU, fit_nmar, start_cptv
 from missmix.data import RatingDataset, SplitPair
 from missmix.errors import (ConfigurationError, DataValidationError,
-                            EvaluationError)
-from missmix.mixture import FitConfig
+                            EstimationError, EvaluationError)
+from missmix.mixture import FitConfig, fit_mar
 from missmix.protocol import (ModelSpec, REPORT_COLUMNS, fit_spec, format_cell,
                               run_protocol, write_report)
 from missmix.synthetic import build_study_dataset, sample_ground_truth
@@ -188,19 +191,151 @@ def test_a_pooled_grid_gives_the_rows_and_warnings_of_one_fit_at_a_time(small_sp
 
 def test_a_foreign_error_in_a_worker_is_raised_in_the_caller(small_split, monkeypatch):
     split, _ = small_split
-    fit_spec = protocol.fit_spec
+    fit_stack = protocol._fit
 
-    def fit_or_refuse(train, spec):
-        if spec.config.seed == 1:
+    def fit_or_refuse(train, configs, cptv=None):
+        if 1 in [config.seed for config in configs]:
             raise ConfigurationError("no fit for seed 1")
-        return fit_spec(train, spec)
+        return fit_stack(train, configs, cptv)
 
     # the forked workers inherit the patched module
-    monkeypatch.setattr(protocol, "fit_spec", fit_or_refuse)
+    monkeypatch.setattr(protocol, "_fit", fit_or_refuse)
     spec = ModelSpec(family="mm-none", config=FitConfig(2, max_iters=5))
     with pytest.raises(ConfigurationError, match="^no fit for seed 1$"):
         run_protocol(split, [spec], (0, 1, 2))
     assert multiprocessing.active_children() == [] and protocol._split is None
+
+
+def test_a_one_spec_grid_of_five_seeds_runs_on_two_workers(small_split):
+    split, _ = small_split
+    spec = ModelSpec(family="mm-none", config=FitConfig(2, max_iters=5))
+    pool = mock.Mock(wraps=multiprocessing.pool.Pool)
+    with mock.patch("multiprocessing.pool.Pool", pool), \
+            mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True):
+        rows = run_protocol(split, [spec], (0, 1, 2, 3, 4))
+        assert protocol._stacks([spec], [0, 1, 2, 3, 4], 100) == [
+            (spec, [0, 1]), (spec, [2, 3, 4])]
+    assert pool.call_args.args[0] == 2
+    with mock.patch("os.sched_getaffinity", return_value={0}, create=True):
+        assert run_protocol(split, [spec], (0, 1, 2, 3, 4)) == rows
+
+
+def test_stacks_stay_within_their_cells_and_start_largest_first(small_split, monkeypatch):
+    split, truth = small_split
+    specs = [ModelSpec(family="constant"),
+             ModelSpec(family="mm-none", config=FitConfig(1)),
+             ModelSpec(family="mm-none", config=FitConfig(4)),
+             ModelSpec(family="mm-cptv", config=FitConfig(4), mu=truth.mu)]
+    cells = split.train.n_values * split.train.n_items
+    # two fits of K = 4 fill a stack
+    monkeypatch.setattr(protocol, "STACK_CELLS", 8 * cells)
+    with mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True):
+        tasks = protocol._stacks(specs, [0, 1, 2], cells)
+        # and one fit larger than a stack runs alone
+        assert [seeds for _, seeds in protocol._stacks(specs[2:3], [0, 1], 2 * cells)] == [
+            [0], [1]]
+    assert [(spec.family, spec.config and spec.config.n_components, seeds)
+            for spec, seeds in tasks] == [
+        ("constant", None, [0, 1, 2]), ("mm-none", 1, [0, 1, 2]),
+        ("mm-none", 4, [0]), ("mm-none", 4, [1, 2]),
+        ("mm-cptv", 4, [0]), ("mm-cptv", 4, [1, 2])]
+
+    started = []
+
+    def record(spec, seeds):
+        started.append((spec.family, len(seeds)))
+        return [(0.5, float(len(started)), 0, 1)] * len(seeds)
+
+    monkeypatch.setattr(protocol, "_fit_and_score", record)
+    with mock.patch("os.sched_getaffinity", return_value={0}, create=True):
+        rows = run_protocol(split, specs, (0, 1, 2))
+    # the most components first, then mm-cptv; the rows keep spec and seed order
+    assert started == [("mm-cptv", 2), ("mm-none", 2), ("mm-cptv", 1), ("mm-none", 1),
+                       ("mm-none", 3), ("constant", 3)]
+    assert [row["test_mae"] for row in rows if row["agg"] == 0] == [
+        6.0] * 3 + [5.0] * 3 + [4.0, 2.0, 2.0] + [3.0, 1.0, 1.0]
+
+
+_random = np.random.default_rng(5)
+_mask = _random.random((40, 8)) < 0.5
+_STACK_DATA = RatingDataset.from_arrays(40, 8, 3, *np.nonzero(_mask),
+                                        _random.integers(1, 4, size=int(_mask.sum())))
+
+
+def _fit_stack(dataset, spec, seeds):
+    """The stacked fit of ``spec`` under each of ``seeds``, as `run_protocol` runs it."""
+    cptv = None if spec.mu is None else start_cptv(spec.mu, spec.strength, seeds)
+    return mixture._fit(dataset, [replace(spec.config, seed=seed) for seed in seeds], cptv)
+
+
+def _fit_fields(result):
+    """Every byte of a FitResult, or the type and text of the error that ended it."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    cptv = result.cptv and [None if a is None else (a.shape, a.tobytes())
+                            for a in (result.cptv.mu, result.cptv.xi1, result.cptv.xi0)]
+    return ([(a.dtype, a.shape, a.tobytes()) for a in (
+        result.params.theta, result.params.beta, result.q, result.log_posterior_trace)],
+        result.params.alpha, result.params.phi, result.iterations, result.converged, cptv)
+
+
+@settings(max_examples=60)
+@given(K=st.sampled_from([1, 2, 3, 8, 9]),
+       seeds=st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True),
+       mu_mode=st.sampled_from([None, "fixed", "learn"]),
+       failing=st.sampled_from([None, "seed", "alpha"]))
+def test_a_stacked_fit_gives_each_seed_the_bytes_of_its_own_fit(K, seeds, mu_mode, failing):
+    # at this rel_tol the seeds of a stack converge at different iterations, and
+    # a fit that fails (a NaN start for the first seed, or alpha = 1e308 for all)
+    # leaves the stack with the error its own fit raises
+    config = FitConfig(K, alpha=1e308 if failing == "alpha" else 2.0, max_iters=20,
+                       rel_tol=1e-4)
+    mu = None if mu_mode is None else np.array([0.2, 0.4, 0.6])
+    strength = 50.0 if mu_mode == "learn" else None
+    spec = ModelSpec("mm-none" if mu is None else "mm-cptv", config, mu, strength)
+    init_params = mixture.init_params
+
+    def init_or_poison(n_items, n_values, config):
+        params = init_params(n_items, n_values, config)
+        if failing == "seed" and config.seed == seeds[0]:
+            params.theta[0] = np.nan
+        return params
+
+    def own_fit(seed):
+        try:
+            if mu is None:
+                return fit_mar(_STACK_DATA, replace(config, seed=seed))
+            return fit_nmar(_STACK_DATA, replace(config, seed=seed), mu, strength)
+        except EstimationError as exc:
+            return exc
+
+    with mock.patch.object(mixture, "init_params", init_or_poison):
+        if failing and mu_mode == "learn":
+            # a NaN start (both cases: alpha = 1e308 draws a NaN theta) reaches the
+            # learned mu before the objective: its own fit raises the
+            # ConfigurationError of a mu outside [0, 1], and so does the stack
+            with pytest.raises(ConfigurationError, match="^mu must be"):
+                own_fit(seeds[0])
+            with pytest.raises(ConfigurationError, match="^mu must be"):
+                _fit_stack(_STACK_DATA, spec, seeds)
+            return
+        stacked = _fit_stack(_STACK_DATA, spec, seeds)
+        singles = [own_fit(seed) for seed in seeds]
+    assert [_fit_fields(r) for r in stacked] == [_fit_fields(r) for r in singles]
+    assert [isinstance(r, EstimationError) for r in stacked] == [
+        failing == "alpha" or failing == "seed" and i == 0 for i in range(len(seeds))]
+
+
+def test_a_stack_fits_a_dataset_without_users():
+    empty = RatingDataset.from_arrays(0, 3, 2, [], [], [])
+    config = FitConfig(2, max_iters=3)
+    stacked = _fit_stack(empty, ModelSpec("mm-none", config), [0, 1])
+    assert [_fit_fields(r) for r in stacked] == [
+        _fit_fields(fit_mar(empty, replace(config, seed=seed))) for seed in (0, 1)]
+    stacked = _fit_stack(empty, ModelSpec("mm-cptv", config, np.full(2, 0.5), 10.0),
+                                  [0, 1])
+    assert [_fit_fields(r) for r in stacked] == [_fit_fields(
+        fit_nmar(empty, replace(config, seed=seed), np.full(2, 0.5), 10.0)) for seed in (0, 1)]
 
 
 def test_an_empty_grid_starts_no_process(small_split, monkeypatch):

@@ -21,7 +21,7 @@ still show whether they store the same values.
     python3 tools/output_digest.py --golden
 
 rewrites tests/golden/output_digest_tiny.json: the digests of the tiny
-desk-grid and wide-learn loops at seed 0 with the Python, numpy and scipy
+loops of every workload at seed 0 with the Python, numpy and scipy
 versions that made them, which tests/test_output_digest.py compares each
 run against. A change that alters an output regenerates it in the same
 commit.
@@ -35,6 +35,7 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -45,31 +46,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 STUDY_FILES = ("study.train.csv", "study.test.csv", "study.truth.model")
 GOLDEN = ROOT / "tests" / "golden" / "output_digest_tiny.json"
-GOLDEN_WORKLOADS = ("desk-grid", "wide-learn")
+GOLDEN_WORKLOADS = ("desk-grid", "million-fit", "wide-learn")
 # Probed cells per user: `generate`'s default --per-user-test, which no
 # workload overrides.
 PER_USER_TEST = 10
-# Prints the content digest of the model file argv[1], walking the
-# dataclass load_model returns field by field.
+# Prints the content digest of each model file in argv[1:], one a line,
+# walking the dataclass load_model returns field by field.
 CONTENT_SCRIPT = """
 import dataclasses, hashlib, sys
 import numpy as np
 from missmix.modelio import load_model
 
-digest = hashlib.sha256()
-
-def walk(name, value):
+def walk(digest, name, value):
     if dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
-            walk(name + "." + field.name, getattr(value, field.name))
+            walk(digest, name + "." + field.name, getattr(value, field.name))
     elif isinstance(value, np.ndarray):
         digest.update(f"{name} {value.dtype.str} {value.shape}\\n".encode())
         digest.update(value.tobytes())
     else:
         digest.update(f"{name} {value!r}\\n".encode())
 
-walk("model", load_model(sys.argv[1]))
-print(digest.hexdigest())
+for path in sys.argv[1:]:
+    digest = hashlib.sha256()
+    walk(digest, "model", load_model(path))
+    print(digest.hexdigest())
 """
 
 
@@ -91,22 +92,46 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _env(src: Path) -> dict:
+    """The environment that runs the missmix package under ``src``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_command(argv, cwd: Path, src: Path, outputs) -> tuple[dict, str]:
     """Run ``missmix argv`` in ``cwd`` on the package under ``src``: its digest
-    record (an output it did not write hashes to None) and its standard output."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    record (an output it did not write hashes to None) and its standard output.
+    Each model file it wrote is kept as ``cwd``/<n>.snapshot, and its
+    ``content`` entry waits for `add_contents`."""
     proc = subprocess.run([sys.executable, "-m", "missmix.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True)
+                          cwd=cwd, env=_env(src), capture_output=True)
     files = {name: _sha256((cwd / name).read_bytes()) if (cwd / name).exists()
              else None for name in outputs}
-    content = {name: subprocess.run(
-        [sys.executable, "-c", CONTENT_SCRIPT, name], cwd=cwd, env=env, check=True,
-        capture_output=True, text=True).stdout.strip() if files[name] else None
-        for name in outputs if name.endswith(".model")}
+    content = {}
+    for name in outputs:
+        if name.endswith(".model"):
+            content[name] = None
+            if files[name]:
+                content[name] = len(list(cwd.glob("*.snapshot")))
+                shutil.copyfile(cwd / name, cwd / f"{content[name]}.snapshot")
     return ({"argv": list(argv), "rc": proc.returncode,
              "stdout": _sha256(proc.stdout), "stderr": _sha256(proc.stderr),
              "files": files, "content": content}, proc.stdout.decode("utf-8", "replace"))
+
+
+def add_contents(records, cwd: Path, src: Path) -> list[dict]:
+    """``records`` with the content digest of each model snapshot in place of
+    its number, all read by one process of the package under ``src``."""
+    contents = [r["content"] for r in records]
+    snapshots = [f"{n}.snapshot" for c in contents for n in c.values() if n is not None]
+    if snapshots:
+        digests = subprocess.run(
+            [sys.executable, "-c", CONTENT_SCRIPT, *snapshots], cwd=cwd, env=_env(src),
+            check=True, capture_output=True, text=True).stdout.split()
+        for content in contents:
+            content.update((name, n if n is None else digests[n])
+                           for name, n in content.items())
+    return records
 
 
 def digest_workload(workload, n_values: int, src: Path, seed: int) -> list[dict]:
@@ -117,7 +142,7 @@ def digest_workload(workload, n_values: int, src: Path, seed: int) -> list[dict]
                                      STUDY_FILES)
         records = [record]
         if record["rc"] != 0:
-            return records
+            return add_contents(records, cwd, src)
         users = dict(line.split(" ", 1) for line in stdout.splitlines())["users"]
         dims = f"{users},{workload.items},{n_values}"
         for step in workload.steps:
@@ -127,7 +152,7 @@ def digest_workload(workload, n_values: int, src: Path, seed: int) -> list[dict]
             ["estimate-mu", "study.train.csv", "study.test.csv", "--exposure",
              str(workload.items - PER_USER_TEST), "--dims", dims, "--out", "mu.txt"],
             cwd, src, ("mu.txt",))[0])
-        return records
+        return add_contents(records, cwd, src)
 
 
 def versions() -> dict:
