@@ -269,9 +269,9 @@ def _fit(dataset: RatingDataset, configs, cptv=None) -> list:
     ``max_iters`` runs out, or with an EstimationError, in place of the
     overflow warnings behind it, once its objective turns non-finite.
     """
-    starts = [init_params(dataset.n_items, dataset.n_values, config) for config in configs]
-    params = replace(starts[0], theta=np.stack([p.theta for p in starts]),
-                     beta=np.stack([p.beta for p in starts]))
+    params = [init_params(dataset.n_items, dataset.n_values, config) for config in configs]
+    params = replace(params[0], theta=np.stack([p.theta for p in params]),
+                     beta=np.stack([p.beta for p in params]))
     q, _ = _e_step(params, dataset, cptv)
     fits, traces, results = list(range(len(configs))), [[] for _ in configs], {}
     while fits:

@@ -382,3 +382,20 @@ def test_an_em_iteration_needs_three_rating_tables_of_memory(learn):
         tracemalloc.stop()
     # with every temporary kept apart, as before, a step peaked at 4.2 tables
     assert peak < 3 * table + 4 * q.nbytes, peak / table
+
+
+@pytest.mark.parametrize("learn", [False, True])
+def test_a_fit_keeps_no_rating_table_beside_its_iterations(learn):
+    # a 3-iteration fit at M = 2000, K = 10 peaks at 3.7 rating tables; a starting
+    # beta kept alive beside the fit's stack made it 4.7
+    N, M, V, K = 300, 2000, 5, 10
+    ds = _random_dataset(np.random.default_rng(0), N, M, V, density=0.05)
+    strength = 50.0 if learn else None
+    fit_nmar(ds, FitConfig(K, max_iters=1), YAHOO_MU * 4.0, strength)  # the cached operator
+    tracemalloc.start()
+    try:
+        fit_nmar(ds, FitConfig(K, max_iters=3, rel_tol=0), YAHOO_MU * 4.0, strength)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * V * M * K * 8, peak / (V * M * K * 8)

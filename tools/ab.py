@@ -68,7 +68,11 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"{tree.name} run of {workload} at seed {seed} printed no summary"
+                 f" (exit code {proc.returncode}): {proc.stderr[-2000:]}")
 
 
 def run_pairs(sides, workload: str, pairs: int, seconds: float, seed0: int,
