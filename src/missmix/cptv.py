@@ -71,7 +71,6 @@ class CptvParams:
                 raise ConfigurationError("prior counts must all be finite and > 1")
 
 
-
 class _MuStack(CptvParams):
     """A stack's learned mu, one row per fit, shape (S, V), each row checked
     and clamped as a CptvParams mu is."""

@@ -332,8 +332,7 @@ def test_a_stack_fits_a_dataset_without_users():
     stacked = _fit_stack(empty, ModelSpec("mm-none", config), [0, 1])
     assert [_fit_fields(r) for r in stacked] == [
         _fit_fields(fit_mar(empty, replace(config, seed=seed))) for seed in (0, 1)]
-    stacked = _fit_stack(empty, ModelSpec("mm-cptv", config, np.full(2, 0.5), 10.0),
-                                  [0, 1])
+    stacked = _fit_stack(empty, ModelSpec("mm-cptv", config, np.full(2, 0.5), 10.0), [0, 1])
     assert [_fit_fields(r) for r in stacked] == [_fit_fields(
         fit_nmar(empty, replace(config, seed=seed), np.full(2, 0.5), 10.0)) for seed in (0, 1)]
 
