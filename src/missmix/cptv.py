@@ -72,11 +72,11 @@ class CptvParams:
 
 
 class _MuStack(CptvParams):
-    """A stack's learned mu, one row per fit, shape (S, V), each row checked
-    and clamped as a CptvParams mu is."""
+    """A stack's learned mu, one row per fit, shape (S, V), clamped as a CptvParams
+    mu is but not checked, so a NaN row fails its own fit at the objective."""
 
     def __post_init__(self):
-        self.mu = np.array([CptvParams(mu, self.xi1, self.xi0).mu for mu in self.mu])
+        self.mu = np.clip(np.asarray(self.mu, dtype=float), MU_EPS, 1.0 - MU_EPS)
 
     def take(self, rows):
         """The learned mu of the fits at ``rows`` (an index, or a list)."""

@@ -4,10 +4,10 @@ A protocol run fits each requested model on the training set once per
 seed, scores mean absolute error on both sides of the split and emits one
 plain-dict row per (model, seed) plus one aggregate row per model with the
 across-seed mean and standard error. A model's seeds are fitted as stacks
-(`mixture._fit`), largest stacks first, in up to one forked process per
-available CPU (in-process if only one would be used); the rows and warnings
-are those of one fit at a time, byte for byte. `write_report` renders rows
-as full-precision CSV.
+(`mixture._fit`), largest stacks first, on a `ProcessPoolExecutor` of up to
+one forked worker per CPU (in-process if only one would run); the rows and
+warnings are those of one fit at a time, byte for byte. `write_report`
+renders rows as full-precision CSV.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ def _fit_and_score(spec: ModelSpec, seeds):
     """The _SCORES of ``spec`` fit on `_split` with each of ``seeds``, as one stack,
     or the EstimationError that ended the seed's fit."""
     train, test = _split.train, _split.test
-    if spec.family == "constant":
-        value = empirical_median_value(train)
-        return [(mae(np.full(train.n_obs, value), train.values),
-                 mae(np.full(test.n_obs, value), test.values), 0, 1)] * len(seeds)
     cptv = None if spec.mu is None else start_cptv(spec.mu, spec.strength, seeds)
     return [fit if isinstance(fit, EstimationError) else (
         *(mae(predicted_medians(fit.params, fit.q, ds.users, ds.items), ds.values)
@@ -121,23 +117,24 @@ def _cpus() -> int:
 
 
 def _stacks(specs, seeds, table_cells: int) -> list:
-    """(spec, seeds) tasks in spec and seed order: a constant spec's seeds in one, a
-    fitted spec's in stacks whose (S, V, M, K) table, of ``table_cells`` = V*M per
-    component, holds at most STACK_CELLS (or one fit), and in at least one per CPU
-    when fewer specs are fitted than there are CPUs."""
-    per_spec = -(-_cpus() // max(1, sum(spec.config is not None for spec in specs)))
+    """The fitted specs' (spec, seeds) stacks in run order: the most components (S*K),
+    then mm-cptv, first, else in spec and seed order. Each (S, V, M, K) table, of
+    ``table_cells`` = V*M per component, holds at most STACK_CELLS (or one fit), and a
+    spec has at least one stack per CPU when fewer specs are fitted than there are CPUs."""
+    fitted = [spec for spec in specs if spec.config is not None]
+    per_spec = -(-_cpus() // max(1, len(fitted)))
     tasks = []
-    for spec in specs:
-        n = min(len(seeds), 1)
-        if spec.config is not None:
-            size = max(1, STACK_CELLS // (table_cells * spec.config.n_components))
-            n = min(len(seeds), max(-(-len(seeds) // size), per_spec))
+    for spec in fitted:
+        size = max(1, STACK_CELLS // (table_cells * spec.config.n_components))
+        n = min(len(seeds), max(-(-len(seeds) // size), per_spec))
         tasks += [(spec, seeds[len(seeds) * i // n:len(seeds) * (i + 1) // n]) for i in range(n)]
-    return tasks
+    return sorted(tasks, reverse=True, key=lambda task: (
+        len(task[1]) * task[0].config.n_components, task[0].family == "mm-cptv"))
 
 
 def _map_tasks(split: SplitPair, tasks):
-    """`_fit_and_score` of each (spec, seeds) in order, on forked workers if 2+ would run."""
+    """`_fit_and_score` of each (spec, seeds) in order, on a `ProcessPoolExecutor` of forked
+    workers if 2+ would run; a worker that dies without its result is an EvaluationError."""
     global _split
     _split, filters = split, warnings.filters[:]
     workers = min(len(tasks), _cpus())
@@ -147,12 +144,13 @@ def _map_tasks(split: SplitPair, tasks):
     try:
         if workers < 2:
             return [_fit_and_score(*task) for task in tasks]
-        import multiprocessing.pool
-        with multiprocessing.get_context("fork").Pool(workers) as pool:  # terminates on a raise
-            scores = pool.starmap(_fit_and_score, tasks, chunksize=1)
-            pool.close()
-            pool.join()
-        return scores
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            try:  # map's iterator cancels the queued stacks when one raises
+                return list(pool.map(_fit_and_score, *zip(*tasks)))
+            except BrokenProcessPool:
+                raise EvaluationError("an evaluate grid worker ended without its result") from None
     finally:
         warnings.filters[:], _split = filters, None
 
@@ -174,23 +172,24 @@ def run_protocol(split: SplitPair, specs, seeds):
             check_mu_length(spec.mu, split.train.n_values)
 
     tasks = _stacks(specs, list(seeds), split.train.n_values * split.train.n_items)
-    # largest stacks first: the most components, then mm-cptv
-    order = sorted(range(len(tasks)), reverse=True, key=lambda i: (
-        len(tasks[i][1]) * getattr(tasks[i][0].config, "n_components", 0),
-        tasks[i][0].family == "mm-cptv"))
-    by_task = dict(zip(order, _map_tasks(split, [tasks[i] for i in order])))
-    results = iter([score for i in range(len(tasks)) for score in by_task[i]])
+    results = {(id(spec), seed): score for (spec, stack), scores in
+               zip(tasks, _map_tasks(split, tasks)) for seed, score in zip(stack, scores)}
     rows = []
     for spec in specs:
         labels = dict.fromkeys(REPORT_COLUMNS, "")
         labels["model"] = spec.family
-        if spec.config is not None:
+        if spec.config is None:  # the training median everywhere, scored here once
+            value = empirical_median_value(split.train)
+            constant = (*(mae(np.full(ds.n_obs, value), ds.values)
+                          for ds in (split.train, split.test)), 0, 1)
+        else:
             labels["K"] = spec.config.n_components
         if spec.family == "mm-cptv":
             labels.update(mu_mode="fixed" if spec.strength is None else "learn",
                           S="" if spec.strength is None else spec.strength)
         scores = []
-        for seed, score in zip(seeds, results):  # takes len(seeds) results
+        for seed in seeds:
+            score = constant if spec.config is None else results[id(spec), seed]
             row = dict(labels, seed=seed, agg=0)
             rows.append(row)
             if isinstance(score, EstimationError):

@@ -733,6 +733,28 @@ def test_a_non_finite_objective_is_an_estimation_error(study, tmp_path, capsys):
     assert rows[3].startswith("constant,,,,0,0.")
 
 
+def test_a_learned_mu_that_turns_nan_fails_its_own_fit(study, tmp_path, capsys):
+    # at K = 2, alpha = 1e308 draws a NaN start, which the learned mu carries to the
+    # objective
+    flags = ["--mu", "yahoo", "--mu-mode", "learn", "-S", "400", "--alpha", "1e308"]
+    assert main(["train", study + ".train.csv", "--model", "mm-cptv", "-K", "2",
+                 "--out", str(tmp_path / "m.model"), *flags]) == 5
+    assert capsys.readouterr().err == (
+        "error: log posterior is nan after EM iteration 1; a smoothing or prior count"
+        " is too large\n")
+    assert list(tmp_path.iterdir()) == []
+    # evaluate counts each seed's fit as failed, as it does for mm-none and a fixed mu
+    report = tmp_path / "r.csv"
+    assert main(["evaluate", study + ".train.csv", study + ".test.csv", "--families",
+                 "mm-cptv", "-K", "2", "--seeds", "0,1", *flags, "--out", str(report)]) == 0
+    assert capsys.readouterr() == (f"report {report} 3\n", "".join(
+        f"warning: mm-cptv K=2 seed {seed} failed: log posterior is nan after EM"
+        " iteration 1; a smoothing or prior count is too large\n" for seed in (0, 1)))
+    assert report.read_text(encoding="utf-8").splitlines()[1:] == [
+        "mm-cptv,2,learn,400,0,,,,,,,0", "mm-cptv,2,learn,400,1,,,,,,,0",
+        "mm-cptv,2,learn,400,,,,,,,,1"]
+
+
 _SRC = Path(cli.__file__).resolve().parents[1]
 
 

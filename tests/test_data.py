@@ -799,3 +799,9 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     for function in (modelio.save_model, modelio.load_model):
         assert "_check_mu_mode(" in inspect.getsource(function)
     assert inspect.getsource(cli._model_specs).count("raise ConfigurationError") == 2
+    # one process pool, the evaluate grid's executor in protocol, and one scorer of
+    # the constant model, run_protocol itself
+    assert _holders(r"multiprocessing\.pool|\.Pool\(") == []
+    assert _holders(r"ProcessPoolExecutor") == ["protocol.py"]
+    assert inspect.getsource(protocol).count("empirical_median_value(") == 1
+    assert "empirical_median_value(" in inspect.getsource(protocol.run_protocol)

@@ -1,7 +1,9 @@
 
+import concurrent.futures.process
 import multiprocessing
-import multiprocessing.pool
 import os
+import signal
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from missmix import mixture, protocol
 from missmix.cptv import YAHOO_MU, fit_nmar, start_cptv
-from missmix.data import RatingDataset, SplitPair
+from missmix.cli import main
+from missmix.data import RatingDataset, SplitPair, save_csv
 from missmix.errors import (ConfigurationError, DataValidationError,
                             EstimationError, EvaluationError)
 from missmix.mixture import FitConfig, fit_mar
@@ -167,15 +170,17 @@ def test_a_pooled_grid_gives_the_rows_and_warnings_of_one_fit_at_a_time(small_sp
              ModelSpec(family="mm-cptv", config=config, mu=truth.mu)]
     seeds = (0, 1)
     two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-    pool = mock.Mock(wraps=multiprocessing.pool.Pool)
-    with mock.patch("multiprocessing.pool.Pool", pool), pytest.warns(UserWarning) as pooled:
+    pool = mock.Mock(wraps=concurrent.futures.process.ProcessPoolExecutor)
+    with mock.patch("concurrent.futures.process.ProcessPoolExecutor", pool), \
+            pytest.warns(UserWarning) as pooled:
         rows = run_protocol(split, specs, seeds)
     # the grid ran on a pool wherever two CPUs are available
     assert pool.call_count == int(two_cpus)
     assert multiprocessing.active_children() == [] and protocol._split is None
 
     # one (spec, seed) at a time runs in this process
-    with mock.patch("multiprocessing.pool.Pool", pool), pytest.warns(UserWarning) as serial:
+    with mock.patch("concurrent.futures.process.ProcessPoolExecutor", pool), \
+            pytest.warns(UserWarning) as serial:
         singles = [run_protocol(split, [spec], (seed,))[0] for spec in specs for seed in seeds]
     assert pool.call_count == int(two_cpus)
     assert [row for row in rows if row["agg"] == 0] == singles
@@ -206,15 +211,55 @@ def test_a_foreign_error_in_a_worker_is_raised_in_the_caller(small_split, monkey
     assert multiprocessing.active_children() == [] and protocol._split is None
 
 
+def test_a_grid_worker_killed_by_a_signal_is_an_evaluation_error(small_split, monkeypatch,
+                                                                  tmp_path, capsys):
+    split, _ = small_split
+    for name, side in (("train", split.train), ("test", split.test)):
+        save_csv(tmp_path / f"{name}.csv", side)
+    fit_stack = protocol._fit
+
+    def fit_or_die(train, configs, cptv=None):
+        if 1 in [config.seed for config in configs]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit_stack(train, configs, cptv)
+
+    def hung(signum, frame):
+        raise AssertionError("the grid still waits for its killed worker")
+
+    # two CPUs, so the grid forks: in this process the kill would end the run
+    monkeypatch.setattr(protocol, "_fit", fit_or_die)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    spec = ModelSpec(family="mm-none", config=FitConfig(2, max_iters=5))
+    alarm, start = signal.signal(signal.SIGALRM, hung), time.monotonic()
+    signal.alarm(30)
+    try:
+        with pytest.raises(EvaluationError,
+                           match="^an evaluate grid worker ended without its result$"):
+            run_protocol(split, [spec], (0, 1, 2))
+        # evaluate exits with code 5 and one error line
+        assert main(["evaluate", str(tmp_path / "train.csv"), str(tmp_path / "test.csv"),
+                     "--families", "mm-none", "-K", "2", "--seeds", "0,1,2", "--max-iters",
+                     "5", "--out", str(tmp_path / "r.csv")]) == 5
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == (
+        "error: an evaluate grid worker ended without its result\n")
+    assert multiprocessing.active_children() == [] and protocol._split is None
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_a_one_spec_grid_of_five_seeds_runs_on_two_workers(small_split):
     split, _ = small_split
     spec = ModelSpec(family="mm-none", config=FitConfig(2, max_iters=5))
-    pool = mock.Mock(wraps=multiprocessing.pool.Pool)
-    with mock.patch("multiprocessing.pool.Pool", pool), \
+    pool = mock.Mock(wraps=concurrent.futures.process.ProcessPoolExecutor)
+    with mock.patch("concurrent.futures.process.ProcessPoolExecutor", pool), \
             mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True):
         rows = run_protocol(split, [spec], (0, 1, 2, 3, 4))
+        # in run order: the larger stack first
         assert protocol._stacks([spec], [0, 1, 2, 3, 4], 100) == [
-            (spec, [0, 1]), (spec, [2, 3, 4])]
+            (spec, [2, 3, 4]), (spec, [0, 1])]
     assert pool.call_args.args[0] == 2
     with mock.patch("os.sched_getaffinity", return_value={0}, create=True):
         assert run_protocol(split, [spec], (0, 1, 2, 3, 4)) == rows
@@ -234,11 +279,10 @@ def test_stacks_stay_within_their_cells_and_start_largest_first(small_split, mon
         # and one fit larger than a stack runs alone
         assert [seeds for _, seeds in protocol._stacks(specs[2:3], [0, 1], 2 * cells)] == [
             [0], [1]]
-    assert [(spec.family, spec.config and spec.config.n_components, seeds)
-            for spec, seeds in tasks] == [
-        ("constant", None, [0, 1, 2]), ("mm-none", 1, [0, 1, 2]),
-        ("mm-none", 4, [0]), ("mm-none", 4, [1, 2]),
-        ("mm-cptv", 4, [0]), ("mm-cptv", 4, [1, 2])]
+    # the fitted stacks alone, in run order: the constant model is scored by run_protocol
+    assert [(spec.family, spec.config.n_components, seeds) for spec, seeds in tasks] == [
+        ("mm-cptv", 4, [1, 2]), ("mm-none", 4, [1, 2]), ("mm-cptv", 4, [0]),
+        ("mm-none", 4, [0]), ("mm-none", 1, [0, 1, 2])]
 
     started = []
 
@@ -251,9 +295,10 @@ def test_stacks_stay_within_their_cells_and_start_largest_first(small_split, mon
         rows = run_protocol(split, specs, (0, 1, 2))
     # the most components first, then mm-cptv; the rows keep spec and seed order
     assert started == [("mm-cptv", 2), ("mm-none", 2), ("mm-cptv", 1), ("mm-none", 1),
-                       ("mm-none", 3), ("constant", 3)]
+                       ("mm-none", 3)]
+    constant = run_protocol(split, specs[:1], (0, 1, 2))[0]["test_mae"]
     assert [row["test_mae"] for row in rows if row["agg"] == 0] == [
-        6.0] * 3 + [5.0] * 3 + [4.0, 2.0, 2.0] + [3.0, 1.0, 1.0]
+        constant] * 3 + [5.0] * 3 + [4.0, 2.0, 2.0] + [3.0, 1.0, 1.0]
 
 
 _random = np.random.default_rng(5)
@@ -286,8 +331,9 @@ def _fit_fields(result):
        failing=st.sampled_from([None, "seed", "alpha"]))
 def test_a_stacked_fit_gives_each_seed_the_bytes_of_its_own_fit(K, seeds, mu_mode, failing):
     # at this rel_tol the seeds of a stack converge at different iterations, and
-    # a fit that fails (a NaN start for the first seed, or alpha = 1e308 for all)
-    # leaves the stack with the error its own fit raises
+    # a fit that fails (a NaN start for the first seed, or alpha = 1e308 for all,
+    # which a learned mu carries to the objective) leaves the stack with the error
+    # its own fit raises
     config = FitConfig(K, alpha=1e308 if failing == "alpha" else 2.0, max_iters=20,
                        rel_tol=1e-4)
     mu = None if mu_mode is None else np.array([0.2, 0.4, 0.6])
@@ -310,15 +356,6 @@ def test_a_stacked_fit_gives_each_seed_the_bytes_of_its_own_fit(K, seeds, mu_mod
             return exc
 
     with mock.patch.object(mixture, "init_params", init_or_poison):
-        if failing and mu_mode == "learn":
-            # a NaN start (both cases: alpha = 1e308 draws a NaN theta) reaches the
-            # learned mu before the objective: its own fit raises the
-            # ConfigurationError of a mu outside [0, 1], and so does the stack
-            with pytest.raises(ConfigurationError, match="^mu must be"):
-                own_fit(seeds[0])
-            with pytest.raises(ConfigurationError, match="^mu must be"):
-                _fit_stack(_STACK_DATA, spec, seeds)
-            return
         stacked = _fit_stack(_STACK_DATA, spec, seeds)
         singles = [own_fit(seed) for seed in seeds]
     assert [_fit_fields(r) for r in stacked] == [_fit_fields(r) for r in singles]
