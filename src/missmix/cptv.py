@@ -72,14 +72,14 @@ class CptvParams:
 
 
 class _MuStack(CptvParams):
-    """A stack's learned mu, one row per fit, shape (S, V), clamped as a CptvParams
-    mu is but not checked, so a NaN row fails its own fit at the objective."""
+    """A stack's mu, fixed or learned, one row per fit, shape (S, V), clamped as a
+    CptvParams mu is but not checked, so a NaN row fails its own fit at the objective."""
 
     def __post_init__(self):
         self.mu = np.clip(np.asarray(self.mu, dtype=float), MU_EPS, 1.0 - MU_EPS)
 
     def take(self, rows):
-        """The learned mu of the fits at ``rows`` (an index, or a list)."""
+        """The mu of the fits at ``rows`` (an index, or a list); a CptvParams for one fit."""
         mu = self.mu[rows]
         return replace(self, mu=mu) if mu.ndim == 2 else CptvParams(mu, self.xi1, self.xi0)
 
@@ -161,14 +161,14 @@ def fit_nmar(dataset: RatingDataset, config: FitConfig, mu,
         With cptv, holding the prior's xi1/xi0 when mu was learned.
     """
     check_mu_length(mu, dataset.n_values)
-    return _only(_fit(dataset, [config], start_cptv(mu, strength, [config.seed])))
+    return _only(_fit(dataset, config, [config.seed], start_cptv(mu, strength, [config.seed])))
 
 
-def start_cptv(mu, strength: float | None, seeds) -> CptvParams:
-    """The observation model a stack of fits of ``seeds`` starts from: ``mu`` held
-    fixed or, with a ``strength``, learned from a draw of its prior per seed."""
+def start_cptv(mu, strength: float | None, seeds) -> _MuStack:
+    """The mu stack a stack of fits of ``seeds`` starts from: the checked ``mu`` held
+    fixed for each seed or, with a ``strength``, learned from a draw of its prior per seed."""
     if strength is None:
-        return CptvParams(mu=mu)
+        return _MuStack(mu=[CptvParams(mu=mu).mu] * len(seeds))
     xi1, xi0 = build_mu_prior(mu, strength)
     return _MuStack(mu=[np.random.default_rng([seed, 1]).beta(xi1, xi0) for seed in seeds],
                     xi1=xi1, xi0=xi0)

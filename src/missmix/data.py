@@ -347,11 +347,7 @@ def _int_rows(block) -> str:
 
 def format_floats(values) -> str:
     """Space-joined values to 17 significant digits: every float64 reads back exactly."""
-    flat = np.asarray(values, dtype=float).ravel()
-    # 2**15 values at a time, so few Python floats and format strings exist at once
-    blocks = (flat[start:start + 2**15] for start in range(0, len(flat), 2**15))
-    return " ".join(" ".join(["%.17g"] * len(block)) % tuple(block.tolist())
-                    for block in blocks)
+    return " ".join("%.17g" % value for value in np.asarray(values, dtype=float).ravel().tolist())
 
 
 def load_csv(path, dims: tuple[int, int, int] | None = None) -> RatingDataset:

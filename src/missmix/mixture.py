@@ -11,7 +11,7 @@ evidence. Dirichlet smoothing on theta and beta keeps every estimate
 strictly interior, and the objective maximised is the log of
 (likelihood x priors).
 It also fits a stack of S seeds at once, with theta (S, K), beta (S, V, M,
-K), q (S, N, K) and a learned mu (S, V); every reduction runs over negative
+K), q (S, N, K) and mu (S, V); every reduction runs over negative
 axes, so each fit of a stack sees a single fit's memory layout and bits.
 """
 
@@ -254,26 +254,26 @@ def _objective(params: MixtureParams, log_z: np.ndarray, cptv=None) -> np.ndarra
 def _take(rows, params: MixtureParams, q: np.ndarray, cptv):
     """Params, q and observation model of the fits at ``rows`` (an index, or a list) of a stack."""
     return (replace(params, theta=params.theta[rows], beta=params.beta[rows]), q[rows],
-            cptv if cptv is None or cptv.mu.ndim == 1 else cptv.take(rows))
+            None if cptv is None else cptv.take(rows))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fit(dataset: RatingDataset, configs, cptv=None) -> list:
-    """MAP EM from `init_params`, for both families, of a stack of fits whose
-    ``configs`` differ only in seed: each one's FitResult, or the
-    EstimationError that ended it.
+def _fit(dataset: RatingDataset, config: FitConfig, seeds, cptv=None) -> list:
+    """MAP EM from `init_params`, for both families, of ``config`` under each of
+    ``seeds`` as one stack: each fit's FitResult, or the EstimationError that ended it.
 
-    With an observation model ``cptv`` its mu is held fixed, or learned (one
-    per fit) when cptv carries its Beta prior (xi1/xi0). A fit leaves the stack
-    once its relative objective change falls below ``rel_tol`` or
-    ``max_iters`` runs out, or with an EstimationError, in place of the
-    overflow warnings behind it, once its objective turns non-finite.
+    With a `cptv.start_cptv` mu stack ``cptv``, mu is held fixed, or learned when cptv
+    carries its Beta prior (xi1/xi0). A fit leaves the stack once its relative objective
+    change falls below ``rel_tol`` or ``max_iters`` runs out, or with an EstimationError,
+    in place of the overflow warnings behind it, once its objective turns non-finite.
     """
-    params = [init_params(dataset.n_items, dataset.n_values, config) for config in configs]
+    params = [init_params(dataset.n_items, dataset.n_values, replace(config, seed=seed))
+              for seed in seeds]
     params = replace(params[0], theta=np.stack([p.theta for p in params]),
                      beta=np.stack([p.beta for p in params]))
+    rel_tol, max_iters = config.rel_tol, config.max_iters
     q, _ = _e_step(params, dataset, cptv)
-    fits, traces, results = list(range(len(configs))), [[] for _ in configs], {}
+    fits, traces, results = list(range(len(seeds))), [[] for _ in seeds], {}
     while fits:
         params, cptv = _m_step(params, dataset, q, cptv)
         q, log_z = _e_step(params, dataset, cptv)
@@ -281,12 +281,12 @@ def _fit(dataset: RatingDataset, configs, cptv=None) -> list:
             trace = traces[fit]
             trace.append(value)
             converged = len(trace) >= 2 and (abs(value - trace[-2]) / max(abs(value), _TINY)
-                                             < configs[fit].rel_tol)
+                                             < rel_tol)
             if not np.isfinite(value):
                 results[fit] = EstimationError(f"log posterior is {value} after EM iteration"
                                                f" {len(trace)}; a smoothing or prior count"
                                                " is too large")
-            elif converged or len(trace) == configs[fit].max_iters:
+            elif converged or len(trace) == max_iters:
                 fit_params, fit_q, fit_cptv = _take(row, params, q, cptv)
                 results[fit] = FitResult(fit_params, np.array(trace), converged, len(trace),
                                          fit_q, fit_cptv)
@@ -294,7 +294,7 @@ def _fit(dataset: RatingDataset, configs, cptv=None) -> list:
         if len(stay) < len(fits):
             fits = [fits[row] for row in stay]
             params, q, cptv = _take(stay, params, q, cptv)
-    return [results[fit] for fit in range(len(configs))]
+    return [results[fit] for fit in range(len(seeds))]
 
 
 def _only(results):
@@ -327,4 +327,4 @@ def fit_mar(dataset: RatingDataset, config: FitConfig) -> FitResult:
     Returns a FitResult with the objective evaluated after every update;
     the run stops once the relative change falls below ``config.rel_tol``.
     """
-    return _only(_fit(dataset, [config]))
+    return _only(_fit(dataset, config, [config.seed]))

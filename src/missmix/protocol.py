@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,8 @@ REPORT_COLUMNS = ["model", "K", "mu_mode", "S", "seed", "train_mae",
 _SCORES = ("train_mae", "test_mae", "iterations", "converged")
 _FAMILIES = ("mm-none", "mm-cptv", "constant")
 _split: SplitPair | None = None  # the running protocol's split, inherited by forked workers
-# Cells of a stack's (S, V, M, K) rating table, 8 MB of float64; a larger fit runs alone.
+# Cells of a stack, V*M + N per component and seed: its (S, V, M, K) rating table and
+# (S, N, K) per-user tables, 8 MB of float64; a larger fit runs alone.
 STACK_CELLS = 2**20
 
 
@@ -109,23 +110,23 @@ def _fit_and_score(spec: ModelSpec, seeds):
     return [fit if isinstance(fit, EstimationError) else (
         *(mae(predicted_medians(fit.params, fit.q, ds.users, ds.items), ds.values)
           for ds in (train, test)), fit.iterations, int(fit.converged))
-        for fit in _fit(train, [replace(spec.config, seed=seed) for seed in seeds], cptv)]
+        for fit in _fit(train, spec.config, seeds, cptv)]
 
 
 def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
 
 
-def _stacks(specs, seeds, table_cells: int) -> list:
+def _stacks(specs, seeds, cells: int) -> list:
     """The fitted specs' (spec, seeds) stacks in run order: the most components (S*K),
-    then mm-cptv, first, else in spec and seed order. Each (S, V, M, K) table, of
-    ``table_cells`` = V*M per component, holds at most STACK_CELLS (or one fit), and a
-    spec has at least one stack per CPU when fewer specs are fitted than there are CPUs."""
+    then mm-cptv, first, else in spec and seed order. Each stack, of ``cells`` = V*M + N
+    per component and seed, holds at most STACK_CELLS (or one fit), and a spec has
+    at least one stack per CPU when fewer specs are fitted than there are CPUs."""
     fitted = [spec for spec in specs if spec.config is not None]
     per_spec = -(-_cpus() // max(1, len(fitted)))
     tasks = []
     for spec in fitted:
-        size = max(1, STACK_CELLS // (table_cells * spec.config.n_components))
+        size = max(1, STACK_CELLS // (cells * spec.config.n_components))
         n = min(len(seeds), max(-(-len(seeds) // size), per_spec))
         tasks += [(spec, seeds[len(seeds) * i // n:len(seeds) * (i + 1) // n]) for i in range(n)]
     return sorted(tasks, reverse=True, key=lambda task: (
@@ -171,7 +172,8 @@ def run_protocol(split: SplitPair, specs, seeds):
         if spec.mu is not None:
             check_mu_length(spec.mu, split.train.n_values)
 
-    tasks = _stacks(specs, list(seeds), split.train.n_values * split.train.n_items)
+    tasks = _stacks(specs, list(seeds),
+                    split.train.n_values * split.train.n_items + split.train.n_users)
     results = {(id(spec), seed): score for (spec, stack), scores in
                zip(tasks, _map_tasks(split, tasks)) for seed, score in zip(stack, scores)}
     rows = []

@@ -613,13 +613,13 @@ def test_save_csv_then_load_csv_round_trips(tmp_path_factory, data):
         assert getattr(back, name).tolist() == getattr(ds, name).tolist()
 
 
-# format_floats works in blocks of 2**15 values; this crosses one boundary
-_ACROSS_A_BLOCK = np.random.default_rng(5).standard_normal(2**15 + 3).tolist()
+# far more values than the scalars and V-length vectors format_floats is given
+_LONG = np.random.default_rng(5).standard_normal(2**15 + 3).tolist()
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
 @example([5e-324, -0.0, 0.1, 1.7976931348623157e308, -2.2250738585072014e-308])
-@example(_ACROSS_A_BLOCK)
+@example(_LONG)
 def test_format_floats_reads_back_bit_for_bit(values):
     arr = np.array(values, dtype=np.float64)
     back = np.array([float(t) for t in format_floats(arr).split()], dtype=np.float64)
@@ -630,7 +630,7 @@ def test_format_floats_reads_back_bit_for_bit(values):
 @example([5e-324, -0.0, 0.1, 1.7976931348623157e308, -2.2250738585072014e-308])
 @example([0.0, 1 / 3])
 @example([])
-@example(_ACROSS_A_BLOCK)
+@example(_LONG)
 def test_format_floats_is_the_per_value_17_digit_format(values):
     arr = np.array(values, dtype=np.float64)
     assert format_floats(arr) == " ".join("%.17g" % x for x in arr)
@@ -805,3 +805,9 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     assert _holders(r"ProcessPoolExecutor") == ["protocol.py"]
     assert inspect.getsource(protocol).count("empirical_median_value(") == 1
     assert "empirical_median_value(" in inspect.getsource(protocol.run_protocol)
+    # a stack is one FitConfig, its seeds and one (S, V) mu stack: only mixture._fit
+    # replaces a config's seed, and _take asks no observation model for its shape
+    assert list(inspect.signature(mixture._fit).parameters) == [
+        "dataset", "config", "seeds", "cptv"]
+    assert _holders(r"replace\([^)]*\bseed=") == ["mixture.py"]
+    assert "ndim" not in inspect.getsource(mixture._take)

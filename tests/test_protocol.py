@@ -198,10 +198,10 @@ def test_a_foreign_error_in_a_worker_is_raised_in_the_caller(small_split, monkey
     split, _ = small_split
     fit_stack = protocol._fit
 
-    def fit_or_refuse(train, configs, cptv=None):
-        if 1 in [config.seed for config in configs]:
+    def fit_or_refuse(train, config, seeds, cptv=None):
+        if 1 in seeds:
             raise ConfigurationError("no fit for seed 1")
-        return fit_stack(train, configs, cptv)
+        return fit_stack(train, config, seeds, cptv)
 
     # the forked workers inherit the patched module
     monkeypatch.setattr(protocol, "_fit", fit_or_refuse)
@@ -218,10 +218,10 @@ def test_a_grid_worker_killed_by_a_signal_is_an_evaluation_error(small_split, mo
         save_csv(tmp_path / f"{name}.csv", side)
     fit_stack = protocol._fit
 
-    def fit_or_die(train, configs, cptv=None):
-        if 1 in [config.seed for config in configs]:
+    def fit_or_die(train, config, seeds, cptv=None):
+        if 1 in seeds:
             os.kill(os.getpid(), signal.SIGKILL)
-        return fit_stack(train, configs, cptv)
+        return fit_stack(train, config, seeds, cptv)
 
     def hung(signum, frame):
         raise AssertionError("the grid still waits for its killed worker")
@@ -271,7 +271,7 @@ def test_stacks_stay_within_their_cells_and_start_largest_first(small_split, mon
              ModelSpec(family="mm-none", config=FitConfig(1)),
              ModelSpec(family="mm-none", config=FitConfig(4)),
              ModelSpec(family="mm-cptv", config=FitConfig(4), mu=truth.mu)]
-    cells = split.train.n_values * split.train.n_items
+    cells = split.train.n_values * split.train.n_items + split.train.n_users
     # two fits of K = 4 fill a stack
     monkeypatch.setattr(protocol, "STACK_CELLS", 8 * cells)
     with mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True):
@@ -301,6 +301,32 @@ def test_stacks_stay_within_their_cells_and_start_largest_first(small_split, mon
         constant] * 3 + [5.0] * 3 + [4.0, 2.0, 2.0] + [3.0, 1.0, 1.0]
 
 
+def test_a_stack_counts_the_per_user_tables_of_a_tall_split(monkeypatch):
+    # 30000 users beside a 5 x 10 rating table: each fit's (N, K) responsibilities
+    # outweigh its (V, M, K) table, so they count towards a stack's cells too
+    n, m, v = 30000, 10, 5
+    users = np.arange(n)
+    split = SplitPair(*(RatingDataset.from_arrays(n, m, v, users, (users + side) % m,
+                                                  users % v + 1) for side in (0, 1)))
+    specs = [ModelSpec("mm-none", FitConfig(K)) for K in (1, 2, 5, 10, 40)] + [
+        ModelSpec("mm-cptv", FitConfig(10), mu=np.full(v, 0.5))]
+    started = []
+
+    def record(split, tasks):
+        started.extend((spec.config.n_components, len(seeds)) for spec, seeds in tasks)
+        return [[(0.5, 0.5, 0, 1)] * len(seeds) for _, seeds in tasks]
+
+    monkeypatch.setattr(protocol, "_map_tasks", record)
+    for cpus in ({0}, {0, 1}):
+        started.clear()
+        with mock.patch("os.sched_getaffinity", return_value=cpus, create=True):
+            run_protocol(split, specs, (0, 1, 2, 3, 4))
+        assert sum(S for _, S in started) == 5 * len(specs)
+        assert all(S * K * (v * m + n) <= protocol.STACK_CELLS or S == 1 for K, S in started)
+        # V*M cells alone would stack all five seeds of K = 10 on one CPU
+        assert max(S for K, S in started if K == 10) == 3
+
+
 _random = np.random.default_rng(5)
 _mask = _random.random((40, 8)) < 0.5
 _STACK_DATA = RatingDataset.from_arrays(40, 8, 3, *np.nonzero(_mask),
@@ -310,7 +336,7 @@ _STACK_DATA = RatingDataset.from_arrays(40, 8, 3, *np.nonzero(_mask),
 def _fit_stack(dataset, spec, seeds):
     """The stacked fit of ``spec`` under each of ``seeds``, as `run_protocol` runs it."""
     cptv = None if spec.mu is None else start_cptv(spec.mu, spec.strength, seeds)
-    return mixture._fit(dataset, [replace(spec.config, seed=seed) for seed in seeds], cptv)
+    return mixture._fit(dataset, spec.config, seeds, cptv)
 
 
 def _fit_fields(result):

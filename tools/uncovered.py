@@ -9,8 +9,8 @@ It needs no coverage package. It runs pytest in this process, with a
 ``path:line: source`` for each line that holds compiled code and never ran,
 and exits with pytest's exit code. Commands the tests start as subprocesses
 are not traced, and neither are the workers `run_protocol` forks for a grid
-of two or more fits, so only what runs in the pytest process counts; grids of
-one fit run in-process and cover the fitting code.
+of two or more stacks, so only what runs in the pytest process counts; grids of
+one stack run in-process and cover the fitting code.
 """
 
 from __future__ import annotations
