@@ -28,16 +28,16 @@ import argparse
 import io
 import json
 import os
-import platform
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
-from importlib import metadata
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # tools/, also when loaded by path
+from own_peak import ROOT, versions  # noqa: E402
+
 AB = ROOT / ".perfbench_work" / "ab"
 SIDES = ("base", "change")
 
@@ -136,8 +136,7 @@ def provenance(baseline: str) -> dict:
             "change": {"sha": git("rev-parse", "HEAD"),
                        "dirty": bool(git("status", "--porcelain", "--untracked-files=no",
                                          "--", "src"))},
-            "python": platform.python_version(), "numpy": metadata.version("numpy"),
-            "scipy": metadata.version("scipy"), "cores": len(os.sched_getaffinity(0)),
+            **versions(), "cores": len(os.sched_getaffinity(0)),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 

@@ -8,10 +8,10 @@
 For each workload of perfbench/workloads.py it runs, with the missmix
 package under --src and in a fresh directory, the workload's `generate`,
 then each of its steps once, then one `estimate-mu` on the generated
-study. It prints one JSON object that gives, for each command, its
-arguments, its exit code and the sha256 of its standard output, its
-standard error and each file it writes. Two trees with equal digests
-write the same bytes on this loop.
+study, through the study loop and launcher of tools/own_peak.py. It prints
+one JSON object that gives, for each command, its arguments, its exit code
+and the sha256 of its standard output, its standard error and each file it
+writes. Two trees with equal digests write the same bytes on this loop.
 
 Each model file also gets a `content` digest: the sha256 of what the
 --src tree's own `load_model` reads from it (every array's dtype, shape
@@ -30,21 +30,19 @@ commit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import importlib.util
 import json
-import os
-import platform
 import shutil
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from importlib import metadata
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-STUDY_FILES = ("study.train.csv", "study.test.csv", "study.truth.model")
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # tools/, also when loaded by path
+from own_peak import ERR, OUT, ROOT, STUDY_FILES, env, load_workloads, study, versions  # noqa: E402
+
 GOLDEN = ROOT / "tests" / "golden" / "output_digest_tiny.json"
 GOLDEN_WORKLOADS = ("desk-grid", "million-fit", "wide-learn")
 # Probed cells per user: `generate`'s default --per-user-test, which no
@@ -74,49 +72,28 @@ for path in sys.argv[1:]:
 """
 
 
-def load_workloads():
-    """perfbench/workloads.py as a module, loaded without writing bytecode
-    under perfbench/."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "perfbench" / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes
-    return module
+def _sha256(path: Path) -> str | None:
+    if not path.exists():
+        return None
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _env(src: Path) -> dict:
-    """The environment that runs the missmix package under ``src``."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-
-
-def run_command(argv, cwd: Path, src: Path, outputs) -> tuple[dict, str]:
-    """Run ``missmix argv`` in ``cwd`` on the package under ``src``: its digest
-    record (an output it did not write hashes to None) and its standard output.
-    Each model file it wrote is kept as ``cwd``/<n>.snapshot, and its
-    ``content`` entry waits for `add_contents`."""
-    proc = subprocess.run([sys.executable, "-m", "missmix.cli", *argv],
-                          cwd=cwd, env=_env(src), capture_output=True)
-    files = {name: _sha256((cwd / name).read_bytes()) if (cwd / name).exists()
-             else None for name in outputs}
-    content = {}
-    for name in outputs:
-        if name.endswith(".model"):
-            content[name] = None
-            if files[name]:
-                content[name] = len(list(cwd.glob("*.snapshot")))
-                shutil.copyfile(cwd / name, cwd / f"{content[name]}.snapshot")
-    return ({"argv": list(argv), "rc": proc.returncode,
-             "stdout": _sha256(proc.stdout), "stderr": _sha256(proc.stderr),
-             "files": files, "content": content}, proc.stdout.decode("utf-8", "replace"))
+def digest_command(argv, outputs, record: dict, cwd: Path) -> dict:
+    """The digest record of a command `study` has just run in ``cwd``; an output
+    it did not write hashes to None. Each model file it wrote is kept as
+    ``cwd``/<n>.snapshot, and its ``content`` entry waits for `add_contents`."""
+    content = {name: None for name in outputs if name.endswith(".model")}
+    for name in content:
+        if (cwd / name).exists():
+            content[name] = len(list(cwd.glob("*.snapshot")))
+            shutil.copyfile(cwd / name, cwd / f"{content[name]}.snapshot")
+    return {"argv": argv, "rc": record["rc"], "stdout": _sha256(cwd / OUT),
+            "stderr": _sha256(cwd / ERR),
+            "files": {name: _sha256(cwd / name) for name in outputs}, "content": content}
 
 
 def add_contents(records, cwd: Path, src: Path) -> list[dict]:
@@ -126,7 +103,7 @@ def add_contents(records, cwd: Path, src: Path) -> list[dict]:
     snapshots = [f"{n}.snapshot" for c in contents for n in c.values() if n is not None]
     if snapshots:
         digests = subprocess.run(
-            [sys.executable, "-c", CONTENT_SCRIPT, *snapshots], cwd=cwd, env=_env(src),
+            [sys.executable, "-c", CONTENT_SCRIPT, *snapshots], cwd=cwd, env=env(src),
             check=True, capture_output=True, text=True).stdout.split()
         for content in contents:
             content.update((name, n if n is None else digests[n])
@@ -134,41 +111,25 @@ def add_contents(records, cwd: Path, src: Path) -> list[dict]:
     return records
 
 
-def digest_workload(workload, n_values: int, src: Path, seed: int) -> list[dict]:
+def digest_workload(workload, src: Path, seed: int) -> list[dict]:
     """Digest records of ``workload``'s generate, steps and estimate-mu."""
+    steps = (*workload.steps, load_workloads().Step("estimate-mu", (
+        "estimate-mu", "study.train.csv", "study.test.csv", "--exposure",
+        str(workload.items - PER_USER_TEST), "--dims", "{dims}", "--out", "mu.txt"),
+        ("mu.txt",)))
     with tempfile.TemporaryDirectory(prefix="missmix-digest-") as tmp:
         cwd = Path(tmp)
-        record, stdout = run_command(workload.generate_argv(seed), cwd, src,
-                                     STUDY_FILES)
-        records = [record]
-        if record["rc"] != 0:
-            return add_contents(records, cwd, src)
-        users = dict(line.split(" ", 1) for line in stdout.splitlines())["users"]
-        dims = f"{users},{workload.items},{n_values}"
-        for step in workload.steps:
-            argv = [a.replace("{dims}", dims) for a in step.argv]
-            records.append(run_command(argv, cwd, src, step.outputs)[0])
-        records.append(run_command(
-            ["estimate-mu", "study.train.csv", "study.test.csv", "--exposure",
-             str(workload.items - PER_USER_TEST), "--dims", dims, "--out", "mu.txt"],
-            cwd, src, ("mu.txt",))[0])
-        return add_contents(records, cwd, src)
-
-
-def versions() -> dict:
-    """The Python, numpy and scipy versions the digested commands run on."""
-    return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
-            "scipy": metadata.version("scipy")}
+        loop = study(dataclasses.replace(workload, steps=steps), seed, src, cwd)
+        return add_contents([digest_command(*command, cwd) for command in loop], cwd, src)
 
 
 def golden_digest(src: Path) -> dict:
     """The GOLDEN file's content for the package under ``src``: the tiny
     GOLDEN_WORKLOADS at seed 0, run side by side, and the versions."""
-    workloads = load_workloads()
-    tiny = workloads.build(tiny=True)
+    tiny = load_workloads().build(tiny=True)
     with ThreadPoolExecutor(len(GOLDEN_WORKLOADS)) as pool:
-        records = pool.map(lambda name: digest_workload(
-            tiny[name], workloads.N_VALUES, src, seed=0), GOLDEN_WORKLOADS)
+        records = pool.map(lambda name: digest_workload(tiny[name], src, seed=0),
+                           GOLDEN_WORKLOADS)
         return {"seed": 0, "size": "tiny", "versions": versions(),
                 "workloads": dict(zip(GOLDEN_WORKLOADS, records))}
 
@@ -187,11 +148,10 @@ def main(argv=None) -> int:
         GOLDEN.write_text(json.dumps(golden_digest(args.src.resolve()), indent=1) + "\n",
                           encoding="utf-8")
         return 0
-    workloads = load_workloads()
     src = args.src.resolve()
     digest = {"seed": args.seed, "size": args.size, "workloads": {
-        name: digest_workload(wl, workloads.N_VALUES, src, args.seed)
-        for name, wl in workloads.build(tiny=args.size == "tiny").items()}}
+        name: digest_workload(wl, src, args.seed)
+        for name, wl in load_workloads().build(tiny=args.size == "tiny").items()}}
     print(json.dumps(digest, indent=1))
     return 0
 
