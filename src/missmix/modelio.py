@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .cptv import CptvParams, check_mu_length
-from .data import format_floats, read_text, write_text
+from .data import blocks, format_floats, read_text, write_text
 from .errors import ConfigurationError, ParseError
 from .mixture import FitConfig, MixtureParams
 
@@ -80,11 +80,11 @@ def save_model(path, params: MixtureParams, cptv: CptvParams | None = None,
 
 def _tokens(key, value):
     """The tokens of a ``key`` line that holds ``value``, as pieces of text:
-    a float array's one hex token comes 2**15 values at a time."""
+    a float array's one hex token comes a block of values at a time."""
     kind = _KEYS[key]
     if kind is float and key not in _SCALAR_KEYS:
         flat = np.ascontiguousarray(value, dtype="<f8").ravel()
-        return (flat[start:start + 2**15].tobytes().hex() for start in range(0, len(flat), 2**15))
+        return (flat[rows].tobytes().hex() for rows in blocks(len(flat)))
     return [format_floats(value) if kind is float else
             " ".join(map(str, np.ravel(np.asarray(value, dtype=kind)).tolist()))]
 

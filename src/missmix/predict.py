@@ -12,23 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from .cptv import CptvParams
-from .data import RatingDataset
+from .data import RatingDataset, blocks
 from .errors import EstimationError, EvaluationError
 from .mixture import MixtureParams, _e_step
 
-# Pairs x V x K cells per einsum operand: 512 KB of float64, inside a core's L2 cache.
-BLOCK_CELLS = 2**16
-
 
 def _pair_blocks(params: MixtureParams, q: np.ndarray, users, items):
-    """(rows, beta rows of shape (n, V, K), q rows) for each block of about
-    BLOCK_CELLS / (V K) pairs, gathered from one (M, V, K) copy of beta."""
+    """(rows, beta rows of shape (n, V, K), q rows) for each block of pairs
+    (`blocks` of width V K), gathered from one (M, V, K) copy of beta."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     by_item = np.ascontiguousarray(params.beta.transpose(1, 0, 2))
-    step = max(1, BLOCK_CELLS // (params.n_values * params.n_components))
-    for start in range(0, len(users), step):
-        rows = slice(start, start + step)
+    for rows in blocks(len(users), params.n_values * params.n_components):
         yield rows, by_item.take(items[rows], axis=0), q.take(users[rows], axis=0)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cptv import CptvParams, check_mu_length
-from .data import RatingDataset, SplitPair
+from .data import RatingDataset, SplitPair, blocks
 from .errors import ConfigurationError, GenerationError
 from .mixture import MixtureParams
 
@@ -50,12 +50,6 @@ class GroundTruth:
         return self.params.n_values
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """Row slices of about 2**16 cells, so no N x M float64 draw exists at once."""
-    step = max(1, 2**16 // n_cols)
-    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
-
-
 def sample_ground_truth(n_users: int, n_items: int, n_values: int,
                         n_components: int, mu, seed,
                         concentration: float = 1.0) -> GroundTruth:
@@ -85,7 +79,7 @@ def sample_ground_truth(n_users: int, n_items: int, n_values: int,
     # even where rounding leaves the last CDF value below u.
     thresholds = np.ascontiguousarray(np.cumsum(beta, axis=0)[:-1].transpose(2, 0, 1))
     complete = np.empty((n_users, n_items), np.int16)
-    for rows in _row_blocks(n_users, n_items):
+    for rows in blocks(n_users, n_items):
         u = rng.random(complete[rows].shape)
         complete[rows] = 1 + (thresholds[z[rows]] < u[:, None]).sum(axis=1, dtype=np.int16)
 
@@ -107,7 +101,7 @@ def _keep_mask(truth: GroundTruth, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     rate = np.concatenate(([0.0], truth.mu))
     keep = np.empty(truth.complete.shape, dtype=bool)
-    for rows in _row_blocks(*keep.shape):
+    for rows in blocks(*keep.shape):
         keep[rows] = rng.random(keep[rows].shape) < rate[truth.complete[rows]]
     return keep
 
@@ -116,7 +110,7 @@ def _probe_mask(truth: GroundTruth, per_user: int, seed) -> np.ndarray:
     """The ``per_user`` cells of each row with the smallest uniform keys."""
     rng = np.random.default_rng(seed)
     probe = np.zeros(truth.complete.shape, dtype=bool)
-    for rows in _row_blocks(*probe.shape):
+    for rows in blocks(*probe.shape):
         keys = rng.random(probe[rows].shape)
         smallest = np.argpartition(keys, per_user - 1, axis=1)[:, :per_user]
         np.put_along_axis(probe[rows], smallest, True, axis=1)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,34 @@ def test_a_run_that_is_not_correct_stops_the_pairs(tmp_path):
     with pytest.raises(SystemExit, match="change run of wide-learn at seed 0 is not correct"):
         ab.run_pairs(sides, "wide-learn", 2, 1.0, 0, run=lambda tree, *_: {
             "correct": tree.name == "base", "metrics": {}})
+
+
+def test_both_sides_are_built_by_git_archive_and_untracked_src_files_stop_the_tool(
+        tmp_path, monkeypatch):
+    ab = _load_tool()
+    monkeypatch.setattr(ab, "AB", tmp_path / "ab")  # never the real .perfbench_work/ab
+    sides = ab.build_sides(ab.revisions("HEAD"))
+
+    def files(tree):
+        return sorted(str(p.relative_to(tree)) for p in (tree / "src").rglob("*")
+                      if p.is_file())
+
+    committed = ab.git("ls-tree", "-r", "--name-only", "HEAD", "--", "src").splitlines()
+    assert files(sides["base"]) == sorted(committed)
+    for path in committed:
+        shown = subprocess.run(["git", "-C", str(ROOT), "show", f"HEAD:{path}"],
+                               check=True, capture_output=True).stdout
+        assert (sides["base"] / path).read_bytes() == shown, path
+    tracked = ab.git("ls-files", "--", "src").splitlines()
+    assert files(sides["change"]) == sorted(tracked)
+    for path in tracked:
+        assert (sides["change"] / path).read_bytes() == (ROOT / path).read_bytes(), path
+    for tree in sides.values():
+        assert (tree / "perfbench" / "run.py").read_bytes() == (
+            ROOT / "perfbench" / "run.py").read_bytes()
+
+    git = ab.git
+    monkeypatch.setattr(ab, "git", lambda *args: "src/missmix/new.py\n" if args[0] == "ls-files"
+                        else git(*args))
+    with pytest.raises(SystemExit, match="untracked files.*src/missmix/new.py"):
+        ab.revisions("HEAD")

@@ -9,14 +9,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from missmix import analysis, cli, data, mixture, modelio, predict, protocol, synthetic
 from missmix.cli import build_parser
 from missmix.cptv import CptvParams, m_step_nmar
-from missmix.data import (RatingDataset, SplitPair, format_floats, load_csv,
-                          read_int_columns, save_csv, write_int_csv)
+from missmix.data import (BLOCK_CELLS, RatingDataset, SplitPair, blocks, format_floats,
+                          load_csv, read_int_columns, save_csv, write_int_csv)
 from missmix.errors import DataValidationError, MissmixError, ParseError
 from missmix.mixture import FitConfig
 from oracles import parse_ratings_rows, user_rows
@@ -589,13 +589,33 @@ def test_write_int_csv_writes_what_the_per_row_format_wrote(tmp_path_factory, ca
 
 
 def test_write_int_csv_crosses_its_row_blocks_as_the_per_row_format(tmp_path):
-    # 2**13 rows are formatted at a time; 2**17 + 3 rows make seventeen blocks
-    rows = np.random.default_rng(3).integers(-2**63, 2**63 - 1, size=(2**17 + 3, 2),
+    # BLOCK_CELLS // 2 rows of two columns are formatted at a time: four whole
+    # blocks and three rows
+    rows = np.random.default_rng(3).integers(-2**63, 2**63 - 1,
+                                             size=(4 * (BLOCK_CELLS // 2) + 3, 2),
                                              dtype=np.int64, endpoint=True)
     path = tmp_path / "w.csv"
     write_int_csv(path, "a,b", *rows.T)
     expected = "a,b\n" + "".join("{},{}\n".format(*row) for row in rows.tolist())
     assert path.read_bytes() == expected.encode()
+
+
+@settings(max_examples=40)  # past width BLOCK_CELLS, n slices of one index each
+@given(st.integers(0, 3 * BLOCK_CELLS), st.integers(1, 2 * BLOCK_CELLS))
+@example(0, 1)
+@example(3 * BLOCK_CELLS, 1)
+@example(BLOCK_CELLS + 1, BLOCK_CELLS // 2)
+@example(5, 2 * BLOCK_CELLS)
+def test_blocks_cover_the_range_once_in_order_each_of_the_cells_rule_but_the_last(n, width):
+    slices = list(blocks(n, width))
+    step = max(1, BLOCK_CELLS // width)
+    # each slice starts where the one before it stops, the first at 0, and the
+    # last stops at n: with no empty slice, range(n) is covered once, in order
+    assert [s.start for s in slices] + [n] == [0] + [s.stop for s in slices]
+    assert {s.step for s in slices} <= {None}
+    lengths = [s.stop - s.start for s in slices]
+    assert lengths[:-1] == [step] * (len(slices) - 1)
+    assert all(0 < length <= step for length in lengths)
 
 
 @given(st.data())
@@ -758,6 +778,12 @@ def test_shared_formulas_and_policies_have_one_home_each(tmp_path):
     assert [line.split(" = ")[0] for line in inspect.getsource(protocol).splitlines()
             if '"train_mae"' in line] == ["REPORT_COLUMNS", "_SCORES"]
     assert _holders(r"out of range") == ["data.py"]
+    # one block rule: every piecewise loop takes its slices from data.blocks
+    assert _holders(r"BLOCK_CELLS = ") == _holders(r"def blocks\b") == ["data.py"]
+    assert _holders(r"range\(0, ") == ["data.py"]
+    assert inspect.getsource(data).count("range(0, ") == 1
+    assert "range(0, " in inspect.getsource(data.blocks)
+    assert _holders(r"2\*\*1[35]\b|_row_blocks") == []
     # one model-file format: load_model accepts FORMAT_VERSION alone, and the
     # smoothing lines are checked by FitConfig's rule
     assert _holders(r"\b_smoothing\b|v1_size|format 1") == []

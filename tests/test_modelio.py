@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from missmix.cptv import CptvParams, fit_nmar
+from missmix.data import BLOCK_CELLS
 from missmix.errors import ConfigurationError, MissmixError, ParseError
 from missmix.mixture import FitConfig, MixtureParams, fit_mar
 from missmix.modelio import FORMAT_VERSION, _parse, _tokens, load_model, save_model
@@ -233,9 +234,9 @@ def test_a_float_array_token_round_trips_every_bit(values):
 
 
 def test_a_long_float_array_token_is_written_in_pieces_of_the_same_bytes():
-    array = np.random.default_rng(0).random(2 * 2**15 + 3)
+    array = np.random.default_rng(0).random(2 * BLOCK_CELLS + 3)
     pieces = list(_tokens("beta", array))
-    assert [len(p) for p in pieces] == [16 * 2**15, 16 * 2**15, 16 * 3]
+    assert [len(p) for p in pieces] == [16 * BLOCK_CELLS, 16 * BLOCK_CELLS, 16 * 3]
     assert "".join(pieces) == array.astype("<f8").tobytes().hex()
 
 

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from missmix.cptv import CptvParams, e_step_nmar
-from missmix.data import RatingDataset
+from missmix.data import BLOCK_CELLS, RatingDataset
 from missmix.errors import EvaluationError
 from missmix.mixture import FitConfig, MixtureParams, e_step_mar, init_params
-from missmix.predict import (BLOCK_CELLS, empirical_median_value, mae,
-                             posterior_z, predict_median, predicted_medians,
-                             predictive_distribution)
+from missmix.predict import (empirical_median_value, mae, posterior_z, predict_median,
+                             predicted_medians, predictive_distribution)
 from missmix.synthetic import apply_cptv_missingness, sample_ground_truth
 
 

@@ -83,3 +83,8 @@ def test_the_launcher_and_the_study_loop_have_one_home_under_tools():
     # no second launcher, no working-directory switch, and no study file held
     # whole in the launcher's memory
     assert _holders(r"posix_spawn|os\.chdir\(|read_bytes\(") == []
+    # ab.py builds both of its sides by the one `git archive` call, and copies
+    # no working src/
+    assert sum(len(re.findall(r'"archive"', p.read_text(encoding="utf-8")))
+               for p in TOOLS.glob("*.py")) == 1
+    assert _holders(r'copytree\(ROOT / "src"') == []

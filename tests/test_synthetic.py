@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from missmix.data import BLOCK_CELLS
 from missmix.errors import ConfigurationError, GenerationError
 from missmix.synthetic import (_keep_mask, _probe_mask, apply_cptv_missingness,
                                build_study_dataset, sample_ground_truth,
@@ -191,9 +192,9 @@ def test_build_study_dataset_checks_min_train_first():
 @st.composite
 def _block_edge_studies(draw):
     """A small population whose table ends just before, at or just after a
-    row block of 2**16 cells, with mu touching 0 and 1, and split sizes."""
-    n_items = draw(st.sampled_from([1, 2**16 - 1, 2**16, 2**16 + 1]))
-    rows = max(1, 2**16 // n_items)  # rows per block
+    row block of BLOCK_CELLS cells, with mu touching 0 and 1, and split sizes."""
+    n_items = draw(st.sampled_from([1, BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1]))
+    rows = max(1, BLOCK_CELLS // n_items)  # rows per block
     n_users = draw(st.sampled_from(sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 1})))
     n_values, n_components = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     mu = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]),
@@ -204,7 +205,7 @@ def _block_edge_studies(draw):
 
 @settings(max_examples=20)
 @given(_block_edge_studies())
-@example((2**16 + 1, 1, 5, 3, np.array([0.0, 0.3, 0.7, 1.0, 0.3]), 0, 1, 1))
+@example((BLOCK_CELLS + 1, 1, 5, 3, np.array([0.0, 0.3, 0.7, 1.0, 0.3]), 0, 1, 1))
 def test_row_blocked_draws_equal_the_whole_table_draws(study):
     # every N x M draw comes from its generator one row block at a time,
     # which must give the bits of the one whole-table draw

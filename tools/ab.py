@@ -4,10 +4,13 @@
     python3 tools/ab.py --baseline e5703b7 --workload desk-grid --pairs 10 \\
         --seconds 25 --record stacked_grid
 
-It builds two trees under .perfbench_work/ab/: base/ holds the src/ of the
-git revision --baseline (a local `git archive`) and change/ this tree's
-src/, and each gets a copy of this tree's perfbench/, so both sides run the
-same benchmark code on their own package. Pair i runs
+It builds two trees under .perfbench_work/ab/ one way, each side's src/ by
+`git archive` of a revision: base/ from --baseline, and change/ from this
+tree's tracked files as they stand (`git stash create`, which moves no ref,
+index entry or file, or HEAD when nothing has changed). It refuses to run
+while src/ holds untracked files, which the change side would miss. Each
+tree gets a copy of this tree's perfbench/, so both sides run the same
+benchmark code on their own package. Pair i runs
 `perfbench/run.py --workload W --seed SEED0+i --seconds S` on both sides,
 the baseline first in even pairs and the change first in odd ones, and
 reads the last line of each run's output, its JSON summary; a run that is
@@ -16,10 +19,10 @@ not `correct` ends the tool with exit code 1.
 For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the median of the paired ratios (change / base) and the
 pairs the change wins (a better value, by the metric's direction).
---record NAME writes those statistics and their provenance (both SHAs, the
-Python, numpy and scipy versions, the core count and
-PYTHONDONTWRITEBYTECODE) to BENCH_NAME.json at the repository root; it
-keeps no raw samples.
+--record NAME writes those statistics and their provenance (both SHAs,
+each side's src/ tree id, the Python, numpy and scipy versions, the core
+count and PYTHONDONTWRITEBYTECODE) to BENCH_NAME.json at the repository
+root; it keeps no raw samples.
 """
 
 from __future__ import annotations
@@ -47,18 +50,26 @@ def git(*args) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def build_sides(baseline: str) -> dict[str, Path]:
-    """The two trees, each with its src/ and a copy of this tree's perfbench/."""
-    ignore = shutil.ignore_patterns("__pycache__")
+def revisions(baseline: str) -> dict[str, str]:
+    """Each side's revision: ``baseline``, and a commit of this tree's tracked
+    files as they stand; SystemExit while src/ holds untracked files."""
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src").splitlines()
+    if untracked:
+        sys.exit(f"src/ has untracked files, which the change side would miss: {untracked[0]}")
+    return {"base": baseline, "change": git("stash", "create") or "HEAD"}
+
+
+def build_sides(revs: dict[str, str]) -> dict[str, Path]:
+    """The two trees, each with its revision's src/ and a copy of this tree's perfbench/."""
     shutil.rmtree(AB, ignore_errors=True)
     sides = {side: AB / side for side in SIDES}
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", baseline,
-                              "src"], check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(sides["base"], filter="data")
-    shutil.copytree(ROOT / "src", sides["change"] / "src", ignore=ignore)
-    for tree in sides.values():
-        shutil.copytree(ROOT / "perfbench", tree / "perfbench", ignore=ignore)
+    for side, tree in sides.items():
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", revs[side],
+                                  "src"], check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        shutil.copytree(ROOT / "perfbench", tree / "perfbench",
+                        ignore=shutil.ignore_patterns("__pycache__"))
     return sides
 
 
@@ -131,11 +142,14 @@ def print_summary(summary: dict) -> None:
               f" {s['wins']:>3d}/{s['pairs']:<2d}")
 
 
-def provenance(baseline: str) -> dict:
-    return {"baseline": {"rev": baseline, "sha": git("rev-parse", f"{baseline}^{{commit}}")},
+def provenance(revs: dict[str, str]) -> dict:
+    base = revs["base"]
+    return {"baseline": {"rev": base, "sha": git("rev-parse", f"{base}^{{commit}}"),
+                         "src_tree": git("rev-parse", f"{base}:src")},
             "change": {"sha": git("rev-parse", "HEAD"),
                        "dirty": bool(git("status", "--porcelain", "--untracked-files=no",
-                                         "--", "src"))},
+                                         "--", "src")),
+                       "src_tree": git("rev-parse", f"{revs['change']}:src")},
             **versions(), "cores": len(os.sched_getaffinity(0)),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
@@ -157,12 +171,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     better = {m["name"]: m["better"] for m in json.loads(
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
-    sides = build_sides(args.baseline)
+    revs = revisions(args.baseline)
+    sides = build_sides(revs)
     pairs = run_pairs(sides, args.workload, args.pairs, args.seconds, args.seed0)
     summary = summarise(pairs, better)
     print_summary(summary)
     if args.record:
-        write_record(ROOT / f"BENCH_{args.record}.json", provenance(args.baseline),
+        write_record(ROOT / f"BENCH_{args.record}.json", provenance(revs),
                      {"workload": args.workload, "pairs": args.pairs,
                       "seconds": args.seconds, "seed0": args.seed0}, summary)
     return 0
